@@ -13,22 +13,24 @@
  *   csr     the production SaSampler: flat CSR adjacency compiled
  *           once per model, cached local fields updated
  *           incrementally on accepted flips (O(1) delta reads,
- *           running energy), exp() skipped for downhill moves;
- *   reads4  the production sampler with num_reads = 4 independent
- *           chains raced on the shared WorkPool, best energy first;
- *   seq8    num_reads = 8 on the same WorkPool path — the sequential
- *           baseline the lockstep kernel is judged against (on one
- *           core the pool degrades to running the reads back to
- *           back);
- *   batch8  num_reads = 8 through the lockstep SIMD batch kernel
- *           (SaOptions::lockstep): all 8 reads advance through ONE
+ *           running energy), and the Metropolis test a compare
+ *           against the exp(-j/64) bracket table (exact exp() only
+ *           for a uniform between the bounds);
+ *   reads4  the production sampler with num_reads = 4: read 0 is
+ *           the csr sample on the caller's stream, reads 1..3 one
+ *           lockstep group, both fanned out on the shared WorkPool,
+ *           best energy first;
+ *   seq8    num_reads = 8 on the same production path (read 0
+ *           scalar, reads 1..7 one lockstep group);
+ *   batch8  8 reads as ONE lockstep group (sampleLockstep) on the
+ *           caller alone: all 8 reads advance through one
  *           instruction stream over the SoA layout, uniforms come
  *           from the BlockRng bulk fill and the Metropolis accept
  *           test is a table compare, on the widest ISA the host
  *           runs;
  *   batch8_scalar  the same lockstep run pinned to the scalar
- *           fallback (HYQSAT_SIMD=scalar) — by contract bit-identical
- *           to batch8, timed to show what vector width alone buys;
+ *           fallback kernel — by contract bit-identical to batch8,
+ *           timed to show what vector width alone buys;
  *   par64_t1  num_reads = 64 through the two-level group scheduler
  *           (8 lockstep groups of 8 lanes) pinned to one execution
  *           context (a zero-helper WorkPool) — the single-thread
@@ -53,17 +55,16 @@
  * parallel pool reproduces the single-context run bit for bit — a
  * speedup over a sampler we no longer match would be meaningless.
  *
- * Measured reality, recorded here so the bars below make sense: at
- * production sweep counts the scalar Metropolis loop is draw-bound —
- * on encoded 3-SAT with the default geometric schedule ~75% of
+ * Measured reality, recorded here so the bars below make sense: on
+ * encoded 3-SAT with the default geometric schedule ~75% of
  * proposals are accepted, so the seed's O(deg) field re-scan per
  * proposal and the rewrite's O(deg) field update per ACCEPT nearly
- * cancel, and both sides share the same irreducible per-proposal
- * cost (data-dependent branches + the contractual RNG draws). The
- * full-schedule single-chain gain is therefore modest (~1.1-1.3x on
- * commodity x86); the structural wins are the fixed per-sample
- * overhead (sweeps = 1 rung) and the lockstep path, which amortizes
- * one instruction stream over 8 reads.
+ * cancel. The scalar loop is not draw-bound, though: an exact exp()
+ * per uphill proposal was a large share of it, and the bracket
+ * table that replaced it decides almost every proposal on a compare.
+ * The structural wins are the fixed per-sample overhead (sweeps = 1
+ * rung) and the lockstep path, which amortizes one instruction
+ * stream over 8 reads.
  *
  * Acceptance bars (full scale only): overhead rung >= 3x; full-
  * schedule csr >= 1x (regression guard, must never be slower than
@@ -81,7 +82,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -154,31 +154,6 @@ timePath(int reps, int reads, Fn &&fn)
     return out;
 }
 
-/** RAII override of HYQSAT_SIMD, restoring the prior value. */
-class SimdEnvOverride
-{
-  public:
-    explicit SimdEnvOverride(const char *value)
-    {
-        const char *old = std::getenv("HYQSAT_SIMD");
-        had_old_ = old != nullptr;
-        if (had_old_)
-            old_ = old;
-        ::setenv("HYQSAT_SIMD", value, 1);
-    }
-    ~SimdEnvOverride()
-    {
-        if (had_old_)
-            ::setenv("HYQSAT_SIMD", old_.c_str(), 1);
-        else
-            ::unsetenv("HYQSAT_SIMD");
-    }
-
-  private:
-    bool had_old_ = false;
-    std::string old_;
-};
-
 } // namespace
 
 int
@@ -229,20 +204,20 @@ main(int argc, char **argv)
     multi4.num_reads = 4;
     anneal::SaOptions multi8 = opts;
     multi8.num_reads = 8;
-    anneal::SaOptions lock8 = multi8;
-    lock8.lockstep = true;
+    const auto compiled =
+        anneal::SaCompiled::build(model, /*include_zero=*/false);
+    const auto runLock8 = [&](std::uint64_t base, simd::Isa isa) {
+        return anneal::sampleLockstep(compiled, compiled.csr.h.data(),
+                                      compiled.csr.w.data(), multi8,
+                                      base, isa);
+    };
 
     // Exactness gate 2: the lockstep kernel on the active ISA must
     // match its scalar fallback bit for bit (the batched contract).
     const simd::Isa active = simd::activeIsa();
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-        Rng a(seed), b(seed);
-        const auto wide = csr_sampler.sampleAll(lock8, a);
-        std::vector<anneal::SaResult> narrow;
-        {
-            SimdEnvOverride env("scalar");
-            narrow = csr_sampler.sampleAll(lock8, b);
-        }
+        const auto wide = runLock8(seed, active);
+        const auto narrow = runLock8(seed, simd::Isa::Scalar);
         bool same = wide.size() == narrow.size();
         for (std::size_t r = 0; same && r < wide.size(); ++r)
             same = wide[r].spins == narrow[r].spins &&
@@ -264,15 +239,11 @@ main(int argc, char **argv)
         1, std::min(8, static_cast<int>(hw_threads)) - 1);
     anneal::SaOptions par64_opts = opts;
     par64_opts.num_reads = 64;
-    par64_opts.lockstep = true;
-    const auto par_compiled =
-        anneal::SaCompiled::build(model, /*include_zero=*/false);
     const auto runPar = [&](std::uint64_t base,
                             anneal::WorkPool &pool) {
         return anneal::sampleLockstep(
-            par_compiled, par_compiled.csr.h.data(),
-            par_compiled.csr.w.data(), par64_opts, base, active,
-            &pool);
+            compiled, compiled.csr.h.data(), compiled.csr.w.data(),
+            par64_opts, base, active, &pool);
     };
     anneal::WorkPool par_serial(0);
     anneal::WorkPool par_pool(par_helpers);
@@ -296,7 +267,7 @@ main(int argc, char **argv)
 
     constexpr std::uint64_t kPathSeed = 0xBEBADA5Eull;
     Rng naive_rng(kPathSeed), csr_rng(kPathSeed), r4_rng(kPathSeed);
-    Rng s8_rng(kPathSeed), b8_rng(kPathSeed), b8s_rng(kPathSeed);
+    Rng s8_rng(kPathSeed);
     const PathTiming naive = timePath(reps, 1, [&](int) {
         return naiveSampleFresh(qubo, opts, naive_rng).energy;
     });
@@ -309,41 +280,37 @@ main(int argc, char **argv)
     const PathTiming seq8 = timePath(multi_reps, 8, [&](int) {
         return csr_sampler.sample(multi8, s8_rng).energy;
     });
-    const PathTiming batch8 = timePath(multi_reps, 8, [&](int) {
-        return csr_sampler.sample(lock8, b8_rng).energy;
-    });
-    PathTiming batch8_scalar;
-    {
-        SimdEnvOverride env("scalar");
-        batch8_scalar = timePath(multi_reps, 8, [&](int) {
-            return csr_sampler.sample(lock8, b8s_rng).energy;
-        });
-    }
-
-    // Parallel rungs: identical work (same options, same per-rep
-    // base seed) on one context versus the pool, so the ratio is
-    // pure scheduling.
-    const int par_reps = smoke ? 2 : 10;
-    const auto parBest = [](const std::vector<anneal::SaResult> &rs) {
+    const auto lockBest = [](const std::vector<anneal::SaResult> &rs) {
         double best = rs.front().energy;
         for (const auto &r : rs)
             best = std::min(best, r.energy);
         return best;
     };
-    const PathTiming par64_t1 = timePath(par_reps, 64, [&](int i) {
-        return parBest(runPar(kPathSeed + i, par_serial));
+    const PathTiming batch8 = timePath(multi_reps, 8, [&](int i) {
+        return lockBest(runLock8(kPathSeed + i, active));
     });
-    const PathTiming par64 = timePath(par_reps, 64, [&](int i) {
-        return parBest(runPar(kPathSeed + i, par_pool));
+    const PathTiming batch8_scalar = timePath(multi_reps, 8, [&](int i) {
+        return lockBest(runLock8(kPathSeed + i, simd::Isa::Scalar));
     });
 
-    // One representative lockstep sampleAll: its sorted per-read
+    // Parallel rungs: identical work (same options, same per-rep
+    // base seed) on one context versus the pool, so the ratio is
+    // pure scheduling.
+    const int par_reps = smoke ? 2 : 10;
+    const PathTiming par64_t1 = timePath(par_reps, 64, [&](int i) {
+        return lockBest(runPar(kPathSeed + i, par_serial));
+    });
+    const PathTiming par64 = timePath(par_reps, 64, [&](int i) {
+        return lockBest(runPar(kPathSeed + i, par_pool));
+    });
+
+    // One representative 8-read sampleAll: its sorted per-read
     // energies go on the batch8 row so downstream checks can assert
     // best-of-N monotonicity without rerunning the bench.
     std::vector<double> read_energies;
     {
         Rng rng(kPathSeed);
-        for (const auto &r : csr_sampler.sampleAll(lock8, rng))
+        for (const auto &r : csr_sampler.sampleAll(multi8, rng))
             read_energies.push_back(r.energy);
     }
 
@@ -384,11 +351,11 @@ main(int argc, char **argv)
                 csr.per_sample_us, csr.reads_per_s, csr_speedup,
                 csr.best_energy);
     std::printf("reads4          %9.2f us/sample  %9.0f reads/s "
-                "(WorkPool, %u cores; best energy %.3f)\n",
+                "(read 0 + 3 lockstep, %u cores; best energy %.3f)\n",
                 reads4.per_sample_us, reads4.reads_per_s, hw,
                 reads4.best_energy);
     std::printf("seq8            %9.2f us/sample  %9.0f reads/s "
-                "(WorkPool baseline; best energy %.3f)\n",
+                "(read 0 + 7 lockstep; best energy %.3f)\n",
                 seq8.per_sample_us, seq8.reads_per_s,
                 seq8.best_energy);
     std::printf("batch8          %9.2f us/sample  %9.0f reads/s "
@@ -419,7 +386,7 @@ main(int argc, char **argv)
                 "vs naive, bar >= 3x: per-sample rebuild hoisted)\n",
                 csr_oh.per_sample_us, overhead_speedup);
 
-    // Execution contexts per row: the multi-read WorkPool rows use
+    // Execution contexts per row: the production multi-read rows use
     // the shared pool plus the caller; lockstep batch rows run one
     // group on the caller alone; par64 adds the dedicated helpers.
     const int shared_contexts =
@@ -438,10 +405,11 @@ main(int argc, char **argv)
                  1.0},
                 {"csr", &csr, "scalar", 1, 1, opts.sweeps, reps,
                  csr_speedup},
-                {"reads4", &reads4, "scalar", 4, shared_contexts,
+                {"reads4", &reads4, simd::isaName(active), 4,
+                 shared_contexts,
                  opts.sweeps, reps,
                  naive.per_sample_us / reads4.per_sample_us},
-                {"seq8", &seq8, "scalar", 8, shared_contexts,
+                {"seq8", &seq8, simd::isaName(active), 8, shared_contexts,
                  opts.sweeps, multi_reps,
                  naive.per_sample_us / seq8.per_sample_us},
                 {"batch8", &batch8, simd::isaName(active), 8, 1,

@@ -7,7 +7,7 @@
  *   ./build/examples/batch_solver [files...] [--dir D] [--manifest F|-]
  *       [--workers N] [--jobs N] [--timeout-s X] [--conflicts N]
  *       [--memory-mb M] [--sampler NAME] [--depth N]
- *       [--num-reads N] [--reads-batch] [--reads-groups N]
+ *       [--num-reads N] [--reads-groups N]
  *       [--topology NAME]
  *       [--simplify LEVEL] [--noisy] [--no-share] [--json FILE]
  *       [--csv FILE] [--metrics FILE] [--trace FILE] [--strict]
@@ -18,12 +18,11 @@
  * reports; the portfolio's diversification still varies it across
  * slots when the slate is auto-built). --topology chimera|pegasus
  * picks the hardware graph family (zephyr being the third family)
- * and --num-reads/--reads-batch the per-sample read count and
- * whether reads run through the lockstep SIMD batch kernel;
- * --reads-groups N splits that batch into N parallel lockstep
- * groups on the shared WorkPool (0 = auto: groups of up to 8
- * lanes). The read knobs are echoed per instance in the reports
- * alongside simplify.
+ * and --num-reads the per-sample read count (reads beyond the first
+ * run through the lockstep SIMD batch kernel); --reads-groups N
+ * splits those reads into N parallel lockstep groups on the shared
+ * WorkPool (0 = auto: groups of up to 8 lanes). The group setting
+ * is echoed per instance in the reports alongside simplify.
  *
  * Instances come from positional paths, every *.cnf/*.dimacs under
  * --dir, and/or a manifest (one path per line; "-" = stdin). Exit
@@ -108,8 +107,6 @@ main(int argc, char **argv)
         } else if (arg("--num-reads")) {
             opts.portfolio.base.num_reads =
                 std::max(1, std::atoi(argv[++i]));
-        } else if (!std::strcmp(argv[i], "--reads-batch")) {
-            opts.portfolio.base.reads_batch = true;
         } else if (arg("--reads-groups")) {
             opts.portfolio.base.reads_groups =
                 std::max(0, std::atoi(argv[++i]));
@@ -164,7 +161,7 @@ main(int argc, char **argv)
             "usage: %s [files...] [--dir D] [--manifest F|-] "
             "[--workers N] [--jobs N] [--timeout-s X] [--conflicts N] "
             "[--memory-mb M] [--sampler NAME] [--depth N] "
-            "[--num-reads N] [--reads-batch] [--reads-groups N] "
+            "[--num-reads N] [--reads-groups N] "
             "[--topology chimera|pegasus|zephyr] "
             "[--simplify off|light|full] [--noisy] [--no-share] "
             "[--json FILE] [--csv FILE] "

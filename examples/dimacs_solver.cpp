@@ -7,7 +7,7 @@
  *
  *   ./build/examples/dimacs_solver problem.cnf [--classic]
  *       [--noisy] [--warmup N] [--sampler=NAME] [--depth N]
- *       [--num-reads N] [--reads-batch] [--reads-groups N]
+ *       [--num-reads N] [--reads-groups N]
  *       [--topology=NAME]
  *       [--timeout-s X] [--conflicts N]
  *       [--simplify[=<off|light|full>]] [--metrics FILE]
@@ -26,16 +26,15 @@
  * --sampler selects the annealing backend by name (sync, qa,
  * logical, sa, batch, async, async:<backend>); --depth >= 2 enables
  * the asynchronous pipeline on any backend. --num-reads N draws N
- * independent annealing chains per device call (raced across the
- * shared worker pool, best energy kept first), mirroring a real
- * QPU's num_reads knob; read 1 is always bit-identical to a
- * single-read run, so extra reads can only improve the sample.
- * --reads-batch runs those reads through the lockstep SIMD batch
- * kernel instead of worker threads (its own determinism contract,
- * see src/anneal/sa_batch.h) and --reads-groups N splits the batch
- * into N parallel lockstep groups fanned across the shared WorkPool
- * (0 = auto: groups of up to 8 lanes), compounding the per-core
- * vector speedup with core count without changing results.
+ * independent annealing reads per device call (best energy kept
+ * first), mirroring a real QPU's num_reads knob; read 1 is always
+ * bit-identical to a single-read run, so extra reads can only
+ * improve the sample. The extra reads run through the lockstep SIMD
+ * batch kernel (see src/anneal/sa_batch.h), and --reads-groups N
+ * splits them into N parallel lockstep groups fanned across the
+ * shared WorkPool (0 = auto: groups of up to 8 lanes), compounding
+ * the per-core vector speedup with core count without changing
+ * results.
  * --topology picks the hardware graph family (chimera, the D-Wave
  * 2000Q default; the higher-degree pegasus fabric whose skip
  * couplers shorten chains; or zephyr, which adds a third coupler
@@ -80,8 +79,7 @@ main(int argc, char **argv)
             names += (names.empty() ? "" : "|") + n;
         std::printf("usage: %s problem.cnf [--classic] [--noisy] "
                     "[--warmup N] [--sampler=%s] [--depth N] "
-                    "[--num-reads N] [--reads-batch] "
-                    "[--reads-groups N] "
+                    "[--num-reads N] [--reads-groups N] "
                     "[--topology=chimera|pegasus|zephyr] "
                     "[--timeout-s X] [--conflicts N] "
                     "[--simplify[=off|light|full]] "
@@ -97,7 +95,6 @@ main(int argc, char **argv)
     std::string sampler = "sync";
     int depth = 1;
     int num_reads = 1;
-    bool reads_batch = false;
     int reads_groups = 0;
     topology::Kind topo = topology::Kind::Chimera;
     double timeout_s = 0.0;
@@ -129,8 +126,6 @@ main(int argc, char **argv)
             depth = std::atoi(argv[++i]);
         else if (!std::strcmp(argv[i], "--num-reads") && i + 1 < argc)
             num_reads = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--reads-batch"))
-            reads_batch = true;
         else if (!std::strcmp(argv[i], "--reads-groups") &&
                  i + 1 < argc)
             reads_groups = std::atoi(argv[++i]);
@@ -287,17 +282,15 @@ main(int argc, char **argv)
         config.sampler = sampler;
         config.pipeline_depth = std::max(depth, 1);
         config.num_reads = std::max(num_reads, 1);
-        config.reads_batch = reads_batch;
         config.reads_groups = std::max(reads_groups, 0);
         config.topology = topo;
         core::HybridSolver solver(config);
         result = solver.solve(cnf);
         std::printf("c sampler=%s depth=%d num_reads=%d "
-                    "reads_batch=%d reads_groups=%d topology=%s "
-                    "simplify=%s\n",
+                    "reads_groups=%d topology=%s simplify=%s\n",
                     config.sampler.c_str(), config.pipeline_depth,
-                    config.num_reads, reads_batch ? 1 : 0,
-                    config.reads_groups, topology::kindName(topo),
+                    config.num_reads, config.reads_groups,
+                    topology::kindName(topo),
                     simplify::strengthName(strength));
         std::printf("c %d QA samples applied over %d warm-up "
                     "iterations (%d submitted, %d stale, %d stalls)\n",

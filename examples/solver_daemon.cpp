@@ -9,7 +9,7 @@
  *       [--port N] [--jobs N] [--workers N] [--queue-depth N]
  *       [--tenant-depth N] [--timeout-s X] [--conflicts N]
  *       [--memory-mb M] [--sampler NAME] [--depth N]
- *       [--num-reads N] [--reads-batch] [--reads-groups N]
+ *       [--num-reads N] [--reads-groups N]
  *       [--topology NAME]
  *       [--simplify off|light|full] [--noisy]
  *       [--drain finish|cancel] [--metrics FILE] [--trace FILE]
@@ -17,14 +17,12 @@
  *
  * --simplify sets the default inprocessing strength applied to every
  * job; a client's SUBMIT may override it per job with the optional
- * simplify=<level> token. --topology chimera|pegasus|zephyr and
- * --reads-batch set the default hardware graph family and whether
- * multi-read anneals run the lockstep SIMD batch kernel, and
- * --reads-groups N how many parallel lockstep groups the batch
- * fans across the WorkPool (0 = auto: groups of up to 8 lanes); a
- * SUBMIT may override them with topology=<name> / reads_batch=<0|1>
- * / reads_groups=<n> tokens, and every report row echoes the
- * effective values.
+ * simplify=<level> token. --topology chimera|pegasus|zephyr sets the
+ * default hardware graph family, and --reads-groups N how many
+ * parallel lockstep groups a multi-read anneal fans its extra reads
+ * across the WorkPool in (0 = auto: groups of up to 8 lanes); a
+ * SUBMIT may override them with topology=<name> / reads_groups=<n>
+ * tokens, and every report row echoes the effective values.
  *
  * Clients speak the line protocol of service/protocol.h (SUBMIT /
  * WAIT / STATUS / METRICS / SHUTDOWN); the bundled service_client
@@ -118,8 +116,6 @@ main(int argc, char **argv)
         } else if (arg("--num-reads")) {
             sopts.portfolio.base.num_reads =
                 std::max(1, std::atoi(argv[++i]));
-        } else if (!std::strcmp(argv[i], "--reads-batch")) {
-            sopts.portfolio.base.reads_batch = true;
         } else if (arg("--reads-groups")) {
             sopts.portfolio.base.reads_groups =
                 std::max(0, std::atoi(argv[++i]));
@@ -176,7 +172,7 @@ main(int argc, char **argv)
             "[--timeout-s X] [--conflicts N] [--memory-mb M] "
             "[--sessions N] [--tenant-sessions N] "
             "[--sampler NAME] [--depth N] "
-            "[--num-reads N] [--reads-batch] [--reads-groups N] "
+            "[--num-reads N] [--reads-groups N] "
             "[--topology chimera|pegasus|zephyr] "
             "[--simplify off|light|full] [--noisy] "
             "[--drain finish|cancel] [--metrics FILE] "

@@ -45,11 +45,22 @@ const double *
 acceptTable()
 {
     static const auto table = [] {
-        std::array<double, kAcceptTableN + 2> t{};
-        for (int j = 0; j <= kAcceptTableN; ++j)
-            t[static_cast<std::size_t>(j)] =
-                std::exp(-static_cast<double>(j) / kAcceptTableStep);
-        t[kAcceptTableN + 1] = 0.0;
+        const auto widen = [](double v, double toward) {
+            return std::nextafter(std::nextafter(v, toward), toward);
+        };
+        std::array<double, 2 * (kAcceptTableN + 1)> t{};
+        for (int j = 0; j <= kAcceptTableN; ++j) {
+            const auto k = static_cast<std::size_t>(j);
+            t[2 * k] = widen(
+                std::exp(-static_cast<double>(j) / kAcceptTableStep),
+                2.0);
+            t[2 * k + 1] =
+                j == kAcceptTableN
+                    ? 0.0
+                    : widen(std::exp(-static_cast<double>(j + 1) /
+                                     kAcceptTableStep),
+                            0.0);
+        }
         return t;
     }();
     return table.data();

@@ -116,10 +116,10 @@ runLockstepAvx2(BatchCtx &ctx)
                 _mm256_mul_pd(vbeta, vd), vstep);
             scaled = _mm256_max_pd(scaled, zero);
             scaled = _mm256_min_pd(scaled, vtop);
-            const __m128i j = _mm256_cvttpd_epi32(scaled);
+            __m128i j = _mm256_cvttpd_epi32(scaled);
+            j = _mm_add_epi32(j, j); // bracket pair index
             const __m256d hi = _mm256_i32gather_pd(table, j, 8);
-            const __m256d lo = _mm256_i32gather_pd(
-                table, _mm_add_epi32(j, _mm_set1_epi32(1)), 8);
+            const __m256d lo = _mm256_i32gather_pd(table + 1, j, 8);
             const __m256d down =
                 _mm256_cmp_pd(vd, zero, _CMP_LE_OQ);
             const __m256d below_lo =

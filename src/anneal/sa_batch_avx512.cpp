@@ -104,10 +104,10 @@ runLockstepAvx512(BatchCtx &ctx)
                 _mm512_mul_pd(_mm512_mul_pd(vbeta, vd), vstep);
             scaled = _mm512_max_pd(scaled, zero);
             scaled = _mm512_min_pd(scaled, vtop);
-            const __m256i j = _mm512_cvttpd_epi32(scaled);
+            __m256i j = _mm512_cvttpd_epi32(scaled);
+            j = _mm256_add_epi32(j, j); // bracket pair index
             const __m512d hi = _mm512_i32gather_pd(j, table, 8);
-            const __m512d lo = _mm512_i32gather_pd(
-                _mm256_add_epi32(j, _mm256_set1_epi32(1)), table, 8);
+            const __m512d lo = _mm512_i32gather_pd(j, table + 1, 8);
             const __mmask8 down =
                 _mm512_cmp_pd_mask(vd, zero, _CMP_LE_OQ);
             const __mmask8 below_lo =

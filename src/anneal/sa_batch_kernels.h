@@ -1,13 +1,14 @@
 /**
  * @file
  * Internal interface between the lockstep orchestrator
- * (sa_batch.cpp) and its per-ISA kernels. The vector kernels live in
- * separate translation units compiled with the matching -m flags
- * (and -ffp-contract=off, like the scalar TU: FMA contraction would
- * break the cross-ISA bit-equality contract); everything ISA-neutral
- * that both sides must agree on bit for bit — the accept rule, the
- * uniform-consumption rule, the counters — lives here as shared
- * code so the kernels cannot drift apart.
+ * (sa_batch.cpp) and its per-ISA kernels, plus the Metropolis accept
+ * rule the scalar chain (sa_sampler.cpp) shares with them. The vector
+ * kernels live in separate translation units compiled with the
+ * matching -m flags (and -ffp-contract=off, like the scalar TU: FMA
+ * contraction would break the cross-ISA bit-equality contract);
+ * everything ISA-neutral that both sides must agree on bit for bit —
+ * the accept rule, the uniform-consumption rule, the counters — lives
+ * here as shared code so the kernels cannot drift apart.
  *
  * The shared helpers are `static`, not `inline`: an inline (comdat)
  * function compiled inside the -mavx2 TU could win the linker's
@@ -47,38 +48,48 @@ flipSignMasked(double s, std::uint64_t m)
 inline constexpr int kLaneQuantum = 4;
 
 /**
- * Accept-threshold table resolution: exp(-x) sampled every 1/64 up
- * to x = 32 (beyond which the bound pair degenerates to
+ * Accept-threshold table resolution: exp(-x) bracketed every 1/64
+ * up to x = 32 (beyond which the bracket degenerates to
  * [0, exp(-32)) and almost every uniform rejects on the compare).
  */
 inline constexpr int kAcceptTableN = 2048;
 inline constexpr double kAcceptTableStep = 64.0;
 
 /**
- * exp(-j / 64) for j in [0, kAcceptTableN], plus a trailing 0.0 so
- * the clamped index always has a valid lower bound. Built once,
- * shared by every kernel TU (single definition in sa_batch.cpp).
+ * Bracket pairs for x in [j/64, (j+1)/64), j in [0, kAcceptTableN]:
+ * entry 2j is an upper bound of exp(-x) (exp(-j/64) nudged up two
+ * ulps), entry 2j+1 a lower bound (exp(-(j+1)/64) nudged down two
+ * ulps; 0.0 for the clamped last pair). The nudge keeps the bracket
+ * valid for any libm exp within one ulp of correctly rounded — the
+ * table may be folded at compile time while exp() runs at run time,
+ * and the two need not agree at a boundary — so exactness never
+ * rests on libm being monotone. Pairs are adjacent, so both bounds
+ * of a lane share a cache line. Built once, shared by every kernel
+ * TU (single definition in sa_batch.cpp).
  */
 const double *acceptTable();
 
 /**
- * Metropolis accept decision for an uphill proposal: bracket
- * exp(-x) between adjacent table entries; only a uniform landing
- * between the bounds pays for an exact exp(). x = beta * dE >= 0.
- * (Reference form of the rule; the kernels' decideLanes below
- * implements the same decision branch-free.)
+ * Metropolis accept decision for an uphill proposal, the one rule
+ * every sampler path uses: bracket exp(-x) with the pair of @p table
+ * (acceptTable()) that covers x; only a uniform landing between the
+ * bounds pays for an exact exp(). x = beta * dE >= 0. Decides
+ * exactly as `u < std::exp(-x)` (the AcceptRule tests pin it at
+ * every table boundary). The clamp at j = kAcceptTableN pairs
+ * exp(-32) with 0.0, so no separate underflow threshold is needed.
+ * (The kernels' decideLanes below runs the same bracket
+ * branch-free.)
  */
 static inline bool
-acceptUphill(double x, double u)
+acceptUphill(const double *table, double x, double u)
 {
     const double scaled = x * kAcceptTableStep;
     const int j = scaled >= static_cast<double>(kAcceptTableN)
                       ? kAcceptTableN
                       : static_cast<int>(scaled);
-    const double *table = acceptTable();
-    if (u >= table[j])
+    if (u >= table[2 * j])
         return false; // at/above the upper bound
-    if (u < table[j + 1])
+    if (u < table[2 * j + 1])
         return true; // below the lower bound
     return u < std::exp(-x);
 }
@@ -118,12 +129,12 @@ struct BatchCtx
 /**
  * Exact-exp fixup for the rare lanes whose uniform landed BETWEEN
  * the accept table's bracket bounds (pass 1 left their mask 0).
- * Recomputes the band test per lane — the rare path pays a few
- * redundant compares so the hot pass-1 loops (scalar and vector
- * alike) only have to track ONE "some lane is ambiguous" flag
+ * Re-runs acceptUphill() per undecided uphill lane — the rare path
+ * pays a few redundant compares so the hot pass-1 loops (scalar and
+ * vector alike) only have to track ONE "some lane is ambiguous" flag
  * instead of a per-lane bitmask that would cap the lane count at
  * the word width. Returns ~0 if any lane flipped to accept, 0
- * otherwise. Decisions identical to acceptUphill(), lane by lane.
+ * otherwise.
  */
 static inline std::uint64_t
 resolveAmbiguousLanes(BatchCtx &ctx, double beta)
@@ -131,19 +142,12 @@ resolveAmbiguousLanes(BatchCtx &ctx, double beta)
     const double *table = acceptTable();
     std::uint64_t flipped = 0;
     for (int r = 0; r < ctx.reads; ++r) {
-        if (ctx.mask[r] != 0)
-            continue;
         const double d = ctx.delta[r];
-        if (!(d > 0.0))
-            continue; // downhill lanes were decided in pass 1
-        const double u = ctx.uniforms[r];
-        const double scaled = (beta * d) * kAcceptTableStep;
-        const int j =
-            scaled >= static_cast<double>(kAcceptTableN)
-                ? kAcceptTableN
-                : static_cast<int>(scaled);
-        if (u < table[j] && u >= table[j + 1] &&
-            u < std::exp(-beta * d)) {
+        // Downhill lanes and bracket-decided accepts were settled
+        // in pass 1.
+        if (ctx.mask[r] != 0 || !(d > 0.0))
+            continue;
+        if (acceptUphill(table, beta * d, ctx.uniforms[r])) {
             ctx.mask[r] = ~0ull;
             ctx.accepted[r] += 1.0;
             flipped = ~0ull;
@@ -221,8 +225,9 @@ decideLanes(BatchCtx &ctx, double beta, bool metropolis)
         const unsigned down = static_cast<unsigned>(d <= 0.0);
         const unsigned real = static_cast<unsigned>(r < reads);
         const unsigned below_lo =
-            static_cast<unsigned>(u < table[j + 1]);
-        const unsigned below_hi = static_cast<unsigned>(u < table[j]);
+            static_cast<unsigned>(u < table[2 * j + 1]);
+        const unsigned below_hi =
+            static_cast<unsigned>(u < table[2 * j]);
         const unsigned sure = down | below_lo;
         const std::uint64_t m =
             ~(static_cast<std::uint64_t>(real & sure) - 1ull);

@@ -1,9 +1,9 @@
 #include "anneal/sa_sampler.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "anneal/sa_batch.h"
+#include "anneal/sa_batch_kernels.h"
 #include "anneal/schedule.h"
 #include "anneal/work_pool.h"
 
@@ -25,53 +25,26 @@ namespace {
 constexpr double kBoundaryBand = 1e-9;
 
 /**
- * exp(-x) is exactly 0.0 for every x above this, so an uphill move
- * with beta*dE beyond it can never be accepted — by any uniform in
- * [0, 1) — and the exp() call is skipped (the draw still happens, to
- * keep the stream aligned).
+ * Per-thread memo of the inverse-temperature ramp: consecutive
+ * samples reuse the same schedule, so rebuild only when the options
+ * change. Thread-local so pool chains never share.
  */
-constexpr double kExpUnderflow = 746.0;
-
-/** Aux-read seed decorrelation (same constant as portfolio seeds). */
-constexpr std::uint64_t kReadSeedStride = 0x9e3779b97f4a7c15ull;
-
-/**
- * Per-thread memo of the inverse-temperature ramp and the per-sweep
- * acceptance threshold table (the dE beyond which exp underflows):
- * consecutive samples reuse the same schedule, so rebuild only when
- * the options change. Thread-local so pool chains never share.
- */
-struct ScheduleMemo
+const std::vector<double> &
+scheduleFor(const SaOptions &opts)
 {
-    double beta_start = -1.0;
-    double beta_end = -1.0;
-    int sweeps = -1;
-    std::vector<double> betas;
-    std::vector<double> max_delta; ///< per-sweep acceptance threshold
-
-    const ScheduleMemo &
-    refresh(const SaOptions &opts)
-    {
-        const int n = std::max(opts.sweeps, 1);
-        if (opts.beta_start == beta_start && opts.beta_end == beta_end &&
-            n == sweeps)
-            return *this;
+    thread_local double beta_start = -1.0;
+    thread_local double beta_end = -1.0;
+    thread_local int sweeps = -1;
+    thread_local std::vector<double> betas;
+    const int n = std::max(opts.sweeps, 1);
+    if (opts.beta_start != beta_start || opts.beta_end != beta_end ||
+        n != sweeps) {
         beta_start = opts.beta_start;
         beta_end = opts.beta_end;
         sweeps = n;
         betas = geometricBetaSchedule(opts.beta_start, opts.beta_end, n);
-        max_delta.resize(betas.size());
-        for (std::size_t i = 0; i < betas.size(); ++i)
-            max_delta[i] = kExpUnderflow / betas[i];
-        return *this;
     }
-};
-
-const ScheduleMemo &
-scheduleFor(const SaOptions &opts)
-{
-    thread_local ScheduleMemo memo;
-    return memo.refresh(opts);
+    return betas;
 }
 
 } // namespace
@@ -285,11 +258,10 @@ SaSampler::runChain(const SaOptions &opts, Rng &rng) const
     SaStats stats;
     stats.reads = 1;
 
-    const ScheduleMemo &schedule = scheduleFor(opts);
-    stats.sweeps = schedule.betas.size();
-    for (std::size_t sweep = 0; sweep < schedule.betas.size(); ++sweep) {
-        const double beta = schedule.betas[sweep];
-        const double max_delta = schedule.max_delta[sweep];
+    const std::vector<double> &betas = scheduleFor(opts);
+    const double *table = detail::acceptTable();
+    stats.sweeps = betas.size();
+    for (const double beta : betas) {
         for (int i = 0; i < n; ++i) {
             // Energy change of flipping spin i:
             // dE = -2 * s_i * (h_i + sum_j J_ij s_j).
@@ -297,19 +269,13 @@ SaSampler::runChain(const SaOptions &opts, Rng &rng) const
             if (delta > -kBoundaryBand && delta < kBoundaryBand)
                 delta = inc.freshFlipDelta(i); // exactness guard
             ++stats.flips_attempted;
-            if (delta <= 0.0) {
+            // The uniform draw happens exactly when dE > 0 (the
+            // pinned RNG-consumption contract).
+            if (delta <= 0.0 ||
+                detail::acceptUphill(table, beta * delta,
+                                     rng.uniform())) {
                 inc.applyFlip(i, delta);
                 ++stats.flips_accepted;
-            } else {
-                // The uniform draw happens exactly when dE > 0 (the
-                // pinned RNG-consumption contract); exp() only when
-                // it can possibly accept.
-                const double u = rng.uniform();
-                if (delta <= max_delta &&
-                    u < std::exp(-beta * delta)) {
-                    inc.applyFlip(i, delta);
-                    ++stats.flips_accepted;
-                }
             }
         }
         // Block moves over registered groups (qubit chains).
@@ -319,16 +285,11 @@ SaSampler::runChain(const SaOptions &opts, Rng &rng) const
             if (delta > -kBoundaryBand && delta < kBoundaryBand)
                 delta = inc.freshGroupDelta(gi);
             ++stats.flips_attempted;
-            if (delta <= 0.0) {
+            if (delta <= 0.0 ||
+                detail::acceptUphill(table, beta * delta,
+                                     rng.uniform())) {
                 inc.applyGroup(gi, delta);
                 ++stats.flips_accepted;
-            } else {
-                const double u = rng.uniform();
-                if (delta <= max_delta &&
-                    u < std::exp(-beta * delta)) {
-                    inc.applyGroup(gi, delta);
-                    ++stats.flips_accepted;
-                }
             }
         }
     }
@@ -384,63 +345,35 @@ std::vector<SaResult>
 SaSampler::sampleAll(const SaOptions &opts, Rng &rng) const
 {
     const int reads = std::max(opts.num_reads, 1);
-    std::vector<SaResult> out(reads);
+    std::vector<SaResult> out;
     if (reads == 1) {
-        out[0] = runChain(opts, rng);
+        out.push_back(runChain(opts, rng));
         return out;
     }
 
-    if (opts.lockstep) {
-        // The batched contract: one caller draw seeds the whole run
-        // (per-group bases + init lanes + Metropolis streams),
-        // results are bit-identical across ISAs and thread counts.
-        // sampleLockstep fans the lockstep groups across the shared
-        // WorkPool; each group writes its own disjoint result slots,
-        // so this single-threaded aggregation is the only merge and
-        // it happens contention-free after the barrier. Sorting and
-        // stats aggregation mirror the WorkPool path below.
-        const std::uint64_t base = rng.next();
-        out = sampleLockstep(*compiled_, h_, w_, opts, base,
-                             simd::activeIsa());
-        SaStats total;
-        total.reads = static_cast<std::uint64_t>(reads);
-        total.read_groups = static_cast<std::uint64_t>(
-            lockstepGroupCount(reads, opts.reads_groups));
-        for (const SaResult &r : out) {
-            total.sweeps += r.stats.sweeps;
-            total.flips_attempted += r.stats.flips_attempted;
-            total.flips_accepted += r.stats.flips_accepted;
-        }
-        std::stable_sort(out.begin(), out.end(),
-                         [](const SaResult &a, const SaResult &b) {
-                             return a.energy < b.energy;
-                         });
-        out.front().stats = total;
-        return out;
-    }
-
-    // Aux-read seeds derive from the caller stream's NEXT output
-    // without consuming it: read 0 runs on a copy of the caller Rng
-    // whose final state is copied back, so the caller-visible stream
-    // is that of a single read — and read 0's sample IS the
-    // num_reads=1 sample, making best-of-N monotone by construction.
-    Rng probe = rng;
-    const std::uint64_t base = probe.next();
-    Rng primary = rng;
-
-    WorkPool::shared().runIndexed(reads, [&](int k) {
-        if (k == 0) {
-            out[0] = runChain(opts, primary);
-        } else {
-            Rng aux(base + static_cast<std::uint64_t>(k) *
-                               kReadSeedStride);
-            out[static_cast<std::size_t>(k)] = runChain(opts, aux);
-        }
+    // Read 0 is the num_reads=1 sample on the caller's stream, so the
+    // caller cannot tell how many reads ran and best-of-N is monotone
+    // by construction. Reads 1..N-1 run as lockstep groups seeded from
+    // the stream's NEXT output, peeked without consuming it. The
+    // lockstep part is index 0 so the caller, which claims first,
+    // usually drives the nested group fan-out itself.
+    const std::uint64_t base = Rng(rng).next();
+    SaOptions extra = opts;
+    extra.num_reads = reads - 1;
+    SaResult first;
+    WorkPool::shared().runIndexed(2, [&](int k) {
+        if (k == 0)
+            out = sampleLockstep(*compiled_, h_, w_, extra, base,
+                                 simd::activeIsa());
+        else
+            first = runChain(opts, rng);
     });
-    rng = primary;
+    out.insert(out.begin(), std::move(first));
 
     SaStats total;
     total.reads = static_cast<std::uint64_t>(reads);
+    total.read_groups = static_cast<std::uint64_t>(
+        lockstepGroupCount(reads - 1, opts.reads_groups));
     for (const SaResult &r : out) {
         total.sweeps += r.stats.sweeps;
         total.flips_attempted += r.stats.flips_attempted;

@@ -21,18 +21,19 @@
  * a cached delta sits inside a tiny band around the accept/reject
  * boundary it is recomputed with the legacy summation order before
  * deciding, so accumulated rounding can never flip a decision (and
- * with it the whole downstream draw stream). exp() is skipped when
- * dE <= 0 and when dE clears the per-sweep underflow threshold
- * precomputed alongside the beta schedule (where exp(-beta*dE) is
- * exactly 0.0 and no uniform can accept).
+ * with it the whole downstream draw stream). The accept test is the
+ * exp(-j/64) bracket table shared with the lockstep kernels
+ * (detail::acceptUphill): a uniform decides on a compare and only
+ * one landing between the two bounds pays for an exact exp() — the
+ * decision is exactly `u < exp(-beta * dE)`.
  *
- * Multi-chain sampling: SaOptions::num_reads runs independent chains
- * on the shared WorkPool. Read 0 consumes the caller's Rng exactly
- * like a single read (the caller's stream position afterwards is
- * identical), so num_reads=1 is the legacy sampler bit for bit and
- * best-of-N can only improve the returned energy; auxiliary reads
- * are decorrelated by splitmix64-style seed offsets like the
- * portfolio workers.
+ * Multi-read sampling: with SaOptions::num_reads = N > 1, read 0 is
+ * the num_reads=1 sample on the caller's Rng (the caller's stream
+ * position afterwards is identical, and best-of-N can only improve
+ * the returned energy), while reads 1..N-1 run through the lockstep
+ * groups of sa_batch.h, seeded from the caller stream's next output
+ * without consuming it. Both parts run together on the shared
+ * WorkPool.
  */
 
 #ifndef HYQSAT_ANNEAL_SA_SAMPLER_H
@@ -66,35 +67,23 @@ struct SaOptions
     bool greedy_finish = true;
 
     /**
-     * Independent annealing chains per sample; the best energy wins.
-     * Chains run in parallel on the shared WorkPool. 1 (the default)
-     * reproduces the single-chain sampler exactly.
+     * Independent annealing reads per sample; the best energy wins.
+     * 1 (the default) reproduces the single-chain sampler exactly;
+     * reads beyond the first run in lockstep groups (see the file
+     * comment).
      */
     int num_reads = 1;
 
     /**
-     * Run multi-read samples through the lockstep SIMD batch kernel
-     * (src/anneal/sa_batch.h) instead of WorkPool threads: all reads
-     * advance through one instruction stream, so num_reads pays on a
-     * single core. Engages only when num_reads > 1; the num_reads=1
-     * path stays on the frozen scalar contract either way. The
-     * batched path has its OWN determinism contract (seeded from one
-     * caller draw, bit-identical across ISAs) — it does not
-     * reproduce the WorkPool reads' spins or RNG stream.
-     */
-    bool lockstep = false;
-
-    /**
-     * Number of parallel lockstep groups the batched path splits
-     * num_reads into; the groups fan out across the shared WorkPool
-     * so the SIMD per-core speedup compounds with core count.
-     * 0 (the default) is auto: groups of up to 8 lanes, i.e.
-     * ceil(num_reads / 8) groups. 1 forces the PR 9 single-group
-     * behaviour for any read count. The effective partition is a
-     * pure function of (num_reads, reads_groups) — NEVER of the
-     * machine's core count, pool size or ISA — so batched results
-     * stay bit-identical across thread counts (see sa_batch.h).
-     * Ignored unless lockstep is set.
+     * Number of parallel lockstep groups the N-1 extra reads split
+     * into; the groups fan out across the shared WorkPool so the
+     * SIMD per-core speedup compounds with core count. 0 (the
+     * default) is auto: groups of up to 8 lanes, i.e.
+     * ceil((N-1) / 8) groups. 1 forces a single group for any read
+     * count. The effective partition is a pure function of
+     * (num_reads, reads_groups) — NEVER of the machine's core count,
+     * pool size or ISA — so results stay bit-identical across thread
+     * counts (see sa_batch.h).
      */
     int reads_groups = 0;
 };
@@ -106,7 +95,7 @@ struct SaStats
     std::uint64_t flips_attempted = 0; ///< single-spin + group proposals
     std::uint64_t flips_accepted = 0;
     std::uint64_t reads = 0;       ///< chains run
-    std::uint64_t read_groups = 0; ///< parallel lockstep groups run
+    std::uint64_t read_groups = 0; ///< lockstep groups of the extra reads
 };
 
 /** One sample. */
@@ -260,7 +249,8 @@ class SaSampler
      * first (stable: equal energies keep read order). The front
      * result's stats aggregate the work of all reads. Read 0 runs
      * against @p rng — afterwards @p rng has advanced exactly as a
-     * num_reads=1 call, regardless of the read count.
+     * num_reads=1 call, regardless of the read count; reads 1..N-1
+     * are the lockstep groups.
      */
     std::vector<SaResult> sampleAll(const SaOptions &opts,
                                     Rng &rng) const;

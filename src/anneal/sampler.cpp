@@ -181,7 +181,6 @@ makeSampler(const SamplerSpec &spec, const chimera::ChimeraGraph &graph)
         opts.sa.beta_end = spec.annealer.noise.beta_final;
         opts.sa.greedy_finish = spec.annealer.greedy_finish;
         opts.sa.num_reads = spec.annealer.num_reads;
-        opts.sa.lockstep = spec.annealer.reads_batch;
         opts.sa.reads_groups = spec.annealer.reads_groups;
         opts.timing = spec.annealer.timing;
         opts.seed = spec.annealer.seed;

@@ -25,8 +25,6 @@ hybridSamplerSpec(const HybridConfig &config)
     // compose as "whoever asks for more reads wins".
     spec.annealer.num_reads =
         std::max({config.num_reads, config.annealer.num_reads, 1});
-    spec.annealer.reads_batch =
-        config.reads_batch || config.annealer.reads_batch;
     spec.annealer.reads_groups =
         config.reads_groups > 0 ? config.reads_groups
                                 : config.annealer.reads_groups;

@@ -86,28 +86,19 @@ struct HybridConfig
     int batch_samples = 4;
 
     /**
-     * Independent annealing chains per device sample, raced in
-     * parallel on the shared WorkPool; the best energy wins
-     * (anneal::SaOptions::num_reads). 1 reproduces the single-chain
-     * sampler bit for bit.
+     * Independent annealing reads per device sample; the best energy
+     * wins (anneal::SaOptions::num_reads). 1 reproduces the
+     * single-chain sampler bit for bit; reads beyond the first run
+     * in lockstep SIMD groups on the shared WorkPool.
      */
     int num_reads = 1;
 
     /**
-     * Run multi-read samples through the lockstep SIMD batch kernel
-     * (one instruction stream for all reads) instead of WorkPool
-     * threads — the single-core way to make num_reads pay. No
-     * effect at num_reads <= 1.
-     */
-    bool reads_batch = false;
-
-    /**
-     * Parallel lockstep groups for the batched path
+     * Parallel lockstep groups the extra reads split into
      * (anneal::SaOptions::reads_groups): 0 auto-sizes groups of up
      * to 8 SIMD lanes fanned across the shared WorkPool, 1 forces a
      * single group, N pins the group count. Results are a pure
-     * function of (seed, model, options) for every value. No effect
-     * unless reads_batch is set.
+     * function of (seed, model, options) for every value.
      */
     int reads_groups = 0;
 

@@ -99,15 +99,12 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
             w.hybrid.simplify_strength = simplify::Strength::Full;
             break;
         case 9:
-            // Parallel lockstep reads: 16 decorrelated chains per
-            // device sample through the SIMD batch kernel, fanned
-            // across the WorkPool in auto-sized groups of 8 lanes.
-            // Since PR 10 the groups no longer serialize on one
-            // core, so this slot stops fighting the other workers
-            // for its throughput and earns a default seat.
+            // Parallel lockstep reads: 16 decorrelated reads per
+            // device sample, the extra ones through the SIMD batch
+            // kernel fanned across the WorkPool in auto-sized groups
+            // of 8 lanes.
             w.label = "reads-batch";
             w.hybrid.num_reads = std::max(base.num_reads, 16);
-            w.hybrid.reads_batch = true;
             break;
         }
         if (i > 0) {

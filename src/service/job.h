@@ -61,14 +61,7 @@ struct JobSpec
     std::string topology;
 
     /**
-     * Lockstep-reads override: 1 routes multi-read anneals through
-     * the SIMD batch kernel, 0 forces WorkPool threads, -1 keeps
-     * the scheduler's configured default.
-     */
-    int reads_batch = -1;
-
-    /**
-     * Parallel lockstep-group override for the batched path: >= 0
+     * Parallel lockstep-group override for the extra reads: >= 0
      * pins HybridConfig::reads_groups (0 = auto-sized groups of up
      * to 8 lanes), -1 keeps the scheduler's configured default.
      */

@@ -37,7 +37,6 @@ parseOption(std::string_view opt, Request &req)
 {
     constexpr std::string_view kSimplify = "simplify=";
     constexpr std::string_view kTopology = "topology=";
-    constexpr std::string_view kReadsBatch = "reads_batch=";
     constexpr std::string_view kReadsGroups = "reads_groups=";
     if (opt.rfind(kSimplify, 0) == 0) {
         const auto value = opt.substr(kSimplify.size());
@@ -54,13 +53,6 @@ parseOption(std::string_view opt, Request &req)
         req.topology = std::string(value);
         return true;
     }
-    if (opt.rfind(kReadsBatch, 0) == 0) {
-        const auto value = opt.substr(kReadsBatch.size());
-        if (value != "0" && value != "1")
-            return false;
-        req.reads_batch = value == "1" ? 1 : 0;
-        return true;
-    }
     if (opt.rfind(kReadsGroups, 0) == 0) {
         const auto value = opt.substr(kReadsGroups.size());
         int groups = -1;
@@ -73,8 +65,8 @@ parseOption(std::string_view opt, Request &req)
 }
 
 constexpr const char *kOptionUsage =
-    "simplify=<off|light|full>, topology=<chimera|pegasus|zephyr>, "
-    "reads_batch=<0|1> or reads_groups=<n>";
+    "simplify=<off|light|full>, topology=<chimera|pegasus|zephyr> "
+    "or reads_groups=<n>";
 
 } // namespace
 
@@ -113,11 +105,11 @@ parseRequest(std::string_view line)
         // SUBMIT <tenant> <priority> <name> [key=value...] — all
         // single tokens; the optional extras are key=value overrides
         // in any order (anything else stays Invalid).
-        if (tokens.size() < 4 || tokens.size() > 8) {
+        if (tokens.size() < 4 || tokens.size() > 7) {
             req.error = "usage: SUBMIT <tenant> <priority> <name> "
                         "[simplify=<off|light|full>] "
                         "[topology=<chimera|pegasus|zephyr>] "
-                        "[reads_batch=<0|1>] [reads_groups=<n>]";
+                        "[reads_groups=<n>]";
             return req;
         }
         if (!parseInt(tokens[2], req.priority)) {

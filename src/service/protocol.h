@@ -8,7 +8,7 @@
  * Client -> server:
  *   SUBMIT <tenant> <priority> <name> [simplify=<off|light|full>]
  *                    [topology=<chimera|pegasus|zephyr>]
- *                    [reads_batch=<0|1>] [reads_groups=<n>]
+ *                    [reads_groups=<n>]
  *                    then DIMACS lines, then END
  *   WAIT <id>        block until the job finishes
  *   STATUS <id>      non-blocking state probe
@@ -86,7 +86,6 @@ struct Request
     std::string name;
     std::string simplify; ///< "" = daemon default strength
     std::string topology; ///< "" = daemon default hardware graph
-    int reads_batch = -1; ///< -1 = daemon default, else 0/1
     int reads_groups = -1; ///< -1 = daemon default, else >= 0
                            ///< (0 = auto-sized lockstep groups)
 

@@ -103,8 +103,7 @@ writeJsonReport(const BatchReport &report, std::ostream &out)
             << "\", \"winner\": \"" << jsonEscape(r.winner)
             << "\", \"simplify\": \"" << jsonEscape(r.simplify)
             << "\", \"topology\": \"" << jsonEscape(r.topology)
-            << "\", \"reads_batch\": " << (r.reads_batch ? 1 : 0)
-            << ", \"reads_groups\": " << r.reads_groups
+            << "\", \"reads_groups\": " << r.reads_groups
             << ", \"wall_s\": " << jsonNumber(r.wall_s)
             << ", \"vars\": " << r.vars
             << ", \"clauses\": " << r.clauses
@@ -133,15 +132,14 @@ writeJsonReport(const BatchReport &report, std::ostream &out)
 void
 writeCsvReport(const BatchReport &report, std::ostream &out)
 {
-    out << "name,path,status,winner,simplify,topology,reads_batch,"
+    out << "name,path,status,winner,simplify,topology,"
            "reads_groups,wall_s,vars,clauses,"
            "iterations,conflicts,restarts,propagations,qa_samples,"
            "frontend_s,qa_device_s,qa_blocking_s,backend_s,cdcl_s\n";
     for (const InstanceRecord &r : report.records) {
         out << r.name << ',' << r.path << ',' << r.status << ','
             << r.winner << ',' << r.simplify << ','
-            << r.topology << ',' << (r.reads_batch ? 1 : 0) << ','
-            << r.reads_groups << ',' << jsonNumber(r.wall_s) << ','
+            << r.topology << ',' << r.reads_groups << ',' << jsonNumber(r.wall_s) << ','
             << r.vars << ',' << r.clauses << ',' << r.iterations
             << ',' << r.conflicts << ',' << r.restarts << ','
             << r.propagations << ',' << r.qa_samples << ','

@@ -49,11 +49,8 @@ struct InstanceRecord
     /** Effective hardware topology ("chimera", "pegasus"). */
     std::string topology;
 
-    /** True when multi-read anneals ran the lockstep batch kernel. */
-    bool reads_batch = false;
-
     /**
-     * Effective parallel lockstep-group setting of the batched path
+     * Effective parallel lockstep-group setting of the extra reads
      * (0 = auto-sized groups of up to 8 lanes).
      */
     int reads_groups = 0;

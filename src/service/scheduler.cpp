@@ -109,6 +109,7 @@ JobScheduler::resume()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         paused_ = false;
+        checkExternalStopLocked();
     }
     work_cv_.notify_all();
 }
@@ -183,54 +184,67 @@ JobScheduler::drain(DrainPolicy policy)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (!draining_) {
-            draining_ = true;
-            drain_policy_ = policy;
-        } else if (policy == DrainPolicy::CancelPending) {
-            drain_policy_ = policy; // escalate finish -> cancel
-        }
-        paused_ = false; // a drain always unparks the workers
+        drainLocked(policy);
+    }
+    work_cv_.notify_all();
+    done_cv_.notify_all();
+}
 
-        if (drain_policy_ == DrainPolicy::CancelPending) {
-            // Queued jobs complete as CANCELLED right here (they
-            // never run); in-flight jobs get their stop tokens
-            // tripped and finish on their own threads.
-            for (auto &[name, tenant] : tenants_) {
-                std::string id_str;
-                while (tenant.queue.pop(id_str)) {
-                    const JobId id = std::stoull(id_str);
-                    const auto it = jobs_.find(id);
-                    if (it == jobs_.end())
-                        continue;
-                    Job &job = *it->second;
-                    job.cancelled.store(true,
-                                        std::memory_order_relaxed);
-                    job.state = JobState::Done;
-                    job.record.name = job.spec.name;
-                    job.record.path = job.spec.path;
-                    job.record.status = "CANCELLED";
-                    recordCompletionLocked(id);
-                    --queued_;
-                    if (opts_.metrics) {
-                        opts_.metrics->counter("service.cancelled")
-                            ->add();
-                        metricInc(tenantCounter(job.spec.tenant,
-                                                "cancelled"));
-                    }
-                }
-            }
-            if (opts_.metrics)
-                opts_.metrics->gauge("service.queue_depth")
-                    ->set(static_cast<double>(queued_));
-            for (auto &[id, job] : jobs_) {
-                if (job->state == JobState::Running) {
-                    job->cancelled.store(true,
-                                         std::memory_order_relaxed);
-                    job->stop.requestStop();
-                }
+void
+JobScheduler::drainLocked(DrainPolicy policy)
+{
+    if (!draining_) {
+        draining_ = true;
+        drain_policy_ = policy;
+    } else if (policy == DrainPolicy::CancelPending) {
+        drain_policy_ = policy; // escalate finish -> cancel
+    }
+    paused_ = false; // a drain always unparks the workers
+    if (drain_policy_ != DrainPolicy::CancelPending)
+        return;
+
+    // Queued jobs complete as CANCELLED right here (they never run);
+    // in-flight jobs get their stop tokens tripped and finish on
+    // their own threads.
+    for (auto &[name, tenant] : tenants_) {
+        std::string id_str;
+        while (tenant.queue.pop(id_str)) {
+            const JobId id = std::stoull(id_str);
+            const auto it = jobs_.find(id);
+            if (it == jobs_.end())
+                continue;
+            Job &job = *it->second;
+            job.cancelled.store(true, std::memory_order_relaxed);
+            job.state = JobState::Done;
+            job.record.name = job.spec.name;
+            job.record.path = job.spec.path;
+            job.record.status = "CANCELLED";
+            recordCompletionLocked(id);
+            --queued_;
+            if (opts_.metrics) {
+                opts_.metrics->counter("service.cancelled")->add();
+                metricInc(tenantCounter(job.spec.tenant, "cancelled"));
             }
         }
     }
+    if (opts_.metrics)
+        opts_.metrics->gauge("service.queue_depth")
+            ->set(static_cast<double>(queued_));
+    for (auto &[id, job] : jobs_) {
+        if (job->state == JobState::Running) {
+            job->cancelled.store(true, std::memory_order_relaxed);
+            job->stop.requestStop();
+        }
+    }
+}
+
+void
+JobScheduler::checkExternalStopLocked()
+{
+    if (draining_ || !opts_.external_stop ||
+        !opts_.external_stop->stopRequested())
+        return;
+    drainLocked(opts_.external_stop_policy);
     work_cv_.notify_all();
     done_cv_.notify_all();
 }
@@ -307,6 +321,7 @@ JobScheduler::workerLoop()
             return joining_ || (!paused_ && queued_ > 0);
         });
         if (!paused_ && queued_ > 0) {
+            checkExternalStopLocked();
             const std::shared_ptr<Job> job = nextJobLocked();
             if (job) {
                 lock.unlock();
@@ -377,7 +392,7 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
     }
     rec.simplify = simplify::strengthName(strength);
 
-    // Topology and lockstep-reads overrides, applied the same way
+    // Topology and lockstep-group overrides, applied the same way
     // (base config + any explicit slate; echoed in the record).
     topology::Kind topo = popts.base.topology;
     if (const auto kind = topology::parseKind(spec.topology)) {
@@ -387,15 +402,6 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
             w.hybrid.topology = topo;
     }
     rec.topology = topology::kindName(topo);
-
-    bool reads_batch = popts.base.reads_batch;
-    if (spec.reads_batch >= 0) {
-        reads_batch = spec.reads_batch != 0;
-        popts.base.reads_batch = reads_batch;
-        for (portfolio::WorkerConfig &w : popts.workers)
-            w.hybrid.reads_batch = reads_batch;
-    }
-    rec.reads_batch = reads_batch;
 
     int reads_groups = popts.base.reads_groups;
     if (spec.reads_groups >= 0) {

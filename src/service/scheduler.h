@@ -195,7 +195,16 @@ class JobScheduler
     void finishJob(const std::shared_ptr<Job> &job,
                    MetricsRegistry *job_metrics);
     void recordCompletionLocked(JobId id);
+    void drainLocked(DrainPolicy policy);
     void watchExternalStop();
+
+    /**
+     * Drain now (mutex held) if the external token tripped and no
+     * drain has started yet. resume() and worker pickup call this so
+     * a token tripped before the watcher's next poll can never let a
+     * queued job start.
+     */
+    void checkExternalStopLocked();
     Counter *tenantCounter(const std::string &tenant,
                            const char *what);
 

@@ -264,7 +264,6 @@ Server::serveConnection(int fd)
             spec.name = req.name;
             spec.simplify = req.simplify;
             spec.topology = req.topology;
-            spec.reads_batch = req.reads_batch;
             spec.reads_groups = req.reads_groups;
             spec.dimacs = std::move(dimacs);
             const Submission sub = scheduler_.submit(std::move(spec));

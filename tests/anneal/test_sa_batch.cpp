@@ -227,7 +227,7 @@ TEST(SaBatch, LockstepFindsFerromagneticGroundState)
 }
 
 // ----------------------------------------------------------------------
-// SaSampler integration: the lockstep flag
+// SaSampler integration: reads 1..N-1 run in lockstep
 // ----------------------------------------------------------------------
 
 TEST(SaBatch, SampleAllLockstepSortsAndAggregates)
@@ -237,7 +237,6 @@ TEST(SaBatch, SampleAllLockstepSortsAndAggregates)
     SaOptions opts;
     opts.sweeps = 64;
     opts.num_reads = 8;
-    opts.lockstep = true;
     Rng rng(77);
     const auto all = sampler.sampleAll(opts, rng);
     ASSERT_EQ(all.size(), 8u);
@@ -256,36 +255,54 @@ TEST(SaBatch, SampleAllLockstepSortsAndAggregates)
     }
 }
 
-TEST(SaBatch, SingleReadIgnoresLockstepFlag)
+/** True when @p all holds a read with exactly @p want's spins/energy. */
+bool
+containsRead(const std::vector<SaResult> &all, const SaResult &want)
 {
-    // num_reads=1 must stay on the frozen scalar contract even with
-    // lockstep requested: identical sample, identical RNG stream.
+    return std::any_of(all.begin(), all.end(), [&](const SaResult &r) {
+        return r.spins == want.spins && r.energy == want.energy;
+    });
+}
+
+TEST(SaBatch, ReadZeroIsTheSingleReadSample)
+{
+    // Read 0 of a multi-read sample is the frozen scalar num_reads=1
+    // sample on the caller's stream: same spins, same energy, and the
+    // caller's stream advances exactly as for one read.
     const auto m = randomModel(16, 60);
     SaSampler sampler(m);
-    SaOptions plain;
-    plain.sweeps = 48;
-    SaOptions locked = plain;
-    locked.lockstep = true;
+    SaOptions single;
+    single.sweeps = 48;
+    SaOptions multi = single;
+    multi.num_reads = 4;
     Rng a(5), b(5);
-    const auto ra = sampler.sample(plain, a);
-    const auto rb = sampler.sample(locked, b);
-    EXPECT_EQ(ra.spins, rb.spins);
-    EXPECT_EQ(ra.energy, rb.energy);
+    const auto one = sampler.sample(single, a);
+    const auto all = sampler.sampleAll(multi, b);
+    ASSERT_EQ(all.size(), 4u);
+    EXPECT_TRUE(containsRead(all, one));
     EXPECT_EQ(a.next(), b.next());
 }
 
-TEST(SaBatch, LockstepConsumesExactlyOneCallerDraw)
+TEST(SaBatch, ExtraReadsAreLockstepSeededFromPeekedDraw)
 {
+    // Reads 1..N-1 are exactly sampleLockstep over N-1 reads, seeded
+    // with the caller stream's next output — peeked, not consumed.
     const auto m = randomModel(16, 61);
     SaSampler sampler(m);
     SaOptions opts;
     opts.sweeps = 32;
     opts.num_reads = 4;
-    opts.lockstep = true;
-    Rng rng(9), witness(9);
-    (void)sampler.sampleAll(opts, rng);
-    (void)witness.next();
-    EXPECT_EQ(rng.next(), witness.next());
+    Rng rng(9);
+    const std::uint64_t base = Rng(rng).next();
+    const auto all = sampler.sampleAll(opts, rng);
+    SaOptions extra = opts;
+    extra.num_reads = 3;
+    const SaCompiled &c = sampler.compiled();
+    const auto want = sampleLockstep(c, c.csr.h.data(), c.csr.w.data(),
+                                     extra, base, simd::Isa::Scalar);
+    ASSERT_EQ(want.size(), 3u);
+    for (const SaResult &r : want)
+        EXPECT_TRUE(containsRead(all, r));
 }
 
 TEST(SaBatch, EnvOverrideToScalarKeepsResults)
@@ -297,7 +314,6 @@ TEST(SaBatch, EnvOverrideToScalarKeepsResults)
     SaOptions opts;
     opts.sweeps = 48;
     opts.num_reads = 8;
-    opts.lockstep = true;
     Rng a(3);
     const auto fast = sampler.sampleAll(opts, a);
     ASSERT_EQ(setenv("HYQSAT_SIMD", "scalar", 1), 0);
@@ -313,7 +329,7 @@ TEST(SaBatch, EnvOverrideToScalarKeepsResults)
 
 TEST(SaBatch, GroupMovesMatchWorkPoolSemantics)
 {
-    // Chained model through SaSampler::setGroups: the lockstep path
+    // Chained model through SaSampler::setGroups: the lockstep reads
     // must honor block moves (a frustrated chain pair mixes poorly
     // without them). Smoke: best-of-8 finds the ground state.
     const int n = 16;
@@ -329,14 +345,13 @@ TEST(SaBatch, GroupMovesMatchWorkPoolSemantics)
     SaOptions opts;
     opts.sweeps = 128;
     opts.num_reads = 8;
-    opts.lockstep = true;
     Rng rng(21);
     const auto best = sampler.sample(opts, rng);
     EXPECT_DOUBLE_EQ(best.energy, -2.0 * (n - 1) - 0.25);
 }
 
 // ----------------------------------------------------------------------
-// Annealer integration: Options::reads_batch
+// Annealer integration: Options::num_reads
 // ----------------------------------------------------------------------
 
 TEST(SaBatch, AnnealerReadsBatchSolvesAndCountsReads)
@@ -350,7 +365,6 @@ TEST(SaBatch, AnnealerReadsBatchSolvesAndCountsReads)
     opts.noise = NoiseModel::noiseFree();
     opts.greedy_finish = true;
     opts.num_reads = 4;
-    opts.reads_batch = true;
     QuantumAnnealer qa(g, opts);
 
     const auto s = qa.sample(fx.problem, fx.embedding);

@@ -317,6 +317,68 @@ TEST(SaGolden, BestOfNIsMonotone)
     }
 }
 
+TEST(SaGolden, CallerStreamInvariantUnderGroupedExtraReads)
+{
+    // The caller-stream contract on a chained (block-move) model and
+    // read counts on both sides of the 8-lane group boundary: 1 extra
+    // read, 8 (one full group) and 16 (two groups).
+    std::vector<std::vector<int>> groups;
+    const auto model = continuousModel(30, 90, 0xC4A1Bull, &groups);
+    SaSampler sampler(model);
+    sampler.setGroups(groups);
+    SaOptions single;
+    single.sweeps = 40;
+    for (const int reads : {2, 9, 17}) {
+        SaOptions multi = single;
+        multi.num_reads = reads;
+        Rng rng_single(0x5112ull + reads);
+        Rng rng_multi(0x5112ull + reads);
+        const SaResult one = sampler.sample(single, rng_single);
+        const auto all = sampler.sampleAll(multi, rng_multi);
+        ASSERT_EQ(all.size(), static_cast<std::size_t>(reads));
+        EXPECT_EQ(rng_single.next(), rng_multi.next())
+            << reads << " reads";
+        for (std::size_t k = 1; k < all.size(); ++k)
+            EXPECT_LE(all[k - 1].energy, all[k].energy);
+        EXPECT_EQ(all.front().stats.reads,
+                  static_cast<std::uint64_t>(reads));
+        EXPECT_EQ(all.front().stats.read_groups,
+                  static_cast<std::uint64_t>((reads - 1 + 7) / 8));
+        EXPECT_EQ(all.front().stats.sweeps,
+                  static_cast<std::uint64_t>(reads) * 40u);
+        // Read 0 is the single-read sample, bit for bit.
+        bool found = false;
+        for (const SaResult &r : all)
+            found |= r.spins == one.spins && r.energy == one.energy;
+        EXPECT_TRUE(found) << reads << " reads";
+    }
+}
+
+TEST(SaGolden, BestOfNIsMonotoneAcrossGroups)
+{
+    for (const int reads : {2, 9, 17}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            std::vector<std::vector<int>> groups;
+            const auto model =
+                continuousModel(27, 80, 0xB0A7ull + seed * 131, &groups);
+            SaSampler sampler(model);
+            sampler.setGroups(groups);
+            SaOptions single;
+            single.sweeps = 32;
+            SaOptions multi = single;
+            multi.num_reads = reads;
+
+            Rng rng_single(0xAB1ull + seed);
+            Rng rng_multi(0xAB1ull + seed);
+            const SaResult one = sampler.sample(single, rng_single);
+            const SaResult best = sampler.sample(multi, rng_multi);
+            EXPECT_LE(best.energy, one.energy)
+                << reads << " reads, seed " << seed;
+            EXPECT_NEAR(best.energy, sampler.energy(best.spins), 1e-9);
+        }
+    }
+}
+
 TEST(SaGolden, NumReadsOneIsIdenticalThroughSampleAll)
 {
     const auto model = dyadicModel(24, 72, 0xD1AD1C01ull, nullptr);

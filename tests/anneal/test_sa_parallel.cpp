@@ -171,15 +171,14 @@ TEST(SaParallel, GroupPartitionIsBalancedAndDeterministic)
 
 TEST(SaParallel, SamplerAggregatesGroupStats)
 {
-    // Through SaSampler::sampleAll the lockstep path must report the
+    // Through SaSampler::sampleAll the extra reads must report their
     // group count and aggregate per-read work into the front result.
     const auto m = randomModel(20, 3);
     SaSampler sampler(m);
     SaOptions opts;
     opts.sweeps = 32;
     opts.num_reads = 20;
-    opts.lockstep = true;
-    opts.reads_groups = 0; // auto: 3 groups
+    opts.reads_groups = 0; // auto: 19 extra reads in 3 groups
     Rng rng(11);
     const auto all = sampler.sampleAll(opts, rng);
     ASSERT_EQ(all.size(), 20u);

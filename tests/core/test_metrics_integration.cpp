@@ -148,8 +148,8 @@ TEST(MetricsIntegration, AnnealCountersRecordSamplingWork)
 
 TEST(MetricsIntegration, AnnealCountersAreReadAwareUnderLockstep)
 {
-    // The lockstep batch kernel must keep the same accounting
-    // identities as the WorkPool reads: every chain contributes its
+    // The lockstep extra reads must keep the same accounting
+    // identities as the scalar read 0: every read contributes its
     // full sweep schedule, so anneal.sweeps == anneal.reads *
     // noise.sweeps exactly (the greedy finish adds attempts, never
     // sweeps), and accepted work stays within attempted.
@@ -158,7 +158,6 @@ TEST(MetricsIntegration, AnnealCountersAreReadAwareUnderLockstep)
     HybridConfig cfg = noiseFreeConfig();
     cfg.metrics = &registry;
     cfg.num_reads = 4;
-    cfg.reads_batch = true;
     HybridSolver solver(cfg);
     const HybridResult result = solver.solve(cnf);
     ASSERT_FALSE(result.status.isUndef());

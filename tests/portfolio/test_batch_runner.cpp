@@ -156,6 +156,28 @@ TEST(BatchRunner, ExternalStopLeavesRestUnknown)
     EXPECT_FALSE(report.allDecided());
 }
 
+TEST(BatchRunner, PreTrippedStopNeverRunsAJobAcrossRepeats)
+{
+    // The scheduler checks the external token synchronously when it
+    // unparks its workers and again at every job pickup, so a token
+    // tripped before the stop watcher's first poll still cancels the
+    // whole batch. Repeated because the race it closes is timing
+    // dependent.
+    StopToken stop;
+    stop.requestStop();
+    TempDir dir;
+    const auto p = dir.write("inst.cnf", kSatCnf);
+    auto opts = smallOptions();
+    opts.external_stop = &stop;
+    for (int rep = 0; rep < 200; ++rep) {
+        BatchRunner runner(opts);
+        const auto report = runner.run({p, p, p});
+        ASSERT_EQ(report.records.size(), 3u);
+        for (const auto &rec : report.records)
+            ASSERT_EQ(rec.status, "UNKNOWN") << "repeat " << rep;
+    }
+}
+
 TEST(BatchRunner, MemoryBudgetSkipsOversizedInstances)
 {
     // ~40k clauses over 10k vars: the footprint estimate exceeds a

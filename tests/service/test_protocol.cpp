@@ -64,34 +64,31 @@ TEST(ServiceProtocol, SubmitSimplifyOption)
 
 TEST(ServiceProtocol, SubmitTopologyAndReadsBatchOptions)
 {
-    // topology= / reads_batch= compose with simplify= in any order.
+    // topology= composes with simplify= in any order.
     const Request req = parseRequest(
-        "SUBMIT acme 3 job-1 reads_batch=1 topology=pegasus "
-        "simplify=light");
+        "SUBMIT acme 3 job-1 topology=pegasus simplify=light");
     EXPECT_EQ(req.verb, Verb::Submit);
     EXPECT_EQ(req.simplify, "light");
     EXPECT_EQ(req.topology, "pegasus");
-    EXPECT_EQ(req.reads_batch, 1);
 
     const Request chimera =
         parseRequest("SUBMIT acme 0 j topology=chimera");
     EXPECT_EQ(chimera.verb, Verb::Submit);
     EXPECT_EQ(chimera.topology, "chimera");
-    EXPECT_EQ(chimera.reads_batch, -1) << "unset keeps the default";
-    EXPECT_EQ(parseRequest("SUBMIT acme 0 j reads_batch=0").reads_batch,
-              0);
 
     // Defaults when absent; bad values stay Invalid.
     const Request plain = parseRequest("SUBMIT acme 3 job-1");
     EXPECT_TRUE(plain.topology.empty());
-    EXPECT_EQ(plain.reads_batch, -1);
     EXPECT_EQ(parseRequest("SUBMIT acme 3 j topology=zephyr").topology,
               "zephyr");
     EXPECT_EQ(parseRequest("SUBMIT acme 3 j topology=kite").verb,
               Verb::Invalid);
-    EXPECT_EQ(parseRequest("SUBMIT acme 3 j reads_batch=yes").verb,
-              Verb::Invalid);
     EXPECT_EQ(parseRequest("SUBMIT acme 3 j topology=").verb,
+              Verb::Invalid);
+
+    // Every multi-read sample runs its extra reads in lockstep, so
+    // there is no reads_batch= switch: it is a foreign token.
+    EXPECT_EQ(parseRequest("SUBMIT acme 3 j reads_batch=1").verb,
               Verb::Invalid);
 }
 
@@ -101,10 +98,9 @@ TEST(ServiceProtocol, SubmitReadsGroupsOption)
     // auto-sized lockstep groups, -1 (absent) keeps the daemon
     // default.
     const Request req = parseRequest(
-        "SUBMIT acme 2 job-9 reads_batch=1 reads_groups=4 "
-        "topology=zephyr simplify=off");
+        "SUBMIT acme 2 job-9 reads_groups=4 topology=zephyr "
+        "simplify=off");
     EXPECT_EQ(req.verb, Verb::Submit);
-    EXPECT_EQ(req.reads_batch, 1);
     EXPECT_EQ(req.reads_groups, 4);
     EXPECT_EQ(req.topology, "zephyr");
 
