@@ -1,36 +1,47 @@
 /**
  * @file
  * Frontend fast-path micro-benchmark: measures one frontend pass
- * (clause queue -> QUBO encode -> Chimera embed) at a deep search
- * state under three configurations,
+ * (clause queue -> QUBO encode -> Chimera embed) under four
+ * configurations,
  *
- *   cold   one-shot Frontend::run on a scan solver: every buffer is
- *          allocated fresh and the unsatisfied-clause enumeration is
- *          an O(M*3) trail rescan (the pre-fast-path behaviour);
- *   warm   persistent FrontendWorkspace + incremental satisfied-
- *          clause tracking, cache disabled: allocation-free steady
- *          state, O(unsat) enumeration, but a full embed per run;
- *   cache  warm plus the (embedding, encoding) memo: the per-
- *          iteration RNG is reseeded identically so every timed run
- *          is a cache hit,
+ *   cold       one-shot Frontend::run on a scan solver at a deep
+ *              search state: every buffer is allocated fresh and the
+ *              unsatisfied-clause enumeration is an O(M*3) trail
+ *              rescan (the pre-fast-path behaviour);
+ *   warm       persistent FrontendWorkspace + incremental satisfied-
+ *              clause tracking, cache disabled, same deep state:
+ *              O(unsat) enumeration, but a full encode and embed per
+ *              run;
+ *   cache      warm plus the (embedding, encoding) memo: the per-
+ *              iteration RNG is reseeded identically so every timed
+ *              run is a cache hit;
+ *   warm_full  warm at the first search iteration, where the queue
+ *              is at capacity and the embed stops on a prefix (the
+ *              hardware is full): the cost of a cache miss with a
+ *              full queue. Its speedup_vs_cold is against a one-shot
+ *              run at that same state,
  *
  * and emits one "BENCH {json}" trajectory line per path with the
- * per-iteration cost and the speedup over cold. Acceptance bars
- * (ISSUE 4): warm >= 2x cold, cache >= 5x cold at full scale.
+ * per-iteration cost, the speedup over cold and allocs_per_run, the
+ * heap allocations (global operator new calls) of one pass, counted
+ * in an untimed pass after the timed loop. Acceptance bars at full
+ * scale: warm >= 2x cold, cache >= 5x cold.
  *
- * The measurement runs inside the solver's iteration hook at the
- * first decision iteration whose level reaches a target depth, on
- * twin deterministic solvers (identical seeds/options except the
- * tracking flag), so both paths see the exact same trail; the bench
- * asserts the three paths return identical queues and embedded
- * prefixes before reporting any number.
+ * The deep-state measurement runs inside the solver's iteration hook
+ * at the first decision iteration whose level reaches a target
+ * depth, on twin deterministic solvers (identical seeds/options
+ * except the tracking flag), so both paths see the exact same trail;
+ * the bench asserts the cold, warm and cache paths return identical
+ * queues and embedded prefixes before reporting any number.
  *
  *   ./micro_frontend [--smoke]    (HYQSAT_BENCH_TINY=1 also works)
  */
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "core/frontend.h"
 #include "gen/random_sat.h"
@@ -41,13 +52,68 @@ using namespace hyqsat;
 
 namespace {
 
+/** Heap allocations made through the global operator new. */
+std::atomic<std::uint64_t> g_allocs{0};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace {
+
 /** Per-path measurement: microseconds per frontend pass. */
 struct PathTiming
 {
     double per_iter_us = -1.0;
     double wall_s = 0.0;
+    double allocs_per_run = 0.0;
+    double speedup = 1.0; ///< vs the one-shot run at the same state
+    int depth = 0;        ///< decision level of the measured state
     core::FrontendResult reference;
 };
+
+/**
+ * Time @p reps calls of @p run into @p t, then count the heap
+ * allocations of a few more in an untimed pass.
+ */
+template <typename Run>
+void
+measure(PathTiming &t, int reps, const Run &run)
+{
+    Timer timer;
+    for (int i = 0; i < reps; ++i)
+        run();
+    t.wall_s = timer.seconds();
+    t.per_iter_us = t.wall_s * 1e6 / reps;
+
+    const int counted = std::min(reps, 20);
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    for (int i = 0; i < counted; ++i)
+        run();
+    t.allocs_per_run =
+        static_cast<double>(g_allocs.load(std::memory_order_relaxed) -
+                            before) /
+        counted;
+}
 
 /** The compared surface of a FrontendResult (determinism check). */
 bool
@@ -84,6 +150,7 @@ main(int argc, char **argv)
     const int num_clauses = static_cast<int>(num_vars * 3.2);
     const double assigned_frac = 0.9;
     const int reps = smoke ? 100 : 2000;
+    const int full_reps = smoke ? 20 : 400;
     const std::uint64_t queue_seed = 0x5eedc0de;
 
     std::printf("=== micro_frontend: frontend fast-path cost at a "
@@ -112,7 +179,7 @@ main(int argc, char **argv)
         return opts;
     };
 
-    PathTiming cold, warm, cache;
+    PathTiming cold, warm, cache, warm_full;
     int measured_level = -1;
     std::size_t measured_trail = 0;
 
@@ -152,14 +219,10 @@ main(int argc, char **argv)
                 Rng rng(queue_seed);
                 cold.reference = fe_nocache.run(s, rng);
             }
-            Timer t;
-            for (int i = 0; i < reps; ++i) {
+            measure(cold, reps, [&] {
                 Rng rng(queue_seed);
-                const auto r = fe_nocache.run(s, rng);
-                (void)r;
-            }
-            cold.wall_s = t.seconds();
-            cold.per_iter_us = cold.wall_s * 1e6 / reps;
+                (void)fe_nocache.run(s, rng);
+            });
             s.requestStop();
         });
         (void)solver.solve();
@@ -172,8 +235,29 @@ main(int argc, char **argv)
             std::printf("FAIL: instance trivially unsat\n");
             return 1;
         }
-        core::FrontendWorkspace ws_warm, ws_cache;
+        core::FrontendWorkspace ws_warm, ws_cache, ws_full;
         solver.setIterationHook([&](sat::Solver &s) {
+            // Warm full: the first iteration, queue at capacity. The
+            // frontend only reads the solver, so the search goes on
+            // to the deep state unchanged.
+            if (warm_full.per_iter_us < 0.0) {
+                warm_full.depth = s.decisionLevel();
+                {
+                    Rng rng(queue_seed);
+                    warm_full.reference = fe_nocache.run(s, rng, ws_full);
+                }
+                measure(warm_full, full_reps, [&] {
+                    Rng rng(queue_seed);
+                    (void)fe_nocache.run(s, rng, ws_full);
+                });
+                PathTiming one_shot;
+                measure(one_shot, full_reps, [&] {
+                    Rng rng(queue_seed);
+                    (void)fe_nocache.run(s, rng);
+                });
+                warm_full.speedup =
+                    one_shot.per_iter_us / warm_full.per_iter_us;
+            }
             if (warm.per_iter_us >= 0.0 || !atMeasurementState(s))
                 return;
 
@@ -183,16 +267,10 @@ main(int argc, char **argv)
                 Rng rng(queue_seed);
                 warm.reference = fe_nocache.run(s, rng, ws_warm);
             }
-            {
-                Timer t;
-                for (int i = 0; i < reps; ++i) {
-                    Rng rng(queue_seed);
-                    const auto r = fe_nocache.run(s, rng, ws_warm);
-                    (void)r;
-                }
-                warm.wall_s = t.seconds();
-                warm.per_iter_us = warm.wall_s * 1e6 / reps;
-            }
+            measure(warm, reps, [&] {
+                Rng rng(queue_seed);
+                (void)fe_nocache.run(s, rng, ws_warm);
+            });
 
             // Cache: first run misses and populates, every timed run
             // reseeds the same queue and hits.
@@ -200,23 +278,18 @@ main(int argc, char **argv)
                 Rng rng(queue_seed);
                 cache.reference = fe_cache.run(s, rng, ws_cache);
             }
-            {
-                Timer t;
-                for (int i = 0; i < reps; ++i) {
-                    Rng rng(queue_seed);
-                    const auto r = fe_cache.run(s, rng, ws_cache);
-                    (void)r;
-                }
-                cache.wall_s = t.seconds();
-                cache.per_iter_us = cache.wall_s * 1e6 / reps;
-            }
+            measure(cache, reps, [&] {
+                Rng rng(queue_seed);
+                (void)fe_cache.run(s, rng, ws_cache);
+            });
             s.requestStop();
         });
         (void)solver.solve();
     }
 
+    cold.depth = warm.depth = cache.depth = measured_level;
     if (cold.per_iter_us < 0.0 || warm.per_iter_us < 0.0 ||
-        cache.per_iter_us < 0.0) {
+        cache.per_iter_us < 0.0 || warm_full.per_iter_us < 0.0) {
         std::printf("FAIL: search never reached the measurement "
                     "state (>= %.0f%% assigned with an unsatisfied "
                     "clause)\n",
@@ -233,43 +306,68 @@ main(int argc, char **argv)
         return 1;
     }
 
+    const core::FrontendResult &full = warm_full.reference;
+    if (static_cast<int>(full.queue.size()) !=
+            core::FrontendOptions{}.queue.capacity ||
+        full.embedded->all_embedded) {
+        std::printf("FAIL: warm_full state has a queue of %zu with %d "
+                    "embedded; needs a full queue and a prefix embed\n",
+                    full.queue.size(), full.embedded->embedded_clauses);
+        return 1;
+    }
+
     const auto hits = registry.counter("frontend.cache.hits")->value();
     const auto misses = registry.counter("frontend.cache.misses")->value();
     const double warm_speedup = cold.per_iter_us / warm.per_iter_us;
     const double cache_speedup = cold.per_iter_us / cache.per_iter_us;
+    warm.speedup = warm_speedup;
+    cache.speedup = cache_speedup;
 
     std::printf("measured at decision level %d, %zu unsatisfied "
                 "clauses; queue %zu, embedded %zu\n",
                 measured_level, measured_trail,
                 cold.reference.queue.size(),
                 cold.reference.embedded_clauses.size());
-    std::printf("cold  %9.2f us/run\n", cold.per_iter_us);
-    std::printf("warm  %9.2f us/run  (%.2fx vs cold, bar >= 2x)\n",
-                warm.per_iter_us, warm_speedup);
-    std::printf("cache %9.2f us/run  (%.2fx vs cold, bar >= 5x; "
-                "%llu hits / %llu misses)\n",
-                cache.per_iter_us, cache_speedup,
+    std::printf("cold      %9.2f us/run  %8.1f allocs/run\n",
+                cold.per_iter_us, cold.allocs_per_run);
+    std::printf("warm      %9.2f us/run  %8.1f allocs/run  (%.2fx vs "
+                "cold, bar >= 2x)\n",
+                warm.per_iter_us, warm.allocs_per_run, warm_speedup);
+    std::printf("cache     %9.2f us/run  %8.1f allocs/run  (%.2fx vs "
+                "cold, bar >= 5x; %llu hits / %llu misses)\n",
+                cache.per_iter_us, cache.allocs_per_run, cache_speedup,
                 static_cast<unsigned long long>(hits),
                 static_cast<unsigned long long>(misses));
+    std::printf("warm_full %9.2f us/run  %8.1f allocs/run  (%.2fx vs "
+                "one-shot; queue %zu, embedded %zu)\n",
+                warm_full.per_iter_us, warm_full.allocs_per_run,
+                warm_full.speedup, full.queue.size(),
+                full.embedded_clauses.size());
 
     const struct
     {
         const char *path;
         const PathTiming *t;
-        double speedup;
-    } rows[] = {{"cold", &cold, 1.0},
-                {"warm", &warm, warm_speedup},
-                {"cache", &cache, cache_speedup}};
+        int reps;
+    } rows[] = {{"cold", &cold, reps},
+                {"warm", &warm, reps},
+                {"cache", &cache, reps},
+                {"warm_full", &warm_full, full_reps}};
     for (const auto &row : rows) {
+        const core::FrontendResult &ref = row.t->reference;
         std::printf("BENCH {\"bench\":\"micro_frontend\","
                     "\"path\":\"%s\",\"wall_s\":%.6f,"
                     "\"per_iter_us\":%.3f,\"speedup_vs_cold\":%.3f,"
+                    "\"allocs_per_run\":%.1f,"
                     "\"reps\":%d,\"vars\":%d,\"clauses\":%d,"
                     "\"depth\":%d,\"queue_len\":%zu,"
+                    "\"embedded\":%zu,"
                     "\"cache_hits\":%llu,\"cache_misses\":%llu}\n",
                     row.path, row.t->wall_s, row.t->per_iter_us,
-                    row.speedup, reps, num_vars, num_clauses,
-                    measured_level, cold.reference.queue.size(),
+                    row.t->speedup, row.t->allocs_per_run, row.reps,
+                    num_vars, num_clauses,
+                    row.t->depth, ref.queue.size(),
+                    ref.embedded_clauses.size(),
                     static_cast<unsigned long long>(hits),
                     static_cast<unsigned long long>(misses));
     }

@@ -22,6 +22,9 @@ Frontend::Frontend(const chimera::ChimeraGraph &graph,
             metrics->counter("frontend.unsat.incremental");
         unsat_scans_ = metrics->counter("frontend.unsat.scans");
         cache_s_ = metrics->timer("frontend.cache");
+        queue_s_ = metrics->timer("frontend.queue");
+        encode_s_ = metrics->timer("frontend.encode");
+        embed_s_ = metrics->timer("frontend.embed");
     }
 }
 
@@ -45,6 +48,15 @@ Frontend::run(const sat::Solver &solver, Rng &rng,
 
     generateClauseQueue(solver, opts_.queue, rng, ws.queue,
                         result.queue);
+    // Stage the clause literals in place: the staging vectors keep
+    // their capacity from earlier runs.
+    ws.clauses.resize(result.queue.size());
+    for (std::size_t i = 0; i < result.queue.size(); ++i) {
+        const sat::LitVec &clause = solver.originalClause(result.queue[i]);
+        ws.clauses[i].assign(clause.begin(), clause.end());
+    }
+    if (queue_s_)
+        queue_s_->add(timer.seconds());
     if (result.queue.empty()) {
         // Invariant for the metrics contract: every run records
         // exactly one of hits/misses (an empty queue is a miss).
@@ -53,10 +65,6 @@ Frontend::run(const sat::Solver &solver, Rng &rng,
         result.seconds = timer.seconds();
         return result;
     }
-
-    ws.clauses.clear();
-    for (int ci : result.queue)
-        ws.clauses.push_back(solver.originalClause(ci));
 
     std::shared_ptr<const embed::QueueEmbedResult> embedded;
     if (opts_.cache_embeddings) {
@@ -70,9 +78,13 @@ Frontend::run(const sat::Solver &solver, Rng &rng,
         metricInc(cache_hits_);
     } else {
         metricInc(cache_misses_);
+        const Timer embed_timer;
         embed::HyQsatEmbedder embedder(graph_, opts_.embedder);
         embedded = std::make_shared<embed::QueueEmbedResult>(
             embedder.embedQueue(ws.clauses, ws.embedder));
+        metricTime(encode_s_, embedded->encode_seconds);
+        metricTime(embed_s_,
+                   embed_timer.seconds() - embedded->encode_seconds);
         if (opts_.cache_embeddings) {
             const MetricTimer::Scope scope(cache_s_);
             if (ws.cache.insert(ws.clauses, embedded))

@@ -6,9 +6,13 @@
  *
  * Fast path: a FrontendWorkspace owns every per-iteration buffer
  * (queue BFS marks, clause copies, embedder scratch, the embedding
- * cache), so steady-state runs are allocation-free; the
- * (embedding, encoding) pair is memoized by clause content, turning
- * the common identical-queue iteration into an O(hash) hit.
+ * cache); the (embedding, encoding) pair is memoized by clause
+ * content, turning the common identical-queue iteration into an
+ * O(hash) hit. Runs are not allocation-free: a hit makes ~3 heap
+ * allocations, and a miss allocates the result it returns — on a
+ * full 170-clause queue bench/micro_frontend's warm_full row counts
+ * 619 allocations per run, about 80% of them the EncodedProblem's
+ * hash maps and vectors.
  */
 
 #ifndef HYQSAT_CORE_FRONTEND_H
@@ -76,16 +80,17 @@ struct FrontendResult
      */
     bool covers_all_unsatisfied = false;
 
-    /** Host CPU seconds for queue + encode + embed. */
+    /** Wall-clock seconds of the whole pass (queue, encode, embed). */
     double seconds = 0.0;
 };
 
 /**
  * Per-caller buffers for Frontend::run. Owns the clause-queue
- * scratch, the clause-literal staging vector, the embedder scratch
+ * scratch, the clause-literal staging vectors, the embedder scratch
  * and the embedding cache; reusing one workspace across iterations
- * makes the steady state allocation-free and enables cache hits.
- * Not thread-safe; one workspace per caller.
+ * keeps their capacity (queue generation and placement then allocate
+ * nothing) and enables cache hits. Not thread-safe; one workspace
+ * per caller.
  */
 struct FrontendWorkspace
 {
@@ -103,8 +108,11 @@ class Frontend
      * @param metrics optional registry: resolves frontend.runs,
      *        frontend.cache.{hits,misses,evictions},
      *        frontend.unsat.{incremental,scans} counters and the
-     *        frontend.cache timer eagerly (so the keys exist in any
-     *        dump even before the first run).
+     *        frontend.{queue,cache,encode,embed} timers eagerly (so
+     *        the keys exist in any dump even before the first run).
+     *        The timers are disjoint slices of each run: queue
+     *        generation plus clause staging, cache lookup/insert, and
+     *        on a miss the encode and the rest of the embed.
      */
     Frontend(const chimera::ChimeraGraph &graph,
              const FrontendOptions &opts,
@@ -137,6 +145,9 @@ class Frontend
     Counter *unsat_incremental_ = nullptr;
     Counter *unsat_scans_ = nullptr;
     MetricTimer *cache_s_ = nullptr;
+    MetricTimer *queue_s_ = nullptr;
+    MetricTimer *encode_s_ = nullptr;
+    MetricTimer *embed_s_ = nullptr;
 };
 
 } // namespace hyqsat::core

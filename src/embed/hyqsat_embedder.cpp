@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 
 #include "util/logging.h"
 #include "util/timer.h"
@@ -27,55 +26,63 @@ struct Segment
     int c1 = 0, c2 = 0;
 };
 
-/** Canonicalize a clause: sorted, deduped; empty for tautologies. */
-LitVec
-canonical(LitVec clause)
-{
-    std::sort(clause.begin(), clause.end());
-    LitVec out;
-    for (Lit p : clause) {
-        if (!out.empty() && p == out.back())
-            continue;
-        if (!out.empty() && p == ~out.back())
-            return {};
-        out.push_back(p);
-    }
-    return out;
-}
-
 } // namespace
 
 /**
- * Reusable containers behind EmbedderScratch. reset() clears contents
- * but keeps capacity (vectors) and bucket arrays (hash containers),
- * so repeated embedQueue runs stop paying the construction storm of
- * the occupancy grid and per-variable maps.
+ * Reusable state behind EmbedderScratch. Every placed variable owns a
+ * vertical line of its own, so per-variable state lives in dense
+ * arrays indexed by that line, reached through one Var-indexed line
+ * array. reset() clears only what the previous run touched and keeps
+ * every vector's capacity, so a run whose queue fits the capacities
+ * of earlier runs allocates nothing here.
  */
 struct EmbedderScratch::Impl
 {
-    std::unordered_map<Var, int> var_line;
-    std::vector<std::vector<char>> hline_used;
-    std::vector<std::vector<Var>> line_vars;
-    std::vector<Segment> segments;
-    std::unordered_map<Var, std::vector<int>> rows_used;
-    std::unordered_set<std::uint64_t> var_coupled;
+    std::vector<int> line_of; ///< per Var: vertical line, -1 = none
+    std::vector<Var> placed;  ///< vars holding a line, in order
 
-    /** Prefix copy handed to the encoder on partial embeddings. */
-    std::vector<LitVec> accepted_prefix;
+    // Per vertical line, i.e. per placed variable.
+    std::vector<char> line_used;
+    std::vector<std::vector<int>> rows;     ///< home row, then crossings
+    std::vector<std::vector<int>> owned;    ///< segment ids, in order
+    std::vector<std::vector<Var>> partners; ///< coupled higher vars
+
+    std::vector<char> hline_used; ///< [hline * cols + col]
+    std::vector<Segment> segments;
+    std::vector<int> aux_segment; ///< per clause index, -1 = none
+
+    // Per-clause undo log and staging.
+    std::vector<Var> rows_log;
+    LitVec clause;
+    std::vector<int> crossings, chain_rows, grown_rows, grown_chain;
 
     void
-    reset(const ChimeraGraph &graph)
+    reset(const ChimeraGraph &graph, const std::vector<LitVec> &queue)
     {
-        var_line.clear();
-        hline_used.resize(graph.numHorizontalLines());
-        for (auto &line : hline_used)
-            line.assign(graph.cols(), 0);
-        line_vars.resize(graph.numVerticalLines());
-        for (auto &occupants : line_vars)
-            occupants.clear();
+        for (Var v : placed) {
+            const int line = line_of[v];
+            rows[line].clear();
+            owned[line].clear();
+            partners[line].clear();
+            line_of[v] = -1;
+        }
+        placed.clear();
+        Var max_var = -1;
+        for (const auto &clause : queue)
+            for (Lit p : clause)
+                max_var = std::max(max_var, p.var());
+        if (line_of.size() < static_cast<std::size_t>(max_var + 1))
+            line_of.resize(max_var + 1, -1);
+        const int lines = graph.numVerticalLines();
+        line_used.assign(lines, 0);
+        rows.resize(lines);
+        owned.resize(lines);
+        partners.resize(lines);
+        hline_used.assign(static_cast<std::size_t>(graph.numHorizontalLines()) *
+                              graph.cols(),
+                          0);
         segments.clear();
-        rows_used.clear();
-        var_coupled.clear();
+        aux_segment.clear();
     }
 };
 
@@ -87,18 +94,20 @@ EmbedderScratch::operator=(EmbedderScratch &&) noexcept = default;
 
 namespace {
 
-/** Working state of one embedQueue() run (containers borrowed from
- * an EmbedderScratch::Impl that was reset for this run). */
+/**
+ * Working state of one embedQueue() run (containers borrowed from an
+ * EmbedderScratch::Impl that was reset for this run).
+ *
+ * Every variable gets a vertical line of its own (pickLine only takes
+ * empty lines), so no two variables' vertical chains share a line and
+ * any crossing row is available to any variable.
+ */
 class Builder
 {
   public:
     Builder(const ChimeraGraph &graph, const HyQsatEmbedderOptions &opts,
             EmbedderScratch::Impl &scratch)
-        : graph_(graph), opts_(opts), var_line_(scratch.var_line),
-          hline_used_(scratch.hline_used),
-          line_vars_(scratch.line_vars), segments_(scratch.segments),
-          rows_used_(scratch.rows_used),
-          var_coupled_(scratch.var_coupled)
+        : graph_(graph), opts_(opts), s_(scratch)
     {
     }
 
@@ -106,59 +115,66 @@ class Builder
     bool
     tryClause(const LitVec &clause, int clause_index)
     {
-        // Undo logs for rollback on failure.
-        std::vector<Var> new_vars;
-        std::vector<std::size_t> new_segments;
-        std::vector<Var> rows_appended;
+        const std::size_t placed_before = s_.placed.size();
+        const std::size_t segments_before = s_.segments.size();
+        s_.rows_log.clear();
+        Var coupled = sat::var_Undef; // lower var of a new pair
+
         auto rollback = [&]() {
-            for (auto it = new_segments.rbegin();
-                 it != new_segments.rend(); ++it) {
-                const Segment &s = segments_[*it];
-                for (int c = s.c1; c <= s.c2; ++c)
-                    hline_used_[s.hline][c] = 0;
-                segments_.pop_back();
+            while (s_.segments.size() > segments_before) {
+                const Segment &seg = s_.segments.back();
+                for (int c = seg.c1; c <= seg.c2; ++c)
+                    used(seg.hline, c) = 0;
+                if (seg.owner_is_aux)
+                    s_.aux_segment[seg.owner_clause] = -1;
+                else
+                    ownedBy(seg.owner_var).pop_back();
+                s_.segments.pop_back();
             }
-            for (Var v : rows_appended)
-                rows_used_[v].pop_back();
-            for (auto it = new_vars.rbegin(); it != new_vars.rend();
-                 ++it) {
-                const int line = var_line_[*it];
-                line_vars_[line].pop_back();
-                var_line_.erase(*it);
+            for (Var v : s_.rows_log)
+                rowsOf(v).pop_back();
+            if (coupled != sat::var_Undef)
+                partnersOf(coupled).pop_back();
+            while (s_.placed.size() > placed_before) {
+                const Var v = s_.placed.back();
+                s_.line_used[s_.line_of[v]] = 0;
+                s_.line_of[v] = -1;
+                s_.placed.pop_back();
             }
         };
 
-        // Step 1: allocate vertical lines for unseen variables. The
-        // allocator shares lines between variables (disjoint row
-        // intervals), cycling through lines so occupancy stays even;
-        // variables of the same clause never share a line (their
-        // chains could not be coupled there).
+        // Step 1: allocate a vertical line for each unseen variable,
+        // with a soft home row reserved at the bottom so every
+        // variable owns a non-empty interval from birth.
         for (Lit p : clause) {
-            if (var_line_.count(p.var()))
+            const Var v = p.var();
+            if (s_.line_of[v] >= 0)
                 continue;
-            const auto [line, home_row] = pickLine(clause);
+            const int line = pickLine(clause);
             if (line < 0) {
                 rollback();
                 return false;
             }
-            var_line_.emplace(p.var(), line);
-            line_vars_[line].push_back(p.var());
-            new_vars.push_back(p.var());
-            // Reserve a home row immediately so every variable owns
-            // a non-empty, non-touching interval from birth.
-            rows_used_[p.var()].push_back(home_row);
-            rows_appended.push_back(p.var());
+            s_.line_of[v] = line;
+            s_.line_used[line] = 1;
+            s_.placed.push_back(v);
+            markRow(v, graph_.rows() - 1);
         }
 
         // Step 2: satisfy the clause's connection requirements.
         auto placeVarVar = [&](Var a, Var b) {
-            if (var_coupled_.count(coupleKey(a, b)))
+            const Var lo = std::min(a, b), hi = std::max(a, b);
+            const auto &mates = partnersOf(lo);
+            if (std::find(mates.begin(), mates.end(), hi) != mates.end())
                 return true;
-            if (!placeSegment(/*aux=*/false, a, -1, {colOf(a), colOf(b)},
-                              {a, b}, &new_segments, &rows_appended)) {
+            const Var touching[] = {a, b};
+            if (!placeSegment(/*aux=*/false, a, -1,
+                              std::min(colOf(a), colOf(b)),
+                              std::max(colOf(a), colOf(b)), touching)) {
                 return false;
             }
-            var_coupled_.insert(coupleKey(a, b));
+            partnersOf(lo).push_back(hi);
+            coupled = lo;
             return true;
         };
 
@@ -169,11 +185,12 @@ class Builder
             const Var v0 = clause[0].var();
             const Var v1 = clause[1].var();
             const Var v2 = clause[2].var();
+            const int k0 = colOf(v0), k1 = colOf(v1), k2 = colOf(v2);
+            const Var touching[] = {v0, v1, v2};
             ok = placeVarVar(v0, v1) &&
                  placeSegment(/*aux=*/true, sat::var_Undef, clause_index,
-                              {colOf(v0), colOf(v1), colOf(v2)},
-                              {v0, v1, v2}, &new_segments,
-                              &rows_appended);
+                              std::min({k0, k1, k2}),
+                              std::max({k0, k1, k2}), touching);
         }
         if (!ok) {
             rollback();
@@ -184,134 +201,104 @@ class Builder
 
     /** Materialize chains for the encoded prefix problem. */
     Embedding
-    buildEmbedding(const qubo::EncodedProblem &ep) const
+    buildEmbedding(const qubo::EncodedProblem &ep)
     {
         Embedding emb(ep.numNodes());
-
-        std::unordered_map<int, const Segment *> aux_segment;
-        std::unordered_map<Var, std::vector<const Segment *>> var_segments;
-        for (const auto &s : segments_) {
-            if (s.owner_is_aux)
-                aux_segment.emplace(s.owner_clause, &s);
-            else
-                var_segments[s.owner_var].push_back(&s);
-        }
-
         for (int n = 0; n < ep.numNodes(); ++n) {
             auto &chain = emb.chain(n);
             const auto &info = ep.nodes[n];
             if (info.is_aux) {
-                const Segment *s = aux_segment.at(info.clause);
-                for (int c = s->c1; c <= s->c2; ++c)
-                    chain.push_back(
-                        graph_.horizontalLineQubit(s->hline, c));
+                const Segment &seg =
+                    s_.segments[s_.aux_segment[info.clause]];
+                chain.reserve(seg.c2 - seg.c1 + 1);
+                appendSegment(chain, seg);
                 continue;
             }
             // Variable: vertical span + owned horizontal segments.
-            const int line = var_line_.at(info.var);
-            for (int r : chainRows(info.var))
-                chain.push_back(graph_.verticalLineQubit(line, r));
-            const auto segs = var_segments.find(info.var);
-            if (segs != var_segments.end()) {
-                for (const Segment *s : segs->second) {
-                    for (int c = s->c1; c <= s->c2; ++c)
-                        chain.push_back(
-                            graph_.horizontalLineQubit(s->hline, c));
-                }
-            }
+            const Var v = info.var;
+            chainRows(rowsOf(v), s_.chain_rows);
+            std::size_t size = s_.chain_rows.size();
+            for (int si : ownedBy(v))
+                size += s_.segments[si].c2 - s_.segments[si].c1 + 1;
+            chain.reserve(size);
+            for (int r : s_.chain_rows)
+                chain.push_back(
+                    graph_.verticalLineQubit(s_.line_of[v], r));
+            for (int si : ownedBy(v))
+                appendSegment(chain, s_.segments[si]);
         }
         return emb;
     }
 
   private:
-    static std::uint64_t
-    coupleKey(Var a, Var b)
+    char &
+    used(int hline, int col)
     {
-        if (a > b)
-            std::swap(a, b);
-        return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a))
-                << 32) |
-               static_cast<std::uint32_t>(b);
+        return s_.hline_used[static_cast<std::size_t>(hline) *
+                                 graph_.cols() +
+                             col];
     }
 
-    int colOf(Var v) const
+    int
+    colOf(Var v) const
     {
-        return graph_.verticalLineColumn(var_line_.at(v));
+        return graph_.verticalLineColumn(s_.line_of[v]);
+    }
+
+    std::vector<int> &rowsOf(Var v) { return s_.rows[s_.line_of[v]]; }
+    std::vector<int> &ownedBy(Var v) { return s_.owned[s_.line_of[v]]; }
+
+    std::vector<Var> &
+    partnersOf(Var v)
+    {
+        return s_.partners[s_.line_of[v]];
+    }
+
+    void
+    appendSegment(std::vector<int> &chain, const Segment &seg) const
+    {
+        for (int c = seg.c1; c <= seg.c2; ++c)
+            chain.push_back(graph_.horizontalLineQubit(seg.hline, c));
+    }
+
+    /** Record crossing row @p r on @p v's vertical chain (logged). */
+    void
+    markRow(Var v, int r)
+    {
+        rowsOf(v).push_back(r);
+        s_.rows_log.push_back(v);
     }
 
     /**
-     * Row interval of a variable's vertical chain. The first entry
-     * is the soft home row reserved at allocation; once real
-     * coupling rows exist the span covers only those, keeping
-     * chains short.
+     * Rows of a vertical chain, ascending, from its rows entry: the
+     * first element is the soft home row (dropped once real
+     * crossings exist). The chain must visit every crossing row
+     * (where a horizontal segment couples to it); between crossings
+     * it only needs stepping stones every lineReach() rows, so on
+     * Pegasus the skip couplers let the chain leave interior rows
+     * free. With reach 1 the bridging degenerates to the contiguous
+     * [r_min, r_max] span.
      */
-    std::pair<int, int>
-    spanOf(Var v) const
+    void
+    chainRows(const std::vector<int> &rows, std::vector<int> &out)
     {
-        const auto it = rows_used_.find(v);
-        if (it == rows_used_.end() || it->second.empty()) {
-            // Cannot happen: a home row is reserved at allocation.
-            return {graph_.rows() - 1, graph_.rows() - 1};
-        }
-        const auto &rows = it->second;
-        const auto begin =
-            rows.size() >= 2 ? rows.begin() + 1 : rows.begin();
-        const auto [lo, hi] = std::minmax_element(begin, rows.end());
-        return {*lo, *hi};
-    }
-
-    /**
-     * Chain rows derived from a raw rows_used_ entry: the first
-     * element is the soft home row (dropped once real crossings
-     * exist); between crossings only stepping stones every
-     * lineReach() rows are needed.
-     */
-    std::vector<int>
-    chainRowsFrom(const std::vector<int> &rows) const
-    {
-        std::vector<int> crossings;
-        if (!rows.empty()) {
-            const auto begin =
-                rows.size() >= 2 ? rows.begin() + 1 : rows.begin();
-            crossings.assign(begin, rows.end());
-        } else {
-            // Cannot happen: a home row is reserved at allocation.
-            crossings.push_back(graph_.rows() - 1);
-        }
+        auto &crossings = s_.crossings;
+        crossings.assign(rows.size() >= 2 ? rows.begin() + 1 : rows.begin(),
+                         rows.end());
         std::sort(crossings.begin(), crossings.end());
-        crossings.erase(
-            std::unique(crossings.begin(), crossings.end()),
-            crossings.end());
+        crossings.erase(std::unique(crossings.begin(), crossings.end()),
+                        crossings.end());
 
         const int reach = graph_.lineReach();
-        std::vector<int> out;
+        out.clear();
         for (std::size_t i = 0; i < crossings.size(); ++i) {
             out.push_back(crossings[i]);
             if (i + 1 < crossings.size()) {
-                for (int r = crossings[i] + reach;
-                     r < crossings[i + 1]; r += reach)
+                for (int r = crossings[i] + reach; r < crossings[i + 1];
+                     r += reach)
                     out.push_back(r);
             }
         }
-        return out;
-    }
-
-    /**
-     * Rows of a variable's vertical chain, ascending. The chain must
-     * visit every crossing row (where a horizontal segment couples
-     * to it); between crossings it only needs stepping stones every
-     * lineReach() rows, so on Pegasus the skip couplers let the
-     * chain leave interior rows free. With reach 1 the bridging
-     * degenerates to the historical contiguous [r_min, r_max] span,
-     * keeping Chimera embeddings bit-identical.
-     */
-    std::vector<int>
-    chainRows(Var v) const
-    {
-        const auto it = rows_used_.find(v);
-        static const std::vector<int> kEmpty;
-        return chainRowsFrom(it != rows_used_.end() ? it->second
-                                                    : kEmpty);
     }
 
     /**
@@ -319,80 +306,24 @@ class Builder
      * a new crossing (0 when the chain already covers it).
      */
     int
-    verticalGrowth(Var v, int r) const
+    verticalGrowth(Var v, int r)
     {
-        const auto it = rows_used_.find(v);
-        if (it == rows_used_.end() || it->second.empty())
-            return 0; // first crossing replaces the home row
-        std::vector<int> with = it->second;
-        with.push_back(r);
-        return static_cast<int>(chainRowsFrom(with).size()) -
-               static_cast<int>(chainRowsFrom(it->second).size());
+        const std::vector<int> &rows = rowsOf(v);
+        s_.grown_rows.assign(rows.begin(), rows.end());
+        s_.grown_rows.push_back(r);
+        chainRows(s_.grown_rows, s_.grown_chain);
+        chainRows(rows, s_.chain_rows);
+        return static_cast<int>(s_.grown_chain.size()) -
+               static_cast<int>(s_.chain_rows.size());
     }
 
     /**
-     * Can variable @p v's span grow to include row @p r without its
-     * extended interval coming within lineReach() rows of a
-     * co-resident variable's interval? Chains separated by less than
-     * the reach would share a line coupler (stride-1 on Chimera,
-     * also the stride-2 skip couplers on Pegasus).
-     */
-    bool
-    rowFeasibleOnLine(int line, Var v, int r) const
-    {
-        const int reach = graph_.lineReach();
-        int lo = r, hi = r;
-        const auto it = rows_used_.find(v);
-        if (it != rows_used_.end() && !it->second.empty()) {
-            const auto [mn, mx] = std::minmax_element(
-                it->second.begin(), it->second.end());
-            lo = std::min(lo, *mn);
-            hi = std::max(hi, *mx);
-        }
-        for (Var other : line_vars_[line]) {
-            if (other == v)
-                continue;
-            const auto oit = rows_used_.find(other);
-            if (oit == rows_used_.end() || oit->second.empty())
-                continue; // mid-rollback transient
-            const auto [omn, omx] = std::minmax_element(
-                oit->second.begin(), oit->second.end());
-            if (lo <= *omx + reach && *omn <= hi + reach)
-                return false; // a line coupler would join the chains
-        }
-        return true;
-    }
-
-    /** Bottom-most row whose single-row interval fits on @p line. */
-    int
-    freeHomeRow(int line) const
-    {
-        const int reach = graph_.lineReach();
-        for (int r = graph_.rows() - 1; r >= 0; --r) {
-            bool ok = true;
-            for (Var other : line_vars_[line]) {
-                const auto oit = rows_used_.find(other);
-                if (oit == rows_used_.end() || oit->second.empty())
-                    continue;
-                const auto [omn, omx] = std::minmax_element(
-                    oit->second.begin(), oit->second.end());
-                if (r <= *omx + reach && *omn <= r + reach) {
-                    ok = false;
-                    break;
-                }
-            }
-            if (ok)
-                return r;
-        }
-        return -1;
-    }
-
-    /**
-     * Pick a vertical line and home row for a fresh variable:
+     * Pick a free vertical line for a fresh variable of @p clause:
      * sequential allocation in queue order (§IV-B step 1). One
      * variable per line; consecutive allocations land in adjacent
      * columns, which preserves the BFS queue's variable locality in
-     * hardware (clause segments then span few columns).
+     * hardware (clause segments then span few columns). @return -1
+     * when every line is taken.
      *
      * Row-sharing of vertical lines was evaluated and rejected: two
      * variables on one line partition the rows, and any clause
@@ -400,8 +331,8 @@ class Builder
      * unembeddable, so shared lines lower - not raise - the
      * achievable clause capacity.
      */
-    std::pair<int, int>
-    pickLine(const LitVec &clause)
+    int
+    pickLine(const LitVec &clause) const
     {
         // Prefer the free line whose column is nearest the clause's
         // already-placed variables: horizontal segments span the
@@ -411,16 +342,16 @@ class Builder
         double target_col = -1.0;
         int placed = 0;
         for (Lit p : clause) {
-            const auto it = var_line_.find(p.var());
-            if (it != var_line_.end()) {
-                target_col += graph_.verticalLineColumn(it->second);
+            const int line = s_.line_of[p.var()];
+            if (line >= 0) {
+                target_col += graph_.verticalLineColumn(line);
                 ++placed;
             }
         }
         int best = -1;
         double best_score = 1e18;
         for (int line = 0; line < lines; ++line) {
-            if (!line_vars_[line].empty())
+            if (s_.line_used[line])
                 continue;
             // Without placed clause-mates, fall back to low index
             // (columns fill left to right, matching queue order).
@@ -436,9 +367,34 @@ class Builder
                 best = line;
             }
         }
-        if (best < 0)
-            return {-1, -1};
-        return {best, freeHomeRow(best)};
+        return best;
+    }
+
+    /** Record crossing row @p row for every participant of a segment. */
+    void
+    markRows(bool aux, Var owner_var, std::span<const Var> touching,
+             int row)
+    {
+        for (Var v : touching)
+            markRow(v, row);
+        if (!aux)
+            markRow(owner_var, row);
+    }
+
+    /** Append a segment and index it under its owner. */
+    void
+    addSegment(const Segment &seg)
+    {
+        const int id = static_cast<int>(s_.segments.size());
+        s_.segments.push_back(seg);
+        if (seg.owner_is_aux) {
+            if (s_.aux_segment.size() <=
+                static_cast<std::size_t>(seg.owner_clause))
+                s_.aux_segment.resize(seg.owner_clause + 1, -1);
+            s_.aux_segment[seg.owner_clause] = id;
+        } else {
+            ownedBy(seg.owner_var).push_back(id);
+        }
     }
 
     /**
@@ -455,123 +411,77 @@ class Builder
      * Returns false on fabrics without odd couplers
      * (horizontalLinePartner() is -1).
      */
-    template <typename RowOk, typename MarkRows>
     bool
     tryOddPartner(Var owner_var, int c1, int c2,
-                  const std::vector<Var> &touching, const RowOk &rowOk,
-                  const MarkRows &markRows,
-                  std::vector<std::size_t> *new_segments)
+                  std::span<const Var> touching)
     {
-        for (std::size_t si = 0; si < segments_.size(); ++si) {
-            // Copy the fields: push_back below reallocates.
-            const Segment s = segments_[si];
-            if (s.owner_is_aux || s.owner_var != owner_var)
-                continue;
-            const int partner = graph_.horizontalLinePartner(s.hline);
+        const auto &owned = ownedBy(owner_var);
+        for (std::size_t k = 0; k < owned.size(); ++k) {
+            // Copy the fields: addSegment below reallocates.
+            const Segment seg = s_.segments[owned[k]];
+            const int partner = graph_.horizontalLinePartner(seg.hline);
             if (partner < 0)
                 continue;
-            if (c2 < s.c1 || c1 > s.c2)
+            if (c2 < seg.c1 || c1 > seg.c2)
                 continue; // no shared column to splice through
-            const int row = graph_.horizontalLineRow(s.hline);
-            if (!rowOk(row))
-                continue;
+            const int row = graph_.horizontalLineRow(seg.hline);
             bool grows = verticalGrowth(owner_var, row) > 0;
-            for (std::size_t vi = 0; vi < touching.size() && !grows;
-                 ++vi)
+            for (std::size_t vi = 0; vi < touching.size() && !grows; ++vi)
                 grows = verticalGrowth(touching[vi], row) > 0;
             if (grows)
                 continue;
             bool free = true;
             for (int c = c1; c <= c2 && free; ++c)
-                free = !hline_used_[partner][c];
+                free = !used(partner, c);
             if (!free)
                 continue;
             for (int c = c1; c <= c2; ++c)
-                hline_used_[partner][c] = 1;
-            segments_.push_back(
-                {false, owner_var, -1, partner, c1, c2});
-            new_segments->push_back(segments_.size() - 1);
-            markRows(graph_.horizontalLineRow(s.hline));
+                used(partner, c) = 1;
+            addSegment({false, owner_var, -1, partner, c1, c2});
+            markRows(false, owner_var, touching, row);
             return true;
         }
         return false;
     }
 
     /**
-     * Place (or extend) a horizontal segment for @p owner covering
-     * every column in @p cols; record the crossing row for each
-     * variable in @p touching so vertical spans cover it.
+     * Place (or extend) a horizontal segment for the owner covering
+     * columns [c1, c2] (which include the owner variable's own
+     * column); record the crossing row for each variable in
+     * @p touching so vertical spans cover it.
      */
     bool
-    placeSegment(bool aux, Var owner_var, int owner_clause,
-                 std::vector<int> cols, const std::vector<Var> &touching,
-                 std::vector<std::size_t> *new_segments,
-                 std::vector<Var> *rows_appended)
+    placeSegment(bool aux, Var owner_var, int owner_clause, int c1, int c2,
+                 std::span<const Var> touching)
     {
-        // The owner variable's own column must be in the span so the
-        // segment couples to its vertical chain.
-        if (!aux)
-            cols.push_back(colOf(owner_var));
-        const auto [lo, hi] = std::minmax_element(cols.begin(), cols.end());
-        const int c1 = *lo, c2 = *hi;
-
-        auto rowOk = [&](int r) {
-            for (Var v : touching) {
-                if (!rowFeasibleOnLine(var_line_.at(v), v, r))
-                    return false;
-            }
-            if (!aux && !rowFeasibleOnLine(var_line_.at(owner_var),
-                                           owner_var, r)) {
-                return false;
-            }
-            return true;
-        };
-
-        auto markRows = [&](int row) {
-            for (Var v : touching) {
-                rows_used_[v].push_back(row);
-                rows_appended->push_back(v);
-            }
-            if (!aux) {
-                rows_used_[owner_var].push_back(row);
-                rows_appended->push_back(owner_var);
-            }
-        };
-
         // Try extending one of the owner's existing segments. The
         // extension is recorded as fresh segments over the newly
         // covered cells (so rollback stays per-clause); the chains
         // merge because both segments share the owner and line.
         if (opts_.reuse_segments && !aux) {
-            for (std::size_t si = 0; si < segments_.size(); ++si) {
-                // Copy the fields: push_back below reallocates.
-                const Segment s = segments_[si];
-                if (s.owner_is_aux || s.owner_var != owner_var)
-                    continue;
-                if (!rowOk(graph_.horizontalLineRow(s.hline)))
-                    continue;
-                const int e1 = std::min(s.c1, c1);
-                const int e2 = std::max(s.c2, c2);
+            const auto &owned = ownedBy(owner_var);
+            for (std::size_t k = 0; k < owned.size(); ++k) {
+                // Copy the fields: addSegment below reallocates.
+                const Segment seg = s_.segments[owned[k]];
+                const int e1 = std::min(seg.c1, c1);
+                const int e2 = std::max(seg.c2, c2);
                 bool free = true;
                 for (int c = e1; c <= e2 && free; ++c) {
-                    free &= (c >= s.c1 && c <= s.c2) ||
-                            !hline_used_[s.hline][c];
+                    free &= (c >= seg.c1 && c <= seg.c2) ||
+                            !used(seg.hline, c);
                 }
                 if (!free)
                     continue;
                 for (int c = e1; c <= e2; ++c)
-                    hline_used_[s.hline][c] = 1;
-                if (e1 < s.c1) {
-                    segments_.push_back({false, owner_var, -1, s.hline,
-                                         e1, s.c1 - 1});
-                    new_segments->push_back(segments_.size() - 1);
-                }
-                if (e2 > s.c2) {
-                    segments_.push_back({false, owner_var, -1, s.hline,
-                                         s.c2 + 1, e2});
-                    new_segments->push_back(segments_.size() - 1);
-                }
-                markRows(graph_.horizontalLineRow(s.hline));
+                    used(seg.hline, c) = 1;
+                if (e1 < seg.c1)
+                    addSegment({false, owner_var, -1, seg.hline, e1,
+                                seg.c1 - 1});
+                if (e2 > seg.c2)
+                    addSegment({false, owner_var, -1, seg.hline,
+                                seg.c2 + 1, e2});
+                markRows(aux, owner_var, touching,
+                         graph_.horizontalLineRow(seg.hline));
                 return true;
             }
 
@@ -586,29 +496,24 @@ class Builder
             // owner's segment qualify (zero extra cells versus a
             // first-fit placement). No-op on Chimera.
             if (opts_.odd_couplers &&
-                tryOddPartner(owner_var, c1, c2, touching, rowOk,
-                              markRows, new_segments)) {
+                tryOddPartner(owner_var, c1, c2, touching)) {
                 return true;
             }
         }
 
         // First-fit scan, bottom row first, tracks in order.
         for (int r = graph_.rows() - 1; r >= 0; --r) {
-            if (!rowOk(r))
-                continue;
             for (int t = 0; t < graph_.shore(); ++t) {
                 const int hline = r * graph_.shore() + t;
                 bool free = true;
                 for (int c = c1; c <= c2 && free; ++c)
-                    free = !hline_used_[hline][c];
+                    free = !used(hline, c);
                 if (!free)
                     continue;
                 for (int c = c1; c <= c2; ++c)
-                    hline_used_[hline][c] = 1;
-                segments_.push_back(
-                    {aux, owner_var, owner_clause, hline, c1, c2});
-                new_segments->push_back(segments_.size() - 1);
-                markRows(r);
+                    used(hline, c) = 1;
+                addSegment({aux, owner_var, owner_clause, hline, c1, c2});
+                markRows(aux, owner_var, touching, r);
                 return true;
             }
         }
@@ -617,13 +522,7 @@ class Builder
 
     const ChimeraGraph &graph_;
     HyQsatEmbedderOptions opts_;
-
-    std::unordered_map<Var, int> &var_line_;
-    std::vector<std::vector<char>> &hline_used_;
-    std::vector<std::vector<Var>> &line_vars_; // per line occupants
-    std::vector<Segment> &segments_;
-    std::unordered_map<Var, std::vector<int>> &rows_used_;
-    std::unordered_set<std::uint64_t> &var_coupled_;
+    EmbedderScratch::Impl &s_;
 };
 
 } // namespace
@@ -647,19 +546,20 @@ HyQsatEmbedder::embedQueue(const std::vector<sat::LitVec> &queue,
 {
     Timer timer;
     EmbedderScratch::Impl &s = *scratch.impl_;
-    s.reset(graph_);
+    s.reset(graph_, queue);
     Builder builder(graph_, opts_, s);
 
     QueueEmbedResult result;
     int accepted = 0;
     for (const auto &raw : queue) {
-        const LitVec clause = canonical(raw);
-        if (clause.size() > 3) {
+        // A tautology stays empty and consumes no hardware.
+        qubo::canonicalizeClause(raw, s.clause);
+        if (s.clause.size() > 3) {
             fatal("HyQsatEmbedder requires 3-SAT clauses (got %zu "
                   "literals)",
-                  clause.size());
+                  s.clause.size());
         }
-        if (!builder.tryClause(clause, accepted))
+        if (!builder.tryClause(s.clause, accepted))
             break;
         ++accepted;
     }
@@ -667,16 +567,13 @@ HyQsatEmbedder::embedQueue(const std::vector<sat::LitVec> &queue,
     result.embedded_clauses = accepted;
     result.all_embedded =
         static_cast<std::size_t>(accepted) == queue.size();
-    if (result.all_embedded) {
-        // Keep the raw clauses: the encoder canonicalizes
-        // identically, and raw tautologies must stay tautologies.
-        result.problem = qubo::encodeClauses(queue, opts_.encoder);
-    } else {
-        s.accepted_prefix.assign(queue.begin(),
-                                 queue.begin() + accepted);
-        result.problem =
-            qubo::encodeClauses(s.accepted_prefix, opts_.encoder);
-    }
+    // Encode the raw prefix: the encoder canonicalizes identically,
+    // and raw tautologies must stay tautologies.
+    const Timer encode_timer;
+    result.problem = qubo::encodeClauses(
+        std::span<const sat::LitVec>(queue).first(accepted),
+        opts_.encoder);
+    result.encode_seconds = encode_timer.seconds();
     result.embedding = builder.buildEmbedding(result.problem);
     result.seconds = timer.seconds();
     return result;

@@ -45,8 +45,11 @@ struct QueueEmbedResult
     /** True when the whole queue fit. */
     bool all_embedded = false;
 
-    /** Wall-clock seconds for the embedding. */
+    /** Wall-clock seconds for the whole run (placement, encode, chains). */
     double seconds = 0.0;
+
+    /** Wall-clock seconds of the encode step, included in seconds. */
+    double encode_seconds = 0.0;
 
     /**
      * Downstream compilation memo: the annealer parks its flat
@@ -84,13 +87,15 @@ struct HyQsatEmbedderOptions
 };
 
 /**
- * Reusable working state for HyQsatEmbedder::embedQueue. The
- * embedder's per-run containers (line occupancy grids, segment
- * lists, per-variable row maps) are reset — keeping their capacity —
- * instead of reallocated on every call, making steady-state
- * embedding allocation-light. Opaque (pimpl) so the embedder's
- * internals stay out of the public header. Not thread-safe; one
- * scratch per caller.
+ * Reusable working state for HyQsatEmbedder::embedQueue: dense
+ * per-variable arrays (vertical line, crossing rows, owned segments,
+ * coupled partners), the line occupancy grid, the segment list and
+ * the per-clause undo log. They are reset — keeping their capacity —
+ * instead of reallocated on every call, so placement allocates
+ * nothing once the scratch has grown; only the returned encoding and
+ * chains are allocated. Opaque (pimpl) so the embedder's internals
+ * stay out of the public header. Not thread-safe; one scratch per
+ * caller.
  */
 class EmbedderScratch
 {

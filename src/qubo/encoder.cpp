@@ -29,14 +29,69 @@ literalPenalty(sat::Lit l, int node)
     return {0.0, 1.0, node};
 }
 
+/** Builder for the inline terms of a SubClausePenalty. */
+class PenaltyBuilder
+{
+  public:
+    void addOffset(double c) { p_.offset += c; }
+
+    void
+    addLinear(int node, double c)
+    {
+        // A zero coefficient contributes nothing to the objectives or
+        // to d_{k,j} (both skip zero linear terms).
+        if (c != 0.0)
+            p_.linear[p_.num_linear++] = {node, c};
+    }
+
+    /**
+     * Insert J_ij where a default-constructed
+     * std::unordered_map<PairKey, double, PairKeyHash> holding the
+     * same keys would iterate it (the keys of one penalty are
+     * distinct). libstdc++ gives such a map 13 buckets on its first
+     * insert; a key whose bucket is already occupied goes first in
+     * that bucket's run, any other key goes to the front of the list.
+     * Encoder.PenaltyTermsFollowHashMapOrder checks this against the
+     * real container.
+     */
+    void
+    addQuadratic(int i, int j, double c)
+    {
+        const PairKey key(i, j);
+        const std::size_t bucket = bucketOf(key);
+        int at = 0;
+        for (int k = 0; k < p_.num_quadratic; ++k) {
+            if (bucketOf(p_.quadratic[k].key) == bucket) {
+                at = k;
+                break;
+            }
+        }
+        for (int k = p_.num_quadratic; k > at; --k)
+            p_.quadratic[k] = p_.quadratic[k - 1];
+        p_.quadratic[at] = {key, c};
+        ++p_.num_quadratic;
+    }
+
+    const SubClausePenalty &penalty() const { return p_; }
+
+  private:
+    static std::size_t
+    bucketOf(const PairKey &key)
+    {
+        return PairKeyHash()(key) % 13;
+    }
+
+    SubClausePenalty p_;
+};
+
 /**
  * Sub-clause c_{k,1} = a <-> (l1 v l2), Eq. 4 top:
  * H = a + H1 + H2 - 2 a H1 - 2 a H2 + H1 H2.
  */
-QuboModel
+SubClausePenalty
 equivalencePenalty(const Affine &h1, const Affine &h2, int aux)
 {
-    QuboModel q;
+    PenaltyBuilder q;
     q.addOffset(h1.s + h2.s + h1.s * h2.s);
     q.addLinear(aux, 1.0 - 2.0 * h1.s - 2.0 * h2.s);
     q.addLinear(h1.node, h1.t + h2.s * h1.t);
@@ -44,76 +99,70 @@ equivalencePenalty(const Affine &h1, const Affine &h2, int aux)
     q.addQuadratic(aux, h1.node, -2.0 * h1.t);
     q.addQuadratic(aux, h2.node, -2.0 * h2.t);
     q.addQuadratic(h1.node, h2.node, h1.t * h2.t);
-    return q;
+    return q.penalty();
 }
 
 /**
  * Sub-clause c_{k,2} = l3 v a, Eq. 4 bottom:
  * H = 1 - a - H3 + a H3.
  */
-QuboModel
+SubClausePenalty
 orWithAuxPenalty(const Affine &h3, int aux)
 {
-    QuboModel q;
+    PenaltyBuilder q;
     q.addOffset(1.0 - h3.s);
     q.addLinear(aux, -1.0 + h3.s);
     q.addLinear(h3.node, -h3.t);
     q.addQuadratic(aux, h3.node, h3.t);
-    return q;
+    return q.penalty();
 }
 
 /** Two-literal clause: H = (1 - H1)(1 - H2), no auxiliary needed. */
-QuboModel
+SubClausePenalty
 pairPenalty(const Affine &h1, const Affine &h2)
 {
-    QuboModel q;
+    PenaltyBuilder q;
     q.addOffset((1.0 - h1.s) * (1.0 - h2.s));
     q.addLinear(h1.node, -h1.t * (1.0 - h2.s));
     q.addLinear(h2.node, -h2.t * (1.0 - h1.s));
     q.addQuadratic(h1.node, h2.node, h1.t * h2.t);
-    return q;
+    return q.penalty();
 }
 
 /** Unit clause: H = 1 - H1. */
-QuboModel
+SubClausePenalty
 unitPenalty(const Affine &h1)
 {
-    QuboModel q;
+    PenaltyBuilder q;
     q.addOffset(1.0 - h1.s);
     q.addLinear(h1.node, -h1.t);
-    return q;
+    return q.penalty();
 }
 
-/** Canonicalize: deduplicate literals; empty result for tautology. */
-sat::LitVec
-canonicalize(sat::LitVec clause, bool *tautology)
+/** Add @p alpha times a sub-clause penalty to @p q. */
+void
+addPenalty(QuboModel &q, const SubClausePenalty &p, double alpha)
 {
-    std::sort(clause.begin(), clause.end());
-    sat::LitVec out;
-    *tautology = false;
-    for (sat::Lit p : clause) {
-        if (!out.empty() && p == out.back())
-            continue;
-        if (!out.empty() && p == ~out.back()) {
-            *tautology = true;
-            return {};
-        }
-        out.push_back(p);
+    q.addOffset(alpha * p.offset);
+    for (int k = 0; k < p.num_linear; ++k)
+        q.addLinear(p.linear[k].node, alpha * p.linear[k].c);
+    for (int k = 0; k < p.num_quadratic; ++k) {
+        const PairKey key = p.quadratic[k].key;
+        q.addQuadratic(key.first(), key.second(),
+                       alpha * p.quadratic[k].c);
     }
-    return out;
 }
 
-/** Per-item maximum coefficient of Eqs. 6-7 over a term set. */
+/** Per-item maximum coefficient of Eqs. 6-7 over a penalty's terms. */
 double
-maxItemCoefficient(const QuboModel &items, const QuboModel &full)
+maxItemCoefficient(const SubClausePenalty &items, const QuboModel &full)
 {
     double d = 0.0;
-    for (int i = 0; i < items.numVars(); ++i) {
-        if (items.linear(i) != 0.0)
-            d = std::max(d, std::fabs(full.linear(i)) / 2.0);
-    }
-    for (const auto &[key, c] : items.quadraticTerms()) {
-        if (c != 0.0) {
+    for (int k = 0; k < items.num_linear; ++k)
+        d = std::max(d, std::fabs(full.linear(items.linear[k].node)) / 2.0);
+    for (int k = 0; k < items.num_quadratic; ++k) {
+        if (items.quadratic[k].c != 0.0) {
+            const PairKey key = items.quadratic[k].key;
             d = std::max(
                 d, std::fabs(full.quadratic(key.first(), key.second())));
         }
@@ -122,6 +171,25 @@ maxItemCoefficient(const QuboModel &items, const QuboModel &full)
 }
 
 } // namespace
+
+bool
+canonicalizeClause(const sat::LitVec &clause, sat::LitVec &out)
+{
+    out.assign(clause.begin(), clause.end());
+    std::sort(out.begin(), out.end());
+    std::size_t kept = 0;
+    for (sat::Lit p : out) {
+        if (kept > 0 && p == out[kept - 1])
+            continue;
+        if (kept > 0 && p == ~out[kept - 1]) {
+            out.clear();
+            return false;
+        }
+        out[kept++] = p;
+    }
+    out.resize(kept);
+    return true;
+}
 
 std::vector<std::pair<int, int>>
 EncodedProblem::edges() const
@@ -162,31 +230,50 @@ EncodedProblem::decode(const std::vector<bool> &node_bits) const
 }
 
 EncodedProblem
-encodeClauses(const std::vector<sat::LitVec> &clauses,
+encodeClauses(std::span<const sat::LitVec> clauses,
               const EncoderOptions &opts)
 {
     EncodedProblem ep;
+    ep.clauses.reserve(clauses.size());
+    ep.clause_aux.reserve(clauses.size());
+    ep.sub_clauses.reserve(2 * clauses.size());
 
-    auto nodeOf = [&ep](sat::Var v) {
-        const auto it = ep.var_node.find(v);
-        if (it != ep.var_node.end())
-            return it->second;
-        const int node = ep.numNodes();
-        ep.var_node.emplace(v, node);
-        ep.nodes.push_back({false, v, -1});
+    // Dense SAT variable -> node map for the encoding pass; var_node
+    // receives the same pairs in the same (first-seen) order.
+    sat::Var max_var = -1;
+    for (const auto &raw : clauses)
+        for (sat::Lit p : raw)
+            max_var = std::max(max_var, p.var());
+    std::vector<int> node_of_var(static_cast<std::size_t>(max_var + 1),
+                                 -1);
+    auto nodeOf = [&](sat::Var v) {
+        int &node = node_of_var[v];
+        if (node < 0) {
+            node = ep.numNodes();
+            ep.var_node.emplace(v, node);
+            ep.nodes.push_back({false, v, -1});
+        }
         return node;
     };
+    auto subClause = [&](int clause_index, int sub,
+                         const SubClausePenalty &penalty) {
+        SubClause sc;
+        sc.clause = clause_index;
+        sc.sub = sub;
+        sc.penalty = penalty;
+        ep.sub_clauses.push_back(sc);
+    };
 
+    sat::LitVec clause;
     for (const auto &raw : clauses) {
-        bool tautology = false;
-        sat::LitVec clause = canonicalize(raw, &tautology);
         const int clause_index = static_cast<int>(ep.clauses.size());
-        if (tautology || raw.empty()) {
-            // Tautologies carry no penalty; empty clauses cannot be
-            // encoded as a bounded penalty and are rejected.
-            if (raw.empty())
-                fatal("cannot encode an empty clause");
-            ep.clauses.push_back({});
+        if (raw.empty()) {
+            // Empty clauses cannot be encoded as a bounded penalty.
+            fatal("cannot encode an empty clause");
+        }
+        if (!canonicalizeClause(raw, clause)) {
+            // Tautologies carry no penalty.
+            ep.clauses.emplace_back();
             ep.clause_aux.push_back(-1);
             continue;
         }
@@ -200,22 +287,14 @@ encodeClauses(const std::vector<sat::LitVec> &clauses,
             const Affine h1 =
                 literalPenalty(clause[0], nodeOf(clause[0].var()));
             ep.clause_aux.push_back(-1);
-            SubClause sc;
-            sc.clause = clause_index;
-            sc.sub = 0;
-            sc.penalty = unitPenalty(h1);
-            ep.sub_clauses.push_back(std::move(sc));
+            subClause(clause_index, 0, unitPenalty(h1));
         } else if (clause.size() == 2) {
             const Affine h1 =
                 literalPenalty(clause[0], nodeOf(clause[0].var()));
             const Affine h2 =
                 literalPenalty(clause[1], nodeOf(clause[1].var()));
             ep.clause_aux.push_back(-1);
-            SubClause sc;
-            sc.clause = clause_index;
-            sc.sub = 0;
-            sc.penalty = pairPenalty(h1, h2);
-            ep.sub_clauses.push_back(std::move(sc));
+            subClause(clause_index, 0, pairPenalty(h1, h2));
         } else {
             const Affine h1 =
                 literalPenalty(clause[0], nodeOf(clause[0].var()));
@@ -226,25 +305,15 @@ encodeClauses(const std::vector<sat::LitVec> &clauses,
             const int aux = ep.numNodes();
             ep.nodes.push_back({true, sat::var_Undef, clause_index});
             ep.clause_aux.push_back(aux);
-
-            SubClause sc1;
-            sc1.clause = clause_index;
-            sc1.sub = 0;
-            sc1.penalty = equivalencePenalty(h1, h2, aux);
-            ep.sub_clauses.push_back(std::move(sc1));
-
-            SubClause sc2;
-            sc2.clause = clause_index;
-            sc2.sub = 1;
-            sc2.penalty = orWithAuxPenalty(h3, aux);
-            ep.sub_clauses.push_back(std::move(sc2));
+            subClause(clause_index, 0, equivalencePenalty(h1, h2, aux));
+            subClause(clause_index, 1, orWithAuxPenalty(h3, aux));
         }
     }
 
     // Unit objective (every alpha = 1).
     ep.unit_objective.ensureVars(ep.numNodes());
     for (const auto &sc : ep.sub_clauses)
-        ep.unit_objective.addScaled(sc.penalty, 1.0);
+        addPenalty(ep.unit_objective, sc.penalty, 1.0);
 
     // Coefficient adjustment (Eqs. 6-9).
     const double d_star_unit = ep.unit_objective.normalizationDivisor();
@@ -257,7 +326,7 @@ encodeClauses(const std::vector<sat::LitVec> &clauses,
 
     ep.objective.ensureVars(ep.numNodes());
     for (const auto &sc : ep.sub_clauses)
-        ep.objective.addScaled(sc.penalty, sc.alpha);
+        addPenalty(ep.objective, sc.penalty, sc.alpha);
 
     ep.d_star = ep.objective.normalizationDivisor();
     ep.normalized = ep.objective.normalized();

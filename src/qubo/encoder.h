@@ -21,6 +21,8 @@
 #ifndef HYQSAT_QUBO_ENCODER_H
 #define HYQSAT_QUBO_ENCODER_H
 
+#include <array>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -39,13 +41,44 @@ struct NodeInfo
     int clause = -1;
 };
 
+/**
+ * Unit-weight penalty of one sub-clause (>= 0, == 0 iff satisfied).
+ * The fixed penalty models of Eq. 4 touch at most three nodes, so the
+ * terms live inline: up to three non-zero linear terms and up to three
+ * quadratic terms. The quadratic terms are kept in the order a
+ * std::unordered_map<PairKey, double, PairKeyHash> holding them would
+ * iterate, because that is the order they enter the objective maps,
+ * and the objective maps' own iteration order is part of the
+ * encoder's output (quboToIsing and the annealer walk it).
+ */
+struct SubClausePenalty
+{
+    struct Linear
+    {
+        int node = 0;
+        double c = 0.0;
+    };
+
+    struct Quadratic
+    {
+        PairKey key;
+        double c = 0.0;
+    };
+
+    double offset = 0.0;
+    std::array<Linear, 3> linear{};
+    std::array<Quadratic, 3> quadratic{};
+    int num_linear = 0;
+    int num_quadratic = 0;
+};
+
 /** One sub-clause's penalty and metadata. */
 struct SubClause
 {
-    int clause = 0;    ///< index into EncodedProblem::clauses
-    int sub = 0;       ///< 0 or 1 within the clause
-    QuboModel penalty; ///< unit-weight penalty (>= 0, == 0 iff sat)
-    double d = 0.0;    ///< d_{k,j} of Eq. 7
+    int clause = 0;           ///< index into EncodedProblem::clauses
+    int sub = 0;              ///< 0 or 1 within the clause
+    SubClausePenalty penalty; ///< unit-weight penalty
+    double d = 0.0;           ///< d_{k,j} of Eq. 7
     double alpha = 1.0;
 };
 
@@ -119,11 +152,18 @@ struct EncoderOptions
 };
 
 /**
+ * Canonicalize @p clause into @p out (sorted, duplicate literals
+ * dropped; reuses out's capacity). @return false, leaving @p out
+ * empty, for a tautology.
+ */
+bool canonicalizeClause(const sat::LitVec &clause, sat::LitVec &out);
+
+/**
  * Encode a set of clauses (each with 1..3 literals after
  * canonicalization; tautologies are dropped). Clauses longer than
  * three literals are a caller error - convert with toThreeSat first.
  */
-EncodedProblem encodeClauses(const std::vector<sat::LitVec> &clauses,
+EncodedProblem encodeClauses(std::span<const sat::LitVec> clauses,
                              const EncoderOptions &opts = {});
 
 } // namespace hyqsat::qubo

@@ -23,7 +23,9 @@ namespace hyqsat::qubo {
 /** Key for an unordered pair of variable indices (i < j enforced). */
 struct PairKey
 {
-    std::uint64_t packed;
+    std::uint64_t packed = 0;
+
+    PairKey() = default;
 
     PairKey(int i, int j)
     {

@@ -244,5 +244,34 @@ TEST(MetricsIntegration, TraceStreamsSolveEvents)
     }
 }
 
+TEST(MetricsIntegration, FrontendLeafTimersNestInsideFrontend)
+{
+    // frontend.{queue,cache,encode,embed} are disjoint slices of each
+    // Frontend::run, which pipeline.frontend times whole: no leaf may
+    // exceed it, and together they must account for most of it.
+    Rng rng(29);
+    const sat::Cnf cnf = sat::testing::randomCnf(90, 383, 3, rng);
+    MetricsRegistry registry;
+    HybridConfig cfg = noiseFreeConfig();
+    cfg.warmup_override = 64;
+    cfg.metrics = &registry;
+    HybridSolver solver(cfg);
+    (void)solver.solve(cnf);
+
+    ASSERT_GE(registry.counter("frontend.runs")->value(), 20u);
+    const double frontend = registry.timer("pipeline.frontend")->seconds();
+    ASSERT_GT(frontend, 0.0);
+    double leaves = 0.0;
+    for (const char *leaf : {"frontend.queue", "frontend.cache",
+                             "frontend.encode", "frontend.embed"}) {
+        const double s = registry.timer(leaf)->seconds();
+        EXPECT_GE(s, 0.0) << leaf;
+        EXPECT_LE(s, frontend) << leaf;
+        leaves += s;
+    }
+    EXPECT_LE(leaves, frontend);
+    EXPECT_GE(leaves, 0.8 * frontend);
+}
+
 } // namespace
 } // namespace hyqsat::core

@@ -289,5 +289,42 @@ TEST(Encoder, SharedVariablesReuseNodes)
     EXPECT_EQ(ep.numNodes(), 7);
 }
 
+TEST(Encoder, PenaltyTermsFollowHashMapOrder)
+{
+    // Each sub-clause's quadratic terms must sit in the order a
+    // std::unordered_map holding them iterates (Eq. 4 inserts them in
+    // the order listed below): the objective maps are built by
+    // inserting them in that order, and the objective maps' own
+    // iteration order is part of the encoder's output.
+    hyqsat::Rng rng(31);
+    for (int round = 0; round < 40; ++round) {
+        const sat::Cnf cnf = sat::testing::randomCnf(
+            60 + round * 40, 200, 1 + round % 3, rng);
+        const auto ep = encodeClauses(cnf.clauses());
+        for (const auto &sc : ep.sub_clauses) {
+            const LitVec &clause = ep.clauses[sc.clause];
+            std::vector<int> n;
+            for (Lit p : clause)
+                n.push_back(ep.var_node.at(p.var()));
+            const int aux = ep.clause_aux[sc.clause];
+            std::vector<PairKey> inserted;
+            if (clause.size() == 3 && sc.sub == 0)
+                inserted = {{aux, n[0]}, {aux, n[1]}, {n[0], n[1]}};
+            else if (clause.size() == 3)
+                inserted = {{aux, n[2]}};
+            else if (clause.size() == 2)
+                inserted = {{n[0], n[1]}};
+            std::unordered_map<PairKey, double, PairKeyHash> map;
+            for (const PairKey &key : inserted)
+                map[key] = 1.0;
+            ASSERT_EQ(sc.penalty.num_quadratic,
+                      static_cast<int>(inserted.size()));
+            int k = 0;
+            for (const auto &[key, c] : map)
+                EXPECT_EQ(sc.penalty.quadratic[k++].key, key);
+        }
+    }
+}
+
 } // namespace
 } // namespace hyqsat::qubo
