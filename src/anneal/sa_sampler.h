@@ -271,6 +271,12 @@ class SaSampler
     /** The compiled model this sampler runs on. */
     const SaCompiled &compiled() const { return *compiled_; }
 
+    /** The active field view (base values or the setCoeffs array). */
+    const double *fields() const { return h_; }
+
+    /** The active coupling view, one entry per CSR slot. */
+    const double *couplings() const { return w_; }
+
   private:
     /** One independent annealing chain. */
     SaResult runChain(const SaOptions &opts, Rng &rng) const;
