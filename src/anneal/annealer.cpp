@@ -311,6 +311,7 @@ QuantumAnnealer::sample(const qubo::EncodedProblem &problem,
     sa.greedy_finish = opts_.greedy_finish;
     sa.num_reads = opts_.num_reads;
     sa.reads_groups = opts_.reads_groups;
+    sa.stop = stop_;
 
     const std::vector<int> &spin_node = cp->spin_node;
     bool have_best = false;
@@ -318,6 +319,10 @@ QuantumAnnealer::sample(const qubo::EncodedProblem &problem,
          ++attempt) {
         SaResult result = sampler.sample(sa, rng_);
         addStats(run_stats_, result.stats);
+        if (result.cancelled) {
+            out.cancelled = true;
+            break;
+        }
 
         // Readout error flips individual physical qubits.
         if (opts_.noise.readout_flip_prob > 0.0) {
@@ -377,6 +382,10 @@ QuantumAnnealer::sampleMajorityVote(const qubo::EncodedProblem &problem,
     for (int k = 0; k < samples; ++k) {
         const AnnealSample shot = sample(problem, embedding);
         addStats(total, run_stats_);
+        if (shot.cancelled) {
+            out.cancelled = true;
+            break;
+        }
         out.chain_breaks += shot.chain_breaks;
         for (int n = 0; n < num_nodes; ++n)
             votes[n] += shot.node_bits[n] ? 1 : -1;
@@ -421,12 +430,17 @@ QuantumAnnealer::sampleLogical(const qubo::EncodedProblem &problem,
     sa.greedy_finish = opts_.greedy_finish;
     sa.num_reads = opts_.num_reads;
     sa.reads_groups = opts_.reads_groups;
+    sa.stop = stop_;
 
     bool have_best = false;
     for (int attempt = 0; attempt < std::max(opts_.attempts, 1);
          ++attempt) {
         SaResult result = sampler.sample(sa, rng_);
         addStats(run_stats_, result.stats);
+        if (result.cancelled) {
+            out.cancelled = true;
+            break;
+        }
         if (opts_.noise.readout_flip_prob > 0.0) {
             for (auto &s : result.spins)
                 if (rng_.chance(opts_.noise.readout_flip_prob))

@@ -22,6 +22,7 @@
 #include "embed/compiled_slot.h"
 #include "embed/embedding.h"
 #include "qubo/encoder.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 
 namespace hyqsat::anneal {
@@ -65,6 +66,13 @@ struct AnnealSample
 
     /** Modeled device wall-clock for this sample (microseconds). */
     double device_time_us = 0.0;
+
+    /**
+     * The sampler's stop token tripped mid-anneal: this is not a
+     * finished sample and consumers must discard it (the hybrid
+     * pipeline counts it as pipeline.cancelled).
+     */
+    bool cancelled = false;
 };
 
 /** Simulated quantum annealer. */
@@ -173,6 +181,14 @@ class QuantumAnnealer
     SaSampler programSampler(const qubo::EncodedProblem &problem,
                              const embed::Embedding &embedding);
 
+    /**
+     * Cooperative cancellation for every later sample: the token is
+     * polled once per SA sweep (SaOptions::stop). A sample it cuts
+     * short comes back marked AnnealSample::cancelled, with no
+     * further attempts or shots. nullptr (the default) = none.
+     */
+    void setStopToken(const StopToken *stop) { stop_ = stop; }
+
     /** Access the RNG (e.g. to reseed between experiments). */
     Rng &rng() { return rng_; }
 
@@ -213,6 +229,7 @@ class QuantumAnnealer
     Options opts_;
     Rng rng_;
     SaStats run_stats_;
+    const StopToken *stop_ = nullptr;
 
     /** Per-sample noisy coefficient buffers (capacity reused). */
     std::vector<double> noisy_h_;

@@ -46,7 +46,9 @@ class AsyncSampler : public Sampler
          * every stop_poll_us and returns (possibly empty-handed) once
          * it trips, so a racing portfolio never hangs on a losing
          * worker's in-flight sample. poll()/submit() never block and
-         * need no token.
+         * need no token. makeSampler() hands the same token to the
+         * inner sampler, which cuts a running job short within one
+         * SA sweep, so the destructor is not held up by it either.
          */
         const StopToken *stop = nullptr;
 

@@ -34,6 +34,7 @@ BatchSampler::BatchSampler(const chimera::ChimeraGraph &graph,
         a.seed = workerSeed(opts_.annealer.seed, i);
         annealers_.push_back(
             std::make_unique<QuantumAnnealer>(graph, a));
+        annealers_.back()->setStopToken(opts_.stop);
     }
 }
 
@@ -85,8 +86,10 @@ BatchSampler::compute(const SampleRequest &request)
     // running them in parallel.
     out.device_time_us = opts_.annealer.timing.sampleTimeUs(n);
     int breaks = 0;
-    for (const auto &r : results_)
+    for (const auto &r : results_) {
         breaks += r.chain_breaks;
+        out.cancelled |= r.cancelled;
+    }
     out.chain_breaks = breaks;
     return out;
 }

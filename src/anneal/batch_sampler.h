@@ -37,6 +37,9 @@ class BatchSampler : public SyncSampler
 
         /** anneal.* metrics sink (see SamplerSpec::metrics). */
         MetricsRegistry *metrics = nullptr;
+
+        /** Handed to every worker annealer (SamplerSpec::stop). */
+        const StopToken *stop = nullptr;
     };
 
     BatchSampler(const chimera::ChimeraGraph &graph, Options opts);

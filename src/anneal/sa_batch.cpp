@@ -139,6 +139,8 @@ runLockstepScalar(BatchCtx &ctx)
     };
 
     for (int sweep = 0; sweep < ctx.sweeps; ++sweep) {
+        if (sweepCancelled(ctx, sweep))
+            break;
         const double beta = ctx.betas[sweep];
         for (int i = 0; i < n; ++i) {
             flipDeltas(i);
@@ -152,7 +154,7 @@ runLockstepScalar(BatchCtx &ctx)
         }
     }
 
-    if (ctx.greedy) {
+    if (ctx.greedy && !ctx.cancelled) {
         bool improved = true;
         int guard = 0;
         while (improved && guard++ < 4 * n) {
@@ -284,6 +286,7 @@ runLockstepGroup(const SaCompiled &compiled, const double *h,
     ctx.betas = betas.data();
     ctx.sweeps = sweeps;
     ctx.greedy = opts.greedy_finish;
+    ctx.stop = opts.stop;
     ctx.rng = &stream;
     ctx.delta = delta;
     ctx.tmp = tmp;
@@ -344,11 +347,12 @@ runLockstepGroup(const SaCompiled &compiled, const double *h,
         SaResult &res = out[static_cast<std::size_t>(r)];
         res.spins = s8;
         res.energy = compiled.csr.energyWith(s8.data(), h, w);
-        res.stats.sweeps = static_cast<std::uint64_t>(sweeps);
+        res.stats.sweeps = static_cast<std::uint64_t>(ctx.sweeps);
         res.stats.flips_attempted = ctx.attempts;
         res.stats.flips_accepted = static_cast<std::uint64_t>(
             accepted[static_cast<std::size_t>(r)]);
         res.stats.reads = 1;
+        res.cancelled = ctx.cancelled;
     }
     return out;
 }

@@ -221,6 +221,10 @@ lockstepGroupSeed(std::uint64_t base, int group)
  * WHERE a group runs, never what it computes, so results are
  * bit-identical for any pool size including a dedicated
  * WorkPool(0).
+ *
+ * opts.stop is polled before every sweep of every group: a group
+ * that sees it tripped stops there, skips the greedy finish and
+ * marks its reads cancelled (stats.sweeps = the sweeps that ran).
  */
 std::vector<SaResult> sampleLockstep(const SaCompiled &compiled,
                                      const double *h, const double *w,

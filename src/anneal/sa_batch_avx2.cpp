@@ -344,6 +344,8 @@ runKernel(BatchCtx &ctx)
     };
 
     for (int sweep = 0; sweep < ctx.sweeps; ++sweep) {
+        if (sweepCancelled(ctx, sweep))
+            break;
         const double beta = ctx.betas[sweep];
         for (int i = 0; i < n; ++i) {
             flipDeltas(i);
@@ -358,7 +360,7 @@ runKernel(BatchCtx &ctx)
         }
     }
 
-    if (ctx.greedy) {
+    if (ctx.greedy && !ctx.cancelled) {
         bool improved = true;
         int guard = 0;
         while (improved && guard++ < 4 * n) {

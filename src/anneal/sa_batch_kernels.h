@@ -36,6 +36,7 @@
 
 #include "anneal/sa_batch.h"
 #include "anneal/sa_sampler.h"
+#include "util/cancel.h"
 #include "util/simd.h"
 
 namespace hyqsat::anneal::detail {
@@ -140,8 +141,11 @@ struct BatchCtx
     double *fields = nullptr; ///< n * lanes SoA cached local fields
 
     const double *betas = nullptr; ///< per-sweep schedule
-    int sweeps = 0;
+    int sweeps = 0; ///< on return: the sweeps that ran
     bool greedy = false;
+
+    /** Polled before every sweep (sweepCancelled); nullptr = none. */
+    const StopToken *stop = nullptr;
 
     BlockRng *rng = nullptr; ///< shared Metropolis stream
 
@@ -156,7 +160,26 @@ struct BatchCtx
     double *accepted = nullptr;  ///< per-lane acceptance counts
     std::uint64_t attempts = 0;  ///< proposals seen (per lane; equal
                                  ///< across lanes by lockstep)
+    bool cancelled = false;      ///< stop tripped; greedy skipped
 };
+
+/**
+ * The lockstep sweep loop's cancellation point, shared by every
+ * kernel: called before sweep @p sweep, it reports whether the stop
+ * token has tripped, and if so records the cut (ctx.sweeps becomes
+ * the number of sweeps that ran, ctx.cancelled is set). The kernel
+ * then leaves its sweep loop and skips the greedy finish. One relaxed
+ * load per sweep that changes nothing while the token is untripped.
+ */
+static inline bool
+sweepCancelled(BatchCtx &ctx, int sweep)
+{
+    if (!ctx.stop || !ctx.stop->stopRequested())
+        return false;
+    ctx.sweeps = sweep;
+    ctx.cancelled = true;
+    return true;
+}
 
 /**
  * Exact-exp fixup for the rare lanes whose uniform (@p u, the

@@ -261,7 +261,15 @@ SaSampler::runChain(const SaOptions &opts, Rng &rng) const
     const std::vector<double> &betas = scheduleFor(opts);
     const double *table = detail::acceptTable();
     stats.sweeps = betas.size();
-    for (const double beta : betas) {
+    bool cancelled = false;
+    for (std::size_t sweep = 0; sweep < betas.size(); ++sweep) {
+        // Cancellation point: one relaxed load per sweep.
+        if (opts.stop && opts.stop->stopRequested()) {
+            stats.sweeps = sweep;
+            cancelled = true;
+            break;
+        }
+        const double beta = betas[sweep];
         for (int i = 0; i < n; ++i) {
             // Energy change of flipping spin i:
             // dE = -2 * s_i * (h_i + sum_j J_ij s_j).
@@ -294,7 +302,7 @@ SaSampler::runChain(const SaOptions &opts, Rng &rng) const
         }
     }
 
-    if (opts.greedy_finish) {
+    if (opts.greedy_finish && !cancelled) {
         bool improved = true;
         int guard = 0;
         while (improved && guard++ < 4 * n) {
@@ -329,6 +337,7 @@ SaSampler::runChain(const SaOptions &opts, Rng &rng) const
     result.energy = inc.energy();
     result.spins = inc.takeSpins();
     result.stats = stats;
+    result.cancelled = cancelled;
     return result;
 }
 
@@ -374,16 +383,19 @@ SaSampler::sampleAll(const SaOptions &opts, Rng &rng) const
     total.reads = static_cast<std::uint64_t>(reads);
     total.read_groups = static_cast<std::uint64_t>(
         lockstepGroupCount(reads - 1, opts.reads_groups));
+    bool cancelled = false;
     for (const SaResult &r : out) {
         total.sweeps += r.stats.sweeps;
         total.flips_attempted += r.stats.flips_attempted;
         total.flips_accepted += r.stats.flips_accepted;
+        cancelled |= r.cancelled;
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const SaResult &a, const SaResult &b) {
                          return a.energy < b.energy;
                      });
     out.front().stats = total;
+    out.front().cancelled = cancelled;
     return out;
 }
 

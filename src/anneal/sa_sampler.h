@@ -45,6 +45,7 @@
 
 #include "qubo/csr.h"
 #include "qubo/qubo.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 
 namespace hyqsat::anneal {
@@ -86,6 +87,16 @@ struct SaOptions
      * counts (see sa_batch.h).
      */
     int reads_groups = 0;
+
+    /**
+     * Cooperative cancellation, polled once before every sweep of
+     * every read (the scalar chain and each lockstep group). Once it
+     * trips, a read stops where it is: no further sweeps, no greedy
+     * finish, and its SaResult is marked cancelled. The poll only
+     * reads the token, so a run whose token never trips is
+     * bit-identical to one without a token. nullptr = none.
+     */
+    const StopToken *stop = nullptr;
 };
 
 /** Work counters for one sample (observability; see MetricsRegistry). */
@@ -106,6 +117,14 @@ struct SaResult
 
     /** Work done producing this sample (aggregated over reads). */
     SaStats stats;
+
+    /**
+     * SaOptions::stop tripped before the anneal finished: the spins
+     * are a partial anneal (stats.sweeps counts the sweeps that ran)
+     * and callers should discard them. For a multi-read sample this
+     * is set on the front result when any read was cut short.
+     */
+    bool cancelled = false;
 };
 
 /**

@@ -145,6 +145,7 @@ SaDirectSampler::compute(const SampleRequest &request)
     const SaResult result = sampler.sample(opts_.sa, rng_);
     metrics_.record(result.stats);
     out.physical_energy = result.energy;
+    out.cancelled = result.cancelled;
     for (int n = 0; n < num_nodes; ++n)
         out.node_bits[n] = result.spins[n] > 0;
     out.clause_energy = problem.clauseSpaceEnergy(out.node_bits);
@@ -165,15 +166,13 @@ std::unique_ptr<Sampler>
 makeSampler(const SamplerSpec &spec, const chimera::ChimeraGraph &graph)
 {
     const std::string &name = spec.name;
-    if (name == "sync" || name == "qa" || name.empty()) {
-        return std::make_unique<QaSampler>(graph, spec.annealer,
-                                           /*force_logical=*/false,
-                                           spec.metrics);
-    }
-    if (name == "logical") {
-        return std::make_unique<QaSampler>(graph, spec.annealer,
-                                           /*force_logical=*/true,
-                                           spec.metrics);
+    if (name == "sync" || name == "qa" || name.empty() ||
+        name == "logical") {
+        auto qa = std::make_unique<QaSampler>(
+            graph, spec.annealer, /*force_logical=*/name == "logical",
+            spec.metrics);
+        qa->annealer().setStopToken(spec.stop);
+        return qa;
     }
     if (name == "sa") {
         SaDirectSampler::Options opts;
@@ -182,6 +181,7 @@ makeSampler(const SamplerSpec &spec, const chimera::ChimeraGraph &graph)
         opts.sa.greedy_finish = spec.annealer.greedy_finish;
         opts.sa.num_reads = spec.annealer.num_reads;
         opts.sa.reads_groups = spec.annealer.reads_groups;
+        opts.sa.stop = spec.stop;
         opts.timing = spec.annealer.timing;
         opts.seed = spec.annealer.seed;
         return std::make_unique<SaDirectSampler>(opts, spec.metrics);
@@ -191,6 +191,7 @@ makeSampler(const SamplerSpec &spec, const chimera::ChimeraGraph &graph)
         opts.samples = spec.batch_samples;
         opts.annealer = spec.annealer;
         opts.metrics = spec.metrics;
+        opts.stop = spec.stop;
         return std::make_unique<BatchSampler>(graph, opts);
     }
     if (name == "async" || name.rfind("async:", 0) == 0) {

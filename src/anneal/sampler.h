@@ -256,8 +256,11 @@ struct SamplerSpec
     double rtt_us = 0.0;
 
     /**
-     * Cooperative stop token observed by async backends' blocking
-     * wait() (see AsyncSampler::Options::stop); nullptr = none.
+     * Cooperative stop token; nullptr = none. Every backend polls it
+     * once per SA sweep (SaOptions::stop), so a running sample ends
+     * within one sweep of a trip and comes back marked
+     * AnnealSample::cancelled; async backends also observe it in
+     * their blocking wait() (see AsyncSampler::Options::stop).
      */
     const StopToken *stop = nullptr;
 

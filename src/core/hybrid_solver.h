@@ -124,9 +124,11 @@ struct HybridConfig
 
     /**
      * Cooperative stop token observed at every CDCL decision /
-     * conflict boundary and at the sampler's blocking wait points.
-     * A racing portfolio shares one token across workers; solve()
-     * returns l_Undef shortly after it trips. Never written here.
+     * conflict boundary, once per SA sweep inside every sampler
+     * backend (a sample it cuts short is dropped, never applied)
+     * and at the sampler's blocking wait points. A racing portfolio
+     * shares one token across workers; solve() returns l_Undef
+     * shortly after it trips. Never written here.
      */
     const StopToken *stop = nullptr;
 

@@ -33,6 +33,7 @@ SamplePipeline::SamplePipeline(const Frontend &frontend,
     m_submitted_ = metrics->counter("pipeline.submitted");
     m_harvested_ = metrics->counter("pipeline.harvested");
     m_stale_ = metrics->counter("pipeline.stale_discarded");
+    m_cancelled_ = metrics->counter("pipeline.cancelled");
     m_stalls_ = metrics->counter("pipeline.stalls");
     m_chain_breaks_ = metrics->counter("pipeline.chain_breaks");
     m_frontend_s_ = metrics->timer("pipeline.frontend");
@@ -53,6 +54,7 @@ SamplePipeline::stats() const
     s.submitted = static_cast<int>(m_submitted_->value());
     s.harvested = static_cast<int>(m_harvested_->value());
     s.stale_discarded = static_cast<int>(m_stale_->value());
+    s.cancelled = static_cast<int>(m_cancelled_->value());
     s.stalls = static_cast<int>(m_stalls_->value());
     s.chain_breaks = static_cast<int>(m_chain_breaks_->value());
     s.frontend_s = m_frontend_s_->seconds();
@@ -160,12 +162,20 @@ SamplePipeline::harvest(std::uint64_t epoch,
             continue; // not ours (cannot happen with one pipeline)
 
         const double wall = it->since_submit.seconds();
-        const double device_s = completion.sample.device_time_us * 1e-6;
         m_harvested_->add();
         m_inflight_s_->add(wall);
+        m_host_sample_s_->add(completion.host_seconds);
+        if (completion.sample.cancelled) {
+            // A partial anneal: no device readout to charge, no
+            // answer to apply.
+            m_cancelled_->add();
+            inflight_.erase(it);
+            continue;
+        }
+
+        const double device_s = completion.sample.device_time_us * 1e-6;
         m_blocking_s_->add(std::max(0.0, device_s - wall));
         m_device_s_->add(device_s);
-        m_host_sample_s_->add(completion.host_seconds);
         if (completion.sample.chain_breaks > 0) {
             m_chain_breaks_->add(static_cast<std::uint64_t>(
                 completion.sample.chain_breaks));

@@ -14,6 +14,11 @@
  * applied. The depth-1 synchronous configuration submits and
  * harvests within one hook call, so no sample can ever go stale and
  * the loop is bit-for-bit the classic blocking behavior.
+ *
+ * Cancellation: a sample the sampler's stop token cut short
+ * (AnnealSample::cancelled) is a partial anneal, not an answer. It
+ * is counted as pipeline.cancelled and dropped at harvest, so it
+ * never reaches the backend.
  */
 
 #ifndef HYQSAT_CORE_PIPELINE_H
@@ -43,6 +48,7 @@ struct PipelineStats
     int submitted = 0;       ///< jobs handed to the sampler
     int harvested = 0;       ///< completions received back
     int stale_discarded = 0; ///< harvested at a newer epoch
+    int cancelled = 0;       ///< cut short by the stop token
     int stalls = 0;          ///< submit wanted, pipeline full
 
     double frontend_s = 0.0;    ///< queue + encode + embed host time
@@ -80,7 +86,7 @@ class SamplePipeline
      * frontend cache when @p epoch moved, submit a job if the
      * sampler has capacity (a full pipeline counts a stall), then
      * harvest. Fresh completions are appended to @p ready; stale
-     * ones are discarded and counted.
+     * and cancelled ones are discarded and counted.
      */
     void step(const sat::Solver &solver, std::uint64_t epoch,
               std::vector<ReadySample> &ready);
@@ -136,6 +142,7 @@ class SamplePipeline
     Counter *m_submitted_;
     Counter *m_harvested_;
     Counter *m_stale_;
+    Counter *m_cancelled_;
     Counter *m_stalls_;
     Counter *m_chain_breaks_;
     MetricTimer *m_frontend_s_;

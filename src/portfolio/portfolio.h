@@ -8,8 +8,8 @@
  * Losers are cancelled cooperatively through one shared StopToken
  * threaded into every cancellation point grown for this layer: the
  * CDCL decision/conflict boundaries (src/sat), the hybrid iteration
- * hook (src/core) and the async sampler's blocking wait
- * (src/anneal). Optional clause sharing routes short learnt clauses
+ * hook (src/core), the SA sweep loop and the async sampler's
+ * blocking wait (src/anneal). Optional clause sharing routes short learnt clauses
  * and first-UIP polarity hints through a bounded ClauseExchange with
  * the solver's root-level import path.
  *

@@ -2,15 +2,16 @@
  * @file
  * Cooperative cancellation primitive shared by every layer that can
  * block or loop for a long time: the CDCL search (decision and
- * conflict boundaries), the hybrid loop's sampling pipeline, the
- * async sampler's wait points and the portfolio racing layer.
+ * conflict boundaries), the hybrid loop's sampling pipeline, the SA
+ * sweep loop inside every sampler backend, the async sampler's wait
+ * points and the portfolio racing layer.
  *
  * A StopToken is a single atomic flag. Owners call requestStop();
  * observers poll stopRequested() at their natural loop boundaries —
  * nothing is interrupted mid-operation, which keeps every data
  * structure consistent and makes cancellation latency the length of
- * one loop body (microseconds for CDCL, one poll interval for a
- * blocked sampler wait).
+ * one loop body (microseconds for CDCL, one sweep for an anneal, one
+ * poll interval for a blocked sampler wait).
  */
 
 #ifndef HYQSAT_UTIL_CANCEL_H

@@ -1,0 +1,62 @@
+/**
+ * @file
+ * Shared helpers for the anneal-layer tests: the ISA tiers the host
+ * can run, and a real frontend-embedded problem (a chained model of
+ * the shape the hybrid loop actually anneals).
+ */
+
+#ifndef HYQSAT_TESTS_ANNEAL_HELPERS_H
+#define HYQSAT_TESTS_ANNEAL_HELPERS_H
+
+#include <memory>
+#include <vector>
+
+#include "chimera/chimera.h"
+#include "core/frontend.h"
+#include "embed/hyqsat_embedder.h"
+#include "gen/graph_coloring.h"
+#include "sat/solver.h"
+#include "util/rng.h"
+#include "util/simd.h"
+
+namespace hyqsat::anneal::testing {
+
+/** Scalar plus every vector tier this host can execute. */
+inline std::vector<simd::Isa>
+hostTiers()
+{
+    const simd::Isa detected = simd::detectIsa();
+    std::vector<simd::Isa> tiers{simd::Isa::Scalar};
+    for (const simd::Isa cand :
+         {simd::Isa::Avx2, simd::Isa::Neon, simd::Isa::Avx512}) {
+        if (simd::resolveIsa(cand, detected) == cand)
+            tiers.push_back(cand);
+    }
+    return tiers;
+}
+
+/** The first frontend result of a graph-coloring solve. */
+inline std::shared_ptr<const embed::QueueEmbedResult>
+frontendProblem(const chimera::ChimeraGraph &graph)
+{
+    Rng gen(4242);
+    const auto cnf = gen::flatColoringCnf(40, 100, 3, gen);
+    sat::SolverOptions sopts;
+    sopts.instrument_clauses = true;
+    sat::Solver solver(sopts);
+    if (!solver.loadCnf(cnf))
+        return nullptr;
+    const core::Frontend frontend(graph, core::FrontendOptions{});
+    Rng rng(17);
+    std::shared_ptr<const embed::QueueEmbedResult> out;
+    solver.setIterationHook([&](sat::Solver &s) {
+        out = frontend.run(s, rng).embedded;
+        s.requestStop();
+    });
+    (void)solver.solve();
+    return out;
+}
+
+} // namespace hyqsat::anneal::testing
+
+#endif // HYQSAT_TESTS_ANNEAL_HELPERS_H

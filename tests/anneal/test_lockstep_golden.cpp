@@ -24,13 +24,13 @@
 
 #include "anneal/annealer.h"
 #include "anneal/sa_batch.h"
-#include "core/frontend.h"
-#include "gen/graph_coloring.h"
-#include "sat/solver.h"
-#include "util/simd.h"
+#include "tests/anneal/helpers.h"
 
 namespace hyqsat::anneal {
 namespace {
+
+using testing::frontendProblem;
+using testing::hostTiers;
 
 /** FNV-1a over 64-bit words. */
 class Digest
@@ -106,20 +106,6 @@ chainedModel()
     return c;
 }
 
-/** Scalar plus every vector tier this host can execute. */
-std::vector<simd::Isa>
-hostTiers()
-{
-    const simd::Isa detected = simd::detectIsa();
-    std::vector<simd::Isa> tiers{simd::Isa::Scalar};
-    for (const simd::Isa cand :
-         {simd::Isa::Avx2, simd::Isa::Neon, simd::Isa::Avx512}) {
-        if (simd::resolveIsa(cand, detected) == cand)
-            tiers.push_back(cand);
-    }
-    return tiers;
-}
-
 std::uint64_t
 digestReads(const std::vector<SaResult> &reads)
 {
@@ -187,27 +173,6 @@ TEST(LockstepGolden, PlainModel) { checkModel(plainModel(), false); }
 TEST(LockstepGolden, ChainedModelWithInChainCouplers)
 {
     checkModel(chainedModel(), true);
-}
-
-/** The first frontend result of a graph-coloring solve. */
-std::shared_ptr<const embed::QueueEmbedResult>
-frontendProblem(const chimera::ChimeraGraph &graph)
-{
-    Rng gen(4242);
-    const auto cnf = gen::flatColoringCnf(40, 100, 3, gen);
-    sat::SolverOptions sopts;
-    sopts.instrument_clauses = true;
-    sat::Solver solver(sopts);
-    EXPECT_TRUE(solver.loadCnf(cnf));
-    const core::Frontend frontend(graph, core::FrontendOptions{});
-    Rng rng(17);
-    std::shared_ptr<const embed::QueueEmbedResult> out;
-    solver.setIterationHook([&](sat::Solver &s) {
-        out = frontend.run(s, rng).embedded;
-        s.requestStop();
-    });
-    (void)solver.solve();
-    return out;
 }
 
 TEST(LockstepGolden, NoisyAnnealerSampleAtSixteenReads)

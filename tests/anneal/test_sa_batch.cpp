@@ -11,10 +11,13 @@
 #include "anneal/sa_sampler.h"
 #include "chimera/chimera.h"
 #include "embed/hyqsat_embedder.h"
+#include "tests/anneal/helpers.h"
 #include "util/simd.h"
 
 namespace hyqsat::anneal {
 namespace {
+
+using testing::hostTiers;
 
 /** Random test model: fields + ~60% dense couplings. */
 qubo::IsingModel
@@ -65,20 +68,6 @@ TEST(BlockRng, GoldenUniforms)
         EXPECT_GE(u, 0.0);
         EXPECT_LT(u, 1.0);
     }
-}
-
-/** Scalar plus every vector tier this host can execute. */
-std::vector<simd::Isa>
-hostTiers()
-{
-    const simd::Isa detected = simd::detectIsa();
-    std::vector<simd::Isa> tiers{simd::Isa::Scalar};
-    for (const simd::Isa cand :
-         {simd::Isa::Avx2, simd::Isa::Neon, simd::Isa::Avx512}) {
-        if (simd::resolveIsa(cand, detected) == cand)
-            tiers.push_back(cand);
-    }
-    return tiers;
 }
 
 /** Every BlockRng refill kernel this binary has and the host runs. */

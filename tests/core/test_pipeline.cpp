@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
+#include "core/hybrid_solver.h"
 #include "core/pipeline.h"
+#include "core/session.h"
 #include "gen/random_sat.h"
 #include "sat/brute_force.h"
 #include "tests/sat/helpers.h"
+#include "util/cancel.h"
 
 namespace hyqsat::core {
 namespace {
@@ -47,9 +53,12 @@ class ManualSampler : public anneal::Sampler
         return static_cast<int>(pending_.size() + released_.size());
     }
 
-    /** Complete the oldest pending job with a zero-energy sample. */
+    /**
+     * Complete the oldest pending job with a zero-energy sample,
+     * optionally marked as cut short by the stop token.
+     */
     void
-    releaseOne()
+    releaseOne(bool cancelled = false)
     {
         ASSERT_FALSE(pending_.empty());
         auto [ticket, request] = std::move(pending_.front());
@@ -58,6 +67,7 @@ class ManualSampler : public anneal::Sampler
         c.ticket = ticket;
         c.sample.node_bits.assign(request.problem->numNodes(), false);
         c.sample.device_time_us = 130.0;
+        c.sample.cancelled = cancelled;
         released_.push_back(std::move(c));
     }
 
@@ -221,6 +231,102 @@ TEST(SamplePipeline, AsynchronousReflectsSamplerCapacity)
     SamplePipeline b(fx.frontend, shallow, fx.rng, true);
     EXPECT_TRUE(a.asynchronous());
     EXPECT_FALSE(b.asynchronous());
+}
+
+TEST(PipelineCancel, CutShortCompletionIsCountedNotDelivered)
+{
+    Fixture fx;
+    ManualSampler sampler(2);
+    SamplePipeline pipeline(fx.frontend, sampler, fx.rng, true);
+
+    std::vector<ReadySample> ready;
+    pipeline.step(fx.solver, 0, ready);
+    sampler.releaseOne(/*cancelled=*/true);
+    pipeline.step(fx.solver, 0, ready);
+    EXPECT_TRUE(ready.empty());
+    const PipelineStats stats = pipeline.stats();
+    EXPECT_EQ(stats.harvested, 1);
+    EXPECT_EQ(stats.cancelled, 1);
+    EXPECT_EQ(stats.stale_discarded, 0);
+    // No readout happened: nothing is charged as device time.
+    EXPECT_EQ(stats.device_s, 0.0);
+
+    sampler.releaseOne();
+    pipeline.step(fx.solver, 0, ready);
+    EXPECT_EQ(ready.size(), 1u);
+    EXPECT_EQ(pipeline.stats().cancelled, 1);
+}
+
+/**
+ * A hybrid config whose every sample anneals for seconds, with @p stop
+ * attached: the first sample is still running when a helper thread
+ * trips the token.
+ */
+HybridConfig
+slowSampleConfig(const StopToken &stop)
+{
+    HybridConfig config;
+    config.annealer.noise.sweeps = 1000000;
+    config.warmup_override = 8;
+    config.stop = &stop;
+    return config;
+}
+
+/** Trip @p stop once the first sample is well under way. */
+std::thread
+tripSoon(StopToken &stop)
+{
+    return std::thread([&stop] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        stop.requestStop();
+    });
+}
+
+sat::Cnf
+cancelInstance()
+{
+    Rng gen(0xcafe);
+    return gen::plantedRandom3Sat(60, 250, gen);
+}
+
+TEST(PipelineCancel, HybridSolverNeverAppliesCutShortSample)
+{
+    StopToken stop;
+    MetricsRegistry metrics;
+    HybridConfig config = slowSampleConfig(stop);
+    config.metrics = &metrics;
+    HybridSolver solver(config);
+    std::thread tripper = tripSoon(stop);
+    const HybridResult result = solver.solve(cancelInstance());
+    tripper.join();
+
+    EXPECT_TRUE(result.status.isUndef());
+    EXPECT_EQ(metrics.counter("pipeline.submitted")->value(), 1u);
+    EXPECT_EQ(metrics.counter("pipeline.cancelled")->value(), 1u);
+    EXPECT_EQ(metrics.counter("backend.samples")->value(), 0u);
+    EXPECT_EQ(result.qa_samples, 0);
+}
+
+TEST(PipelineCancel, SessionNeverAppliesCutShortSample)
+{
+    StopToken stop;
+    MetricsRegistry metrics;
+    HybridResult result;
+    {
+        HybridConfig config = slowSampleConfig(stop);
+        config.metrics = &metrics; // merged when the session closes
+        Session session(config);
+        ASSERT_TRUE(session.addFormula(cancelInstance()));
+        std::thread tripper = tripSoon(stop);
+        result = session.solve();
+        tripper.join();
+    }
+
+    EXPECT_TRUE(result.status.isUndef());
+    EXPECT_EQ(metrics.counter("pipeline.submitted")->value(), 1u);
+    EXPECT_EQ(metrics.counter("pipeline.cancelled")->value(), 1u);
+    EXPECT_EQ(metrics.counter("backend.samples")->value(), 0u);
+    EXPECT_EQ(result.qa_samples, 0);
 }
 
 } // namespace

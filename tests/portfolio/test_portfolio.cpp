@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -145,6 +146,40 @@ TEST(PortfolioSolver, SatModelVerifiedOnMediumInstance)
     // under sanitizers) only a lenient sanity bound is asserted.
     EXPECT_GE(result.cancel_latency_s, 0.0);
     EXPECT_LT(result.cancel_latency_s, 5.0);
+}
+
+TEST(PortfolioSolver, LosingHybridIsCancelledMidSample)
+{
+    // base + cdcl on an easy instance, with samples slow enough that
+    // CDCL always wins while the base worker is inside its first
+    // anneal. The loser must return within a sweep or so of the stop
+    // request, not after the rest of its sample.
+    Rng gen(28);
+    const auto cnf = gen::plantedRandom3Sat(60, 240, gen);
+    core::HybridConfig base;
+    base.warmup_override = 1;
+
+    // One measured sample at a probe sweep count, scaled to ~1 s.
+    constexpr int kProbeSweeps = 2000;
+    base.annealer.noise.sweeps = kProbeSweeps;
+    const core::HybridResult probe = core::HybridSolver(base).solve(cnf);
+    ASSERT_EQ(probe.qa_submitted, 1);
+    const double probe_s = std::max(probe.time.qa_host_s, 1e-6);
+    const int sweeps = static_cast<int>(std::clamp(
+        kProbeSweeps * 1.0 / probe_s, 1.0 * kProbeSweeps, 2e6));
+    const double sample_s = probe_s * sweeps / kProbeSweeps;
+
+    base.annealer.noise.sweeps = sweeps;
+    base.warmup_override = -1;
+    PortfolioOptions opts;
+    opts.base = base;
+    opts.num_workers = 2; // base + cdcl
+    PortfolioSolver solver(opts);
+    const auto result = solver.solve(cnf);
+    ASSERT_TRUE(result.status.isTrue());
+    EXPECT_EQ(result.winner_label, "cdcl");
+    EXPECT_LT(result.cancel_latency_s, 0.1 * sample_s)
+        << "sample_s=" << sample_s << " sweeps=" << sweeps;
 }
 
 TEST(PortfolioSolver, ConflictBudgetYieldsUndef)
