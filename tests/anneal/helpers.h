@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared helpers for the anneal-layer tests: the ISA tiers the host
- * can run, and a real frontend-embedded problem (a chained model of
+ * can run, and real frontend-embedded problems (chained models of
  * the shape the hybrid loop actually anneals).
  */
 
@@ -35,12 +35,10 @@ hostTiers()
     return tiers;
 }
 
-/** The first frontend result of a graph-coloring solve. */
+/** The first frontend result of a solve of @p cnf on @p graph. */
 inline std::shared_ptr<const embed::QueueEmbedResult>
-frontendProblem(const chimera::ChimeraGraph &graph)
+frontendQueue(const chimera::ChimeraGraph &graph, const sat::Cnf &cnf)
 {
-    Rng gen(4242);
-    const auto cnf = gen::flatColoringCnf(40, 100, 3, gen);
     sat::SolverOptions sopts;
     sopts.instrument_clauses = true;
     sat::Solver solver(sopts);
@@ -55,6 +53,14 @@ frontendProblem(const chimera::ChimeraGraph &graph)
     });
     (void)solver.solve();
     return out;
+}
+
+/** The first frontend result of a graph-coloring solve. */
+inline std::shared_ptr<const embed::QueueEmbedResult>
+frontendProblem(const chimera::ChimeraGraph &graph)
+{
+    Rng gen(4242);
+    return frontendQueue(graph, gen::flatColoringCnf(40, 100, 3, gen));
 }
 
 } // namespace hyqsat::anneal::testing
