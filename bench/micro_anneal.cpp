@@ -39,16 +39,19 @@
  *           dedicated WorkPool sized to the host (caller + up to 7
  *           helpers, capped at the group count) — the compounding
  *           claim: vector width per core times cores;
- *   embedded8  one 8-lane lockstep group (sampleLockstep) on a
- *           REAL chained model: the frontend's first embedded queue
- *           of a graph-coloring instance on the D-Wave 2000Q graph,
- *           its qubit chains as block-move groups and one control-
- *           noise draw on the coefficients, annealed with the noisy
- *           device's schedule. The row also times the single-read
- *           csr chain on the same model (chain_us) and reports
- *           group_vs_chain = one group's time / one chain's time;
- *           the logical rows above have no groups, which hides that
- *           block moves are a large share of a group's time;
+ *   embedded1  the single-read chain (SaSampler, num_reads = 1) on
+ *           a REAL chained model: the frontend's first embedded
+ *           queue of a graph-coloring instance on the D-Wave 2000Q
+ *           graph, its qubit chains as block-move groups and one
+ *           control-noise draw on the coefficients, annealed with
+ *           the noisy device's schedule. This is the read the
+ *           single-read workloads spend their wall clock in;
+ *   embedded8  one 8-lane lockstep group (sampleLockstep) on the
+ *           same model and schedule. The row repeats the embedded1
+ *           time (chain_us) and reports group_vs_chain = one group's
+ *           time / one chain's time; the logical rows above have no
+ *           groups, which hides that block moves are a large share
+ *           of a group's time;
  *   *_overhead  the naive/csr pair at sweeps = 1, isolating the
  *           fixed per-sample cost (model recompile + adjacency
  *           rebuild) that the rewrite hoists out of the per-call
@@ -72,9 +75,15 @@
  * cancel. The scalar loop is not draw-bound, though: an exact exp()
  * per uphill proposal was a large share of it, and the bracket
  * table that replaced it decides almost every proposal on a compare.
- * The structural wins are the fixed per-sample overhead (sweeps = 1
- * rung) and the lockstep path, which amortizes one instruction
- * stream over 8 reads.
+ * A single-read proposal now costs mostly its own instructions: the
+ * chain keeps its spins as +-1.0 doubles and its loop state in
+ * locals, so no char store forces reloads (csr and embedded1 rows).
+ * On the embedded model ~40% of proposals are accepted and block
+ * moves, 9% of proposals, take about a third of the chain's time:
+ * a block delta is one sequential sum over a chain's members and
+ * in-chain edges. The other structural wins are the fixed
+ * per-sample overhead (sweeps = 1 rung) and the lockstep path,
+ * which amortizes one instruction stream over 8 reads.
  *
  * Acceptance bars (full scale only): overhead rung >= 3x; full-
  * schedule csr >= 1x (regression guard, must never be slower than
@@ -375,7 +384,7 @@ main(int argc, char **argv)
     // Embedded pair: the single-read chain, then one 8-lane group.
     const int emb_reps = smoke ? 3 : 30;
     Rng emb_rng(kPathSeed);
-    const PathTiming emb_chain = timePath(emb_reps, 1, [&](int) {
+    const PathTiming embedded1 = timePath(emb_reps, 1, [&](int) {
         return emb_sampler.sample(emb_opts, emb_rng).energy;
     });
     const PathTiming embedded8 = timePath(emb_reps, 8, [&](int i) {
@@ -430,7 +439,7 @@ main(int argc, char **argv)
     const double parallel_scaling =
         par64.reads_per_s / par64_t1.reads_per_s;
     const double group_vs_chain =
-        embedded8.per_sample_us / emb_chain.per_sample_us;
+        embedded8.per_sample_us / embedded1.per_sample_us;
     const unsigned hw = hw_threads;
 
     std::printf("naive           %9.2f us/sample  %9.0f reads/s "
@@ -471,12 +480,20 @@ main(int argc, char **argv)
                 par64.per_sample_us, par64.reads_per_s,
                 par_helpers + 1, hw, parallel_scaling,
                 par64.best_energy);
+    std::printf("embedded1       %9.2f us/sample  %9.0f reads/s "
+                "(single-read chain on %d embedded spins, %zu chains; "
+                "%.2f ns/proposal)\n",
+                embedded1.per_sample_us, embedded1.reads_per_s,
+                emb.numSpins(), emb.groups.size(),
+                embedded1.per_sample_us * 1e3 /
+                    (static_cast<double>(emb_opts.sweeps) *
+                     static_cast<double>(emb.numSpins() +
+                                         emb.groups.size())));
     std::printf("embedded8       %9.2f us/sample  %9.0f reads/s "
-                "(lockstep %s on %d embedded spins, %zu chains; csr "
-                "chain %.2f us: one group costs %.2fx a chain)\n",
+                "(lockstep %s on the same model: one group costs "
+                "%.2fx a chain)\n",
                 embedded8.per_sample_us, embedded8.reads_per_s,
-                simd::isaName(active), emb.numSpins(), emb.groups.size(),
-                emb_chain.per_sample_us, group_vs_chain);
+                simd::isaName(active), group_vs_chain);
     std::printf("naive_overhead  %9.2f us/sample at sweeps=1\n",
                 naive_oh.per_sample_us);
     std::printf("csr_overhead    %9.2f us/sample at sweeps=1 (%.2fx "
@@ -521,6 +538,9 @@ main(int argc, char **argv)
                 {"par64", &par64, simd::isaName(active), 64,
                  par_helpers + 1, opts.sweeps, par_reps, model.numSpins(),
                  naive.per_sample_us * 64 / par64.per_sample_us},
+                {"embedded1", &embedded1, "scalar", 1, 1,
+                 emb_opts.sweeps, emb_reps, emb.numSpins(),
+                 naive.per_sample_us / embedded1.per_sample_us},
                 {"embedded8", &embedded8, simd::isaName(active), 8, 1,
                  emb_opts.sweeps, emb_reps, emb.numSpins(),
                  naive.per_sample_us / embedded8.per_sample_us},
@@ -549,7 +569,7 @@ main(int argc, char **argv)
         if (!std::strcmp(row.path, "embedded8")) {
             std::printf(",\"chains\":%zu,\"chain_us\":%.3f,"
                         "\"group_vs_chain\":%.3f",
-                        emb.groups.size(), emb_chain.per_sample_us,
+                        emb.groups.size(), embedded1.per_sample_us,
                         group_vs_chain);
         }
         if (!std::strcmp(row.path, "batch8")) {

@@ -1,6 +1,7 @@
 #include "anneal/sa_sampler.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "anneal/sa_batch.h"
 #include "anneal/sa_batch_kernels.h"
@@ -59,6 +60,7 @@ SaCompiled::build(const qubo::IsingModel &model, bool include_zero)
     SaCompiled out;
     out.csr = qubo::CsrIsing::fromModel(model, include_zero);
     out.group_of.assign(out.numSpins(), -1);
+    out.run_ptr.assign(1, 0);
     out.edge_ptr.assign(1, 0);
     return out;
 }
@@ -71,6 +73,20 @@ SaCompiled::compileGroups(const std::vector<std::vector<int>> &gs)
     for (std::size_t g = 0; g < groups.size(); ++g)
         for (int i : groups[g])
             group_of[i] = static_cast<int>(g);
+
+    run_ptr.assign(1, 0);
+    run_begin.clear();
+    run_end.clear();
+    for (const std::vector<int> &members : groups) {
+        for (std::size_t m = 0; m < members.size(); ++m) {
+            if (m == 0 || members[m] != run_end.back()) {
+                run_begin.push_back(members[m]);
+                run_end.push_back(members[m]);
+            }
+            ++run_end.back();
+        }
+        run_ptr.push_back(static_cast<std::int32_t>(run_begin.size()));
+    }
 
     edge_ptr.assign(1, 0);
     edge_u.clear();
@@ -98,14 +114,67 @@ SaCompiled::compileGroups(const std::vector<std::vector<int>> &gs)
 
 namespace detail {
 
+namespace {
+
+/** f_j -= 2 w_ij s_i over spin i's row (s_i still its old value). */
+inline void
+pushFields(const std::int32_t *row, const std::int32_t *col,
+           const double *w, double s_i, double *f, int i)
+{
+    for (std::int32_t k = row[i]; k < row[i + 1]; ++k)
+        f[col[k]] -= 2.0 * w[k] * s_i;
+}
+
+/**
+ * Cached block dE of group @p g. Flipping the block negates every
+ * member's field term and its boundary couplings; in-group couplings
+ * are invariant, so the naive sum of single-spin deltas double-counts
+ * them with the wrong sign — the +4 w s_u s_v terms put them back.
+ * (4w) s_u s_v rounds exactly as 4.0 * w * s_u * s_v: both scalings
+ * are exact.
+ */
+inline double
+blockDelta(const SaCompiled &c, const ChainEdge *edges, const double *s,
+           const double *f, int g)
+{
+    double delta = 0.0;
+    for (std::int32_t r = c.run_ptr[g]; r < c.run_ptr[g + 1]; ++r)
+        for (std::int32_t i = c.run_begin[r]; i < c.run_end[r]; ++i)
+            delta += -2.0 * s[i] * f[i];
+    for (std::int32_t e = c.edge_ptr[g]; e < c.edge_ptr[g + 1]; ++e)
+        delta += edges[e].w4 * s[edges[e].u] * s[edges[e].v];
+    return delta;
+}
+
+/**
+ * Flip group @p g. Neighbor fields update against the members' OLD
+ * spins, so all field updates happen before any member is negated.
+ */
+inline void
+flipBlock(const SaCompiled &c, const std::int32_t *row,
+          const std::int32_t *col, const double *w, double *s, double *f,
+          int g)
+{
+    const std::int32_t r0 = c.run_ptr[g], r1 = c.run_ptr[g + 1];
+    for (std::int32_t r = r0; r < r1; ++r)
+        for (std::int32_t i = c.run_begin[r]; i < c.run_end[r]; ++i)
+            pushFields(row, col, w, s[i], f, i);
+    for (std::int32_t r = r0; r < r1; ++r)
+        for (std::int32_t i = c.run_begin[r]; i < c.run_end[r]; ++i)
+            s[i] = -s[i];
+}
+
+} // namespace
+
 void
 IncrementalIsing::reset(const SaCompiled &c, const double *h,
-                        const double *w, std::vector<std::int8_t> spins)
+                        const double *w,
+                        const std::vector<std::int8_t> &spins)
 {
     c_ = &c;
     h_ = h;
     w_ = w;
-    spins_ = std::move(spins);
+    s_.assign(spins.begin(), spins.end());
     const int n = c.numSpins();
     f_.assign(n, 0.0);
 
@@ -117,14 +186,18 @@ IncrementalIsing::reset(const SaCompiled &c, const double *h,
         for (std::int32_t k = c.csr.row_ptr[i]; k < c.csr.row_ptr[i + 1];
              ++k) {
             const int j = c.csr.col[k];
-            f += w_[k] * spins_[j];
+            f += w_[k] * s_[j];
             if (j > i)
-                e += w_[k] * spins_[i] * spins_[j];
+                e += w_[k] * s_[i] * s_[j];
         }
         f_[i] = f;
-        e += h_[i] * spins_[i];
+        e += h_[i] * s_[i];
     }
     energy_ = e;
+
+    edges_.resize(c.edge_u.size());
+    for (std::size_t e = 0; e < edges_.size(); ++e)
+        edges_[e] = {4.0 * w_[c.edge_slot[e]], c.edge_u[e], c.edge_v[e]};
 }
 
 double
@@ -133,25 +206,14 @@ IncrementalIsing::freshFlipDelta(int i) const
     double f = h_[i];
     for (std::int32_t k = c_->csr.row_ptr[i]; k < c_->csr.row_ptr[i + 1];
          ++k)
-        f += w_[k] * spins_[c_->csr.col[k]];
-    return -2.0 * spins_[i] * f;
+        f += w_[k] * s_[c_->csr.col[k]];
+    return -2.0 * s_[i] * f;
 }
 
 double
 IncrementalIsing::groupDelta(int g) const
 {
-    // Flipping the block negates every member's field term and its
-    // boundary couplings; in-group couplings are invariant, so the
-    // naive sum of single-spin deltas double-counts them with the
-    // wrong sign — the +4 w s_u s_v terms put them back.
-    double delta = 0.0;
-    for (int i : c_->groups[g])
-        delta += -2.0 * spins_[i] * f_[i];
-    for (std::int32_t e = c_->edge_ptr[g]; e < c_->edge_ptr[g + 1]; ++e) {
-        delta += 4.0 * w_[c_->edge_slot[e]] * spins_[c_->edge_u[e]] *
-                 spins_[c_->edge_v[e]];
-    }
-    return delta;
+    return blockDelta(*c_, edges_.data(), s_.data(), f_.data(), g);
 }
 
 double
@@ -164,9 +226,9 @@ IncrementalIsing::freshGroupDelta(int g) const
              k < c_->csr.row_ptr[i + 1]; ++k) {
             const int j = c_->csr.col[k];
             if (c_->group_of[j] != g)
-                boundary += w_[k] * spins_[j];
+                boundary += w_[k] * s_[j];
         }
-        delta += -2.0 * spins_[i] * boundary;
+        delta += -2.0 * s_[i] * boundary;
     }
     return delta;
 }
@@ -174,28 +236,85 @@ IncrementalIsing::freshGroupDelta(int g) const
 void
 IncrementalIsing::applyFlip(int i, double delta)
 {
-    const std::int8_t old = spins_[i];
-    for (std::int32_t k = c_->csr.row_ptr[i]; k < c_->csr.row_ptr[i + 1];
-         ++k)
-        f_[c_->csr.col[k]] -= 2.0 * w_[k] * old;
-    spins_[i] = -old;
+    pushFields(c_->csr.row_ptr.data(), c_->csr.col.data(), w_, s_[i],
+               f_.data(), i);
+    s_[i] = -s_[i];
     energy_ += delta;
 }
 
 void
 IncrementalIsing::applyGroup(int g, double delta)
 {
-    // Neighbor fields update against the members' OLD spins, so all
-    // field updates happen before any member is negated.
-    for (int i : c_->groups[g]) {
-        const std::int8_t old = spins_[i];
-        for (std::int32_t k = c_->csr.row_ptr[i];
-             k < c_->csr.row_ptr[i + 1]; ++k)
-            f_[c_->csr.col[k]] -= 2.0 * w_[k] * old;
-    }
-    for (int i : c_->groups[g])
-        spins_[i] = -spins_[i];
+    flipBlock(*c_, c_->csr.row_ptr.data(), c_->csr.col.data(), w_,
+              s_.data(), f_.data(), g);
     energy_ += delta;
+}
+
+template <bool kGreedy>
+std::uint64_t
+IncrementalIsing::sweep(double beta, Rng &rng)
+{
+    // The whole loop state lives in locals — flat arrays, the running
+    // energy, the accept count and a copy of the Rng — and the only
+    // stores are to double arrays, so nothing forces a reload.
+    const SaCompiled &c = *c_;
+    const int n = c.numSpins();
+    const int num_groups = static_cast<int>(c.groups.size());
+    const std::int32_t *const row = c.csr.row_ptr.data();
+    const std::int32_t *const col = c.csr.col.data();
+    const double *const w = w_;
+    const ChainEdge *const edges = edges_.data();
+    double *const s = s_.data();
+    double *const f = f_.data();
+    const double *const table = acceptTable();
+    Rng local = rng;
+    double energy = energy_;
+    std::uint64_t accepted = 0;
+
+    // The uniform draw happens exactly when dE > 0 (the pinned
+    // RNG-consumption contract).
+    const auto accept = [&](double delta) {
+        if constexpr (kGreedy)
+            return delta < 0.0;
+        else
+            return delta <= 0.0 ||
+                   acceptUphill(table, beta * delta, local.uniform());
+    };
+    for (int i = 0; i < n; ++i) {
+        // dE = -2 * s_i * (h_i + sum_j J_ij s_j).
+        double delta = -2.0 * s[i] * f[i];
+        if (std::abs(delta) < kBoundaryBand)
+            delta = freshFlipDelta(i); // exactness guard
+        if (accept(delta)) {
+            pushFields(row, col, w, s[i], f, i);
+            s[i] = -s[i];
+            energy += delta;
+            ++accepted;
+        }
+    }
+    // Block moves over registered groups (qubit chains).
+    for (int g = 0; g < num_groups; ++g) {
+        double delta = blockDelta(c, edges, s, f, g);
+        if (std::abs(delta) < kBoundaryBand)
+            delta = freshGroupDelta(g);
+        if (accept(delta)) {
+            flipBlock(c, row, col, w, s, f, g);
+            energy += delta;
+            ++accepted;
+        }
+    }
+    rng = local;
+    energy_ = energy;
+    return accepted;
+}
+
+std::vector<std::int8_t>
+IncrementalIsing::spins() const
+{
+    std::vector<std::int8_t> out(s_.size());
+    for (std::size_t i = 0; i < s_.size(); ++i)
+        out[i] = s_[i] > 0.0 ? 1 : -1;
+    return out;
 }
 
 } // namespace detail
@@ -246,20 +365,18 @@ SaSampler::runChain(const SaOptions &opts, Rng &rng) const
 {
     const SaCompiled &c = *compiled_;
     const int n = c.numSpins();
-    const std::size_t num_groups = c.groups.size();
 
     std::vector<std::int8_t> init(n);
     for (auto &s : init)
         s = rng.chance(0.5) ? 1 : -1;
 
     detail::IncrementalIsing inc;
-    inc.reset(c, h_, w_, std::move(init));
+    inc.reset(c, h_, w_, init);
 
     SaStats stats;
     stats.reads = 1;
 
     const std::vector<double> &betas = scheduleFor(opts);
-    const double *table = detail::acceptTable();
     stats.sweeps = betas.size();
     bool cancelled = false;
     for (std::size_t sweep = 0; sweep < betas.size(); ++sweep) {
@@ -269,73 +386,25 @@ SaSampler::runChain(const SaOptions &opts, Rng &rng) const
             cancelled = true;
             break;
         }
-        const double beta = betas[sweep];
-        for (int i = 0; i < n; ++i) {
-            // Energy change of flipping spin i:
-            // dE = -2 * s_i * (h_i + sum_j J_ij s_j).
-            double delta = inc.flipDelta(i);
-            if (delta > -kBoundaryBand && delta < kBoundaryBand)
-                delta = inc.freshFlipDelta(i); // exactness guard
-            ++stats.flips_attempted;
-            // The uniform draw happens exactly when dE > 0 (the
-            // pinned RNG-consumption contract).
-            if (delta <= 0.0 ||
-                detail::acceptUphill(table, beta * delta,
-                                     rng.uniform())) {
-                inc.applyFlip(i, delta);
-                ++stats.flips_accepted;
-            }
-        }
-        // Block moves over registered groups (qubit chains).
-        for (std::size_t g = 0; g < num_groups; ++g) {
-            const int gi = static_cast<int>(g);
-            double delta = inc.groupDelta(gi);
-            if (delta > -kBoundaryBand && delta < kBoundaryBand)
-                delta = inc.freshGroupDelta(gi);
-            ++stats.flips_attempted;
-            if (delta <= 0.0 ||
-                detail::acceptUphill(table, beta * delta,
-                                     rng.uniform())) {
-                inc.applyGroup(gi, delta);
-                ++stats.flips_accepted;
-            }
-        }
+        stats.flips_accepted += inc.sweep<false>(betas[sweep], rng);
     }
 
+    // Every pass proposes each spin and each group once.
+    std::uint64_t passes = stats.sweeps;
     if (opts.greedy_finish && !cancelled) {
-        bool improved = true;
+        std::uint64_t improved = 1;
         int guard = 0;
-        while (improved && guard++ < 4 * n) {
-            improved = false;
-            for (int i = 0; i < n; ++i) {
-                double delta = inc.flipDelta(i);
-                if (delta > -kBoundaryBand && delta < kBoundaryBand)
-                    delta = inc.freshFlipDelta(i);
-                ++stats.flips_attempted;
-                if (delta < 0.0) {
-                    inc.applyFlip(i, delta);
-                    ++stats.flips_accepted;
-                    improved = true;
-                }
-            }
-            for (std::size_t g = 0; g < num_groups; ++g) {
-                const int gi = static_cast<int>(g);
-                double delta = inc.groupDelta(gi);
-                if (delta > -kBoundaryBand && delta < kBoundaryBand)
-                    delta = inc.freshGroupDelta(gi);
-                ++stats.flips_attempted;
-                if (delta < 0.0) {
-                    inc.applyGroup(gi, delta);
-                    ++stats.flips_accepted;
-                    improved = true;
-                }
-            }
+        while (improved > 0 && guard++ < 4 * n) {
+            improved = inc.sweep<true>(0.0, rng);
+            stats.flips_accepted += improved;
+            ++passes;
         }
     }
+    stats.flips_attempted = passes * (n + c.groups.size());
 
     SaResult result;
     result.energy = inc.energy();
-    result.spins = inc.takeSpins();
+    result.spins = inc.spins();
     result.stats = stats;
     result.cancelled = cancelled;
     return result;
