@@ -205,6 +205,104 @@ TEST(Pipeline, UnsatFormulaEmitsEmptyClause)
     EXPECT_TRUE(r.cnf.clause(0).empty());
 }
 
+/**
+ * The Simplify suite runs only the equivalence-preserving passes
+ * (units, subsumption, self-subsumption): the formula keeps its
+ * variables and the fixed units alone extend a model.
+ */
+Options
+equivalencePreserving()
+{
+    Options o;
+    o.equivalent_literals = false;
+    return o;
+}
+
+TEST(Simplify, EmptyFormulaUnchanged)
+{
+    const Result r = Pipeline(equivalencePreserving()).run(Cnf(3));
+    EXPECT_TRUE(r.satisfiable_possible);
+    EXPECT_EQ(r.cnf.numClauses(), 0);
+    EXPECT_TRUE(r.fixed.empty());
+}
+
+TEST(Simplify, UnitPropagationFixesChain)
+{
+    // x0; ~x0 v x1; ~x1 v x2: all three become fixed units.
+    Cnf cnf(3);
+    cnf.addClause(mkLit(0));
+    cnf.addClause(mkLit(0, true), mkLit(1));
+    cnf.addClause(mkLit(1, true), mkLit(2));
+    const Result r = Pipeline(equivalencePreserving()).run(cnf);
+    EXPECT_TRUE(r.satisfiable_possible);
+    EXPECT_EQ(r.stats.units, 3);
+    EXPECT_EQ(r.cnf.numClauses(), 0);
+    EXPECT_TRUE(cnf.eval(r.extendModel(std::vector<bool>(3, false))));
+}
+
+TEST(Simplify, TautologiesDropped)
+{
+    Cnf cnf(2);
+    cnf.addClause(mkLit(0), mkLit(0, true));
+    cnf.addClause(mkLit(0), mkLit(1));
+    const Result r = Pipeline(equivalencePreserving()).run(cnf);
+    EXPECT_EQ(r.stats.tautologies, 1);
+    EXPECT_EQ(r.cnf.numClauses(), 1);
+}
+
+TEST(Simplify, SubsumptionRemovesSuperset)
+{
+    // (x0 v x1) subsumes (x0 v x1 v x2).
+    Cnf cnf(3);
+    cnf.addClause(mkLit(0), mkLit(1));
+    cnf.addClause(mkLit(0), mkLit(1), mkLit(2));
+    const Result r = Pipeline(equivalencePreserving()).run(cnf);
+    EXPECT_EQ(r.stats.subsumed, 1);
+    ASSERT_EQ(r.cnf.numClauses(), 1);
+    EXPECT_EQ(r.cnf.clause(0).size(), 2u);
+}
+
+TEST(Simplify, OptionsDisablePasses)
+{
+    Cnf cnf(3);
+    cnf.addClause(mkLit(0), mkLit(1));
+    cnf.addClause(mkLit(0), mkLit(1), mkLit(2));
+    Options o = equivalencePreserving();
+    o.subsumption = false;
+    o.self_subsumption = false;
+    const Result r = Pipeline(o).run(cnf);
+    EXPECT_EQ(r.stats.subsumed, 0);
+    EXPECT_EQ(r.cnf.numClauses(), 2);
+}
+
+TEST(Simplify, SelfSubsumptionStrengthens)
+{
+    // (x0 v x1) with x0 flipped is (~x0 v x1), a subset of
+    // (~x0 v x1 v x2): the second clause loses ~x0.
+    Cnf cnf(3);
+    cnf.addClause(mkLit(0), mkLit(1));
+    cnf.addClause(mkLit(0, true), mkLit(1), mkLit(2));
+    const Result r = Pipeline(equivalencePreserving()).run(cnf);
+    EXPECT_GE(r.stats.strengthened, 1);
+    EXPECT_EQ(sat::bruteForceSolve(cnf).satisfiable,
+              sat::bruteForceSolve(r.cnf).satisfiable);
+}
+
+TEST(Simplify, ReducesPhaseTransitionInstances)
+{
+    // Supersets of existing clauses are all subsumed.
+    Rng rng(13);
+    Cnf cnf = sat::testing::randomCnf(30, 120, 3, rng);
+    const auto base = cnf.clauses();
+    for (int i = 0; i < 20; ++i) {
+        auto clause = base[static_cast<std::size_t>(i)];
+        clause.push_back(mkLit(static_cast<sat::Var>(i % 30)));
+        cnf.addClause(clause);
+    }
+    const Result r = Pipeline(equivalencePreserving()).run(cnf);
+    EXPECT_LT(r.cnf.numClauses(), cnf.numClauses());
+}
+
 TEST(Pipeline, StatsReportFormulaSizes)
 {
     Rng rng(33);
