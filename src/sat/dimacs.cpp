@@ -74,6 +74,7 @@ parseDimacs(std::string_view text)
             std::string p, fmt;
             hdr >> p >> fmt >> declared_vars >> declared_clauses;
             if (fmt != "cnf" || hdr.fail() || declared_vars < 0 ||
+                declared_vars > kMaxDimacsVar ||
                 declared_clauses < 0) {
                 warn("malformed DIMACS header: %.*s",
                      static_cast<int>(line.size()), line.data());
@@ -100,7 +101,7 @@ parseDimacs(std::string_view text)
                 cnf.addClause(current);
                 current.clear();
             } else {
-                if (v > INT32_MAX || v < INT32_MIN) {
+                if (v > kMaxDimacsVar || v < -kMaxDimacsVar) {
                     warn("DIMACS literal out of range: %lld", v);
                     return std::nullopt;
                 }

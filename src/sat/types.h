@@ -64,8 +64,16 @@ constexpr Lit lit_Undef{};
 constexpr Lit mkLit(Var v, bool sign = false) { return Lit(v, sign); }
 
 /**
+ * Largest DIMACS variable (and |literal|) a Lit can hold: variable
+ * 2^30 - 1 packs to x = 2^31 - 1. Every entry point that reads
+ * literals from outside input rejects anything beyond it.
+ */
+constexpr std::int32_t kMaxDimacsVar = std::int32_t{1} << 30;
+
+/**
  * Build a literal from DIMACS convention: +v means variable v-1
- * positive, -v means variable v-1 negated. @p dimacs must not be 0.
+ * positive, -v means variable v-1 negated. @p dimacs must be
+ * nonzero with |dimacs| <= kMaxDimacsVar.
  */
 constexpr Lit
 fromDimacs(int dimacs)

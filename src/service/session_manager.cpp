@@ -52,6 +52,10 @@ parseClauses(const std::string &text,
                 return "bad literal: " +
                        std::string(line.substr(i, end - i));
             }
+            if (lit > sat::kMaxDimacsVar || lit < -sat::kMaxDimacsVar) {
+                return "literal out of range: " +
+                       std::string(line.substr(i, end - i));
+            }
             i = end;
             if (lit == 0) {
                 clauses.push_back(current);
@@ -187,6 +191,10 @@ SessionManager::assume(SessionId sid, const std::vector<int> &lits)
     const std::shared_ptr<Entry> entry = find(sid);
     if (!entry)
         return "unknown session";
+    for (const int lit : lits) {
+        if (lit > sat::kMaxDimacsVar || lit < -sat::kMaxDimacsVar)
+            return "literal out of range: " + std::to_string(lit);
+    }
     std::lock_guard<std::mutex> lock(entry->mutex);
     entry->pending_assumptions.clear();
     for (const int lit : lits) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <string_view>
 
 #include "sat/dimacs.h"
@@ -184,6 +185,37 @@ TEST(Dimacs, ViewRejectsMalformedInput)
     EXPECT_FALSE(
         parseDimacs(std::string_view("p cnf 2 1\n1 two 0\n"))
             .has_value());
+}
+
+TEST(Dimacs, LiteralBoundIsTwoToTheThirty)
+{
+    // 2^30 is the largest variable a Lit packs without overflow.
+    const auto cnf =
+        parseDimacsString("p cnf 1 1\n1073741824 -1073741824 0\n");
+    ASSERT_TRUE(cnf.has_value());
+    EXPECT_EQ(cnf->numVars(), kMaxDimacsVar);
+    EXPECT_EQ(cnf->clause(0)[0], mkLit(kMaxDimacsVar - 1, false));
+    EXPECT_EQ(cnf->clause(0)[1], mkLit(kMaxDimacsVar - 1, true));
+    EXPECT_EQ(toDimacs(cnf->clause(0)[1]), -kMaxDimacsVar);
+
+    for (const char *lit :
+         {"1073741825", "-1073741825", "2147483647", "-2147483647",
+          "-2147483648", "2147483648"}) {
+        EXPECT_FALSE(parseDimacsString(std::string("p cnf 1 1\n") +
+                                       lit + " 0\n")
+                         .has_value())
+            << lit;
+    }
+}
+
+TEST(Dimacs, HeaderVariableCountBeyondBoundRejected)
+{
+    EXPECT_TRUE(
+        parseDimacsString("p cnf 1073741824 1\n1 0\n").has_value());
+    EXPECT_FALSE(
+        parseDimacsString("p cnf 1073741825 1\n1 0\n").has_value());
+    EXPECT_FALSE(
+        parseDimacsString("p cnf 2147483647 1\n1 0\n").has_value());
 }
 
 } // namespace

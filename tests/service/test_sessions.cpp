@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -177,6 +178,36 @@ TEST(SessionManager, AddRejectsMalformedBodies)
               "clause too long (3-SAT required)");
     // A rejected body leaves the session usable.
     EXPECT_EQ(manager.add(open.id, "p cnf 2 1\n1 2 0\n"), "");
+    const auto rec = manager.solve(open.id);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->status, "SAT");
+}
+
+TEST(SessionManager, LiteralsBeyondTheLitBoundAreRejected)
+{
+    SessionManager manager(smallSessionOptions());
+    // 2^30 is the largest literal a sat::Lit packs: accepted (the
+    // session is closed unsolved; solving would allocate 2^30 vars).
+    const OpenResult edge = manager.open("acme", "");
+    ASSERT_TRUE(edge.accepted);
+    EXPECT_EQ(manager.add(edge.id, "1073741824 -1073741824 0\n"), "");
+    EXPECT_EQ(manager.assume(edge.id, {1073741824, -1073741824}), "");
+    EXPECT_TRUE(manager.close(edge.id));
+
+    const OpenResult open = manager.open("acme", "");
+    ASSERT_TRUE(open.accepted);
+    for (const char *lit : {"1073741825", "-1073741825", "2147483647",
+                            "-2147483647", "-2147483648"}) {
+        EXPECT_EQ(manager.add(open.id, std::string(lit) + " 0\n"),
+                  std::string("literal out of range: ") + lit);
+    }
+    for (const int lit : {1073741825, -1073741825, INT32_MAX,
+                          -INT32_MAX, INT32_MIN}) {
+        EXPECT_EQ(manager.assume(open.id, {1, lit}),
+                  "literal out of range: " + std::to_string(lit));
+    }
+    // Nothing half-applied: the session solves its valid clauses.
+    EXPECT_EQ(manager.add(open.id, "1 2 0\n-1 0\n"), "");
     const auto rec = manager.solve(open.id);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->status, "SAT");
@@ -465,6 +496,36 @@ TEST(ServiceSessions, SocketSessionLifecycleEndToEnd)
               "OK " + std::to_string(sid));
     EXPECT_EQ(client.exchange("SOLVE " + std::to_string(sid)),
               "ERR unknown session");
+}
+
+TEST(ServiceSessions, OutOfRangeLiteralsAnswerErrAndDaemonStaysUp)
+{
+    SessionStack stack;
+    ASSERT_TRUE(stack.server.start());
+
+    SessionClient client;
+    ASSERT_TRUE(client.connectUnix(stack.socket_path));
+    const JobId sid = client.open("acme");
+    ASSERT_NE(sid, 0u);
+    const std::string id = std::to_string(sid);
+
+    for (const char *lit :
+         {"1073741825", "2147483647", "-2147483648"}) {
+        EXPECT_EQ(client.add(sid, std::string(lit) + " 0\n").rfind(
+                      "ERR ", 0),
+                  0u)
+            << lit;
+        EXPECT_EQ(client.exchange("ASSUME " + id + " " + lit)
+                      .rfind("ERR ", 0),
+                  0u)
+            << lit;
+    }
+    EXPECT_EQ(client.add(sid, "1 2 0\n"), "OK " + id);
+    EXPECT_EQ(client.exchange("ASSUME " + id + " -1"), "OK " + id);
+    const std::string line = client.exchange("SOLVE " + id);
+    const auto result = parseResult(line);
+    ASSERT_TRUE(result.has_value()) << line;
+    EXPECT_EQ(result->second.status, "SAT");
 }
 
 TEST(ServiceSessions, DisabledSessionsAnswerErrAndStaySynchronized)
