@@ -143,7 +143,14 @@ class ClauseArena
     CRef
     alloc(const LitVec &lits, bool learnt)
     {
-        const std::size_t need = 2 + lits.size();
+        return alloc(lits.data(), lits.size(), learnt);
+    }
+
+    /** Allocate a clause with the @p n literals at @p lits. */
+    CRef
+    alloc(const Lit *lits, std::size_t n, bool learnt)
+    {
+        const std::size_t need = 2 + n;
         const std::size_t at = memory_.size();
         if (at + need > capacity_limit_) {
             panic("ClauseArena overflow: %zu + %zu words exceeds the "
@@ -162,13 +169,11 @@ class ClauseArena
         }
         memory_.resize(at + need);
         auto &c = ref(static_cast<CRef>(at));
-        c.init(static_cast<int>(lits.size()), learnt);
+        c.init(static_cast<int>(n), learnt);
         // Lit is a trivially copyable 4-byte word (static_asserted
         // below), laid out back to back after the two header words.
-        if (!lits.empty()) {
-            std::memcpy(&memory_[at + 2], lits.data(),
-                        lits.size() * sizeof(Lit));
-        }
+        if (n > 0)
+            std::memcpy(&memory_[at + 2], lits, n * sizeof(Lit));
         ++num_clauses_;
         return static_cast<CRef>(at);
     }
@@ -225,8 +230,11 @@ class ClauseArena
             cr = c.relocation();
             return;
         }
-        LitVec lits(c.begin(), c.end());
-        CRef moved = to.alloc(lits, c.learnt());
+        // Straight from this arena into @p to: the two regions are
+        // distinct, so growing @p to cannot move the source literals.
+        const CRef moved =
+            to.alloc(c.begin(), static_cast<std::size_t>(c.size()),
+                     c.learnt());
         Clause &nc = to.ref(moved);
         if (c.learnt())
             nc.setActivity(c.activity());

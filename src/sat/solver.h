@@ -7,6 +7,16 @@
  * minimization, VSIDS or CHB branching, phase saving, Luby restarts
  * and activity-driven learnt-database reduction.
  *
+ * Hot path: values are stored per literal, so value(Lit) is one
+ * load; propagate() walks each watch list with raw read/write
+ * pointers, tries the watcher's blocker before it touches the
+ * clause, and assigns implied literals unchecked; root
+ * simplification sweeps the clause lists only after the root trail
+ * grew. Watch-list order, blockers, in-clause literal swaps and the
+ * bump order of conflict analysis are part of the search (analysis
+ * reads them), so the hot path keeps them exactly; SolverGolden pins
+ * the search.
+ *
  * Beyond a plain solver it provides the integration surface HyQSAT
  * needs: per-original-clause visit counters and conflict-frequency
  * activity scores (§IV-A of the paper), an iteration hook invoked at
@@ -53,7 +63,7 @@ class Solver
     Var newVar();
 
     /** @return the number of variables. */
-    int numVars() const { return static_cast<int>(assigns_.size()); }
+    int numVars() const { return static_cast<int>(values_.size() / 2); }
 
     /**
      * Add a clause (top-level). Performs the standard root-level
@@ -113,8 +123,8 @@ class Solver
     bool okay() const { return ok_; }
 
     /** Current value of a variable / literal under the trail. */
-    lbool value(Var v) const { return assigns_[v]; }
-    lbool value(Lit p) const { return assigns_[p.var()] ^ p.sign(); }
+    lbool value(Var v) const { return values_[mkLit(v).x]; }
+    lbool value(Lit p) const { return values_[p.x]; }
 
     /** @return the current decision level. */
     int decisionLevel() const { return static_cast<int>(trail_lim_.size()); }
@@ -341,7 +351,7 @@ class Solver
     // --- propagation ---------------------------------------------------
     void attachClause(CRef cr);
     void detachClause(CRef cr);
-    bool enqueue(Lit p, CRef from);
+    void assign(Lit p, CRef from);
     CRef propagate();
 
     // --- conflict analysis ----------------------------------------------
@@ -366,6 +376,8 @@ class Solver
     void garbageCollect();
     void relocAll(ClauseArena &to);
     bool simplifyAtRoot();
+    bool simplifyAgainstRoot(LitVec &lits) const;
+    void growOriginals(std::size_t count);
 
     // --- search ------------------------------------------------------------
     lbool solveInternal();
@@ -386,7 +398,7 @@ class Solver
     std::vector<CRef> learnts_;
 
     std::vector<std::vector<Watcher>> watches_; // indexed by Lit.x
-    std::vector<lbool> assigns_;
+    std::vector<lbool> values_;                 // indexed by Lit.x
     std::vector<VarData> vardata_;
     std::vector<bool> polarity_;     // saved phase (true = negative!)
     std::vector<lbool> user_phase_;  // forced phase, l_Undef if none
@@ -397,6 +409,7 @@ class Solver
     std::vector<Lit> trail_;
     std::vector<int> trail_lim_;
     int qhead_ = 0;
+    int simp_db_assigns_ = -1; // root trail size at the last sweep
 
     std::vector<double> scores_; // branching scores (VSIDS or CHB)
     VarOrderHeap order_heap_;
@@ -404,6 +417,7 @@ class Solver
     double cla_inc_ = 1.0;
     double chb_alpha_ = 0.4;
     std::vector<std::uint64_t> chb_last_conflict_;
+    std::vector<Var> random_pool_; // unassigned vars, random branching
 
     double max_learnts_ = 0.0;
     int learntsize_adjust_cnt_ = 0;
@@ -468,7 +482,7 @@ class Solver
     // instrument_clauses). sat_count_[i] is the number of currently
     // true literals of original clause i; the unsat clauses form a
     // sparse set (unsat_list_ + positions) maintained at the two
-    // assignment boundaries (enqueue / cancelUntil), so enumeration
+    // assignment boundaries (assign / cancelUntil), so enumeration
     // is O(unsat) instead of an O(M·3) trail rescan.
     void untrackOriginal(int idx);
     void trackOriginal(int idx);

@@ -138,5 +138,37 @@ TEST(VarOrderHeap, RandomizedUpdatesKeepHeapConsistent)
     }
 }
 
+TEST(VarOrderHeap, IncreaseMatchesUpdateWhenScoresOnlyGrow)
+{
+    // Integer bumps make ties common: the sift-up-only increase()
+    // must leave the exact same heap layout as update(), ties and
+    // interleaved removals included.
+    hyqsat::Rng rng(4242);
+    const int n = 50;
+    std::vector<double> a(n, 0.0), b(n, 0.0);
+    VarOrderHeap by_update(a), by_increase(b);
+    for (Var v = 0; v < n; ++v) {
+        by_update.insert(v);
+        by_increase.insert(v);
+    }
+    for (int round = 0; round < 2000; ++round) {
+        const Var v = static_cast<Var>(rng.below(n));
+        const double bump = static_cast<double>(rng.below(3));
+        a[v] += bump;
+        b[v] += bump;
+        by_update.update(v);
+        by_increase.increase(v);
+        if (round % 50 == 49) {
+            const Var top = by_update.removeMax();
+            ASSERT_EQ(by_increase.removeMax(), top);
+            by_update.insert(top);
+            by_increase.insert(top);
+        }
+    }
+    while (!by_update.empty())
+        ASSERT_EQ(by_increase.removeMax(), by_update.removeMax());
+    EXPECT_TRUE(by_increase.empty());
+}
+
 } // namespace
 } // namespace hyqsat::sat
