@@ -23,6 +23,7 @@
 #include "gen/random_sat.h"
 #include "sat/dimacs.h"
 #include "service/scheduler.h"
+#include "topology/topology.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -110,6 +111,106 @@ TEST(JobScheduler, SimplifyOverrideEchoedInRecord)
         scheduler.submit(inlineJob("default", 0, "easy2", kSatCnf));
     ASSERT_TRUE(plain.accepted);
     EXPECT_EQ(scheduler.wait(plain.id).simplify, "off");
+}
+
+/**
+ * Run one job on a portfolio whose every worker runs to a small
+ * conflict budget without clause sharing, so the job's anneal and
+ * solver counters are a deterministic sum over its workers. With
+ * @p slate the portfolio races two explicit 9-read workers (@p topo,
+ * @p groups); without it the one-worker auto slate is the base
+ * config itself.
+ */
+InstanceRecord
+runBudgetedJob(bool slate, topology::Kind topo, int groups,
+               const std::string &topology_override,
+               int groups_override)
+{
+    SchedulerOptions opts = smallOptions();
+    opts.workers = 1;
+    opts.portfolio.share_clauses = false;
+    opts.portfolio.conflict_budget = 60;
+    core::HybridConfig &base = opts.portfolio.base;
+    base.topology = topo;
+    base.reads_groups = groups;
+    base.num_reads = 9;
+    base.warmup_override = 6;
+    if (slate)
+        opts.portfolio.workers = {{"w0", base}, {"w1", base}};
+    else
+        opts.portfolio.num_workers = 1;
+
+    Rng gen(91);
+    JobSpec spec = inlineJob(
+        "t", 0, "budgeted",
+        sat::toDimacsString(gen::uniformRandom3Sat(90, 450, gen)));
+    spec.topology = topology_override;
+    spec.reads_groups = groups_override;
+    JobScheduler scheduler(opts);
+    const Submission sub = scheduler.submit(std::move(spec));
+    EXPECT_TRUE(sub.accepted);
+    InstanceRecord rec = scheduler.wait(sub.id);
+    scheduler.shutdown(DrainPolicy::FinishQueued);
+    return rec;
+}
+
+double
+metricOf(const InstanceRecord &rec, const std::string &name)
+{
+    for (const auto &[key, value] : rec.metrics)
+        if (key == name)
+            return value;
+    ADD_FAILURE() << "no metric " << name;
+    return 0.0;
+}
+
+/** The counters a worker's topology and read groups decide. */
+std::vector<double>
+annealCounters(const InstanceRecord &rec)
+{
+    return {metricOf(rec, "anneal.reads"),
+            metricOf(rec, "anneal.read_groups"),
+            metricOf(rec, "anneal.sweeps"),
+            metricOf(rec, "anneal.flips.attempted"),
+            metricOf(rec, "solver.propagations")};
+}
+
+TEST(JobScheduler, TopologyAndReadsGroupsOverridesReachEveryWorker)
+{
+    using topology::Kind;
+    for (const bool slate : {true, false}) {
+        SCOPED_TRACE(slate ? "explicit slate" : "base config");
+        // A job overriding chimera/auto-groups to pegasus/8 groups
+        // must count exactly what a portfolio configured that way
+        // counts, and differ from the un-overridden portfolio.
+        const InstanceRecord overridden =
+            runBudgetedJob(slate, Kind::Chimera, 0, "pegasus", 8);
+        const InstanceRecord native =
+            runBudgetedJob(slate, Kind::Pegasus, 8, "", -1);
+        const InstanceRecord plain =
+            runBudgetedJob(slate, Kind::Chimera, 0, "", -1);
+        ASSERT_EQ(overridden.status, "UNKNOWN");
+        ASSERT_EQ(native.status, "UNKNOWN");
+        ASSERT_EQ(plain.status, "UNKNOWN");
+
+        EXPECT_GT(metricOf(overridden, "anneal.reads"), 0.0);
+        EXPECT_EQ(annealCounters(overridden), annealCounters(native));
+        EXPECT_NE(metricOf(overridden, "anneal.flips.attempted"),
+                  metricOf(plain, "anneal.flips.attempted"));
+        // 9 reads = read 0 + 8 extra reads: 8 groups per sample with
+        // the override, one auto-sized group without it.
+        EXPECT_EQ(metricOf(overridden, "anneal.read_groups") * 9,
+                  metricOf(overridden, "anneal.reads") * 8);
+        EXPECT_EQ(metricOf(plain, "anneal.read_groups") * 9,
+                  metricOf(plain, "anneal.reads"));
+
+        EXPECT_EQ(overridden.topology, "pegasus");
+        EXPECT_EQ(overridden.reads_groups, 8);
+        EXPECT_EQ(native.topology, "pegasus");
+        EXPECT_EQ(native.reads_groups, 8);
+        EXPECT_EQ(plain.topology, "chimera");
+        EXPECT_EQ(plain.reads_groups, 0);
+    }
 }
 
 TEST(JobScheduler, MalformedDimacsReportsParseError)
