@@ -30,10 +30,8 @@ main()
                 per_class);
 
     const auto graph = chimera::ChimeraGraph::dwave2000q();
-    anneal::QuantumAnnealer::Options qa_opts;
-    qa_opts.noise = anneal::NoiseModel::dwave2000q();
-    qa_opts.greedy_finish = true; // device relaxes to a local minimum
-    anneal::QuantumAnnealer annealer(graph, qa_opts);
+    anneal::QuantumAnnealer annealer(
+        graph, anneal::QuantumAnnealer::Options::dwave2000q());
 
     std::vector<double> energies;
     std::vector<bool> satisfiable;

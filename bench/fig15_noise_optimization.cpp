@@ -31,10 +31,8 @@ Labelled
 collect(bool adjust, int per_class)
 {
     const auto graph = chimera::ChimeraGraph::dwave2000q();
-    anneal::QuantumAnnealer::Options qa;
-    qa.noise = anneal::NoiseModel::dwave2000q();
+    auto qa = anneal::QuantumAnnealer::Options::dwave2000q();
     qa.noise.coefficient_sigma = 0.05;
-    qa.greedy_finish = true; // device relaxes to a local minimum
     anneal::QuantumAnnealer annealer(graph, qa);
 
     Labelled out;

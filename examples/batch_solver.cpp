@@ -6,23 +6,16 @@
  *
  *   ./build/examples/batch_solver [files...] [--dir D] [--manifest F|-]
  *       [--workers N] [--jobs N] [--timeout-s X] [--conflicts N]
- *       [--memory-mb M] [--sampler NAME] [--depth N]
- *       [--num-reads N] [--reads-groups N]
- *       [--topology NAME]
- *       [--simplify LEVEL] [--noisy] [--no-share] [--json FILE]
- *       [--csv FILE] [--metrics FILE] [--trace FILE] [--strict]
- *       [--quiet]
+ *       [--memory-mb M] [--no-share] [--json FILE] [--csv FILE]
+ *       [--metrics FILE] [--trace FILE] [--strict] [--quiet]
+ *       [knob flags]
  *
- * --simplify off|light|full sets the inprocessing strength of every
- * worker's base config (echoed per instance in the JSON/CSV
- * reports; the portfolio's diversification still varies it across
- * slots when the slate is auto-built). --topology chimera|pegasus
- * picks the hardware graph family (zephyr being the third family)
- * and --num-reads the per-sample read count (reads beyond the first
- * run through the lockstep SIMD batch kernel); --reads-groups N
- * splits those reads into N parallel lockstep groups on the shared
- * WorkPool (0 = auto: groups of up to 8 lanes). The group setting
- * is echoed per instance in the reports alongside simplify.
+ * The knob flags every front door shares set every worker's base
+ * config; the knob table (core/knobs.h) parses, range-checks and
+ * lists them in the usage line. The JSON/CSV reports echo the
+ * effective simplify, topology and reads_groups per instance; the
+ * portfolio's diversification still varies the base across slots
+ * when the slate is auto-built.
  *
  * Instances come from positional paths, every *.cnf/*.dimacs under
  * --dir, and/or a manifest (one path per line; "-" = stdin). Exit
@@ -46,9 +39,9 @@
 #include <string>
 #include <vector>
 
+#include "core/knobs.h"
 #include "portfolio/batch_runner.h"
 #include "service/signals.h"
-#include "simplify/pipeline.h"
 #include "util/metrics.h"
 
 using namespace hyqsat;
@@ -58,13 +51,19 @@ main(int argc, char **argv)
 {
     std::vector<std::string> paths;
     portfolio::BatchOptions opts;
-    opts.portfolio.base.annealer.noise = anneal::NoiseModel::noiseFree();
-    opts.portfolio.base.annealer.greedy_finish = true;
-    opts.portfolio.base.annealer.attempts = 2;
+    opts.portfolio.base.annealer =
+        anneal::QuantumAnnealer::Options::simulator();
     std::string json_path, csv_path, metrics_path, trace_path;
     bool strict = false, quiet = false;
 
     for (int i = 1; i < argc; ++i) {
+        std::string error;
+        if (core::parseFlag(argc, argv, i, opts.portfolio.base, error))
+            continue;
+        if (!error.empty()) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            return 2;
+        }
         const auto arg = [&](const char *name) {
             return !std::strcmp(argv[i], name) && i + 1 < argc;
         };
@@ -99,36 +98,6 @@ main(int argc, char **argv)
         } else if (arg("--memory-mb")) {
             opts.memory_budget_mb =
                 static_cast<std::size_t>(std::atoll(argv[++i]));
-        } else if (arg("--sampler")) {
-            opts.portfolio.base.sampler = argv[++i];
-        } else if (arg("--depth")) {
-            opts.portfolio.base.pipeline_depth =
-                std::max(1, std::atoi(argv[++i]));
-        } else if (arg("--num-reads")) {
-            opts.portfolio.base.num_reads =
-                std::max(1, std::atoi(argv[++i]));
-        } else if (arg("--reads-groups")) {
-            opts.portfolio.base.reads_groups =
-                std::max(0, std::atoi(argv[++i]));
-        } else if (arg("--topology")) {
-            const auto kind = topology::parseKind(argv[++i]);
-            if (!kind) {
-                std::fprintf(stderr,
-                             "bad --topology: %s (expected chimera, "
-                             "pegasus or zephyr)\n",
-                             argv[i]);
-                return 2;
-            }
-            opts.portfolio.base.topology = *kind;
-        } else if (arg("--simplify")) {
-            if (!simplify::parseStrength(
-                    argv[++i], opts.portfolio.base.simplify_strength)) {
-                std::fprintf(stderr,
-                             "bad --simplify level: %s (expected "
-                             "off, light or full)\n",
-                             argv[i]);
-                return 2;
-            }
         } else if (arg("--json")) {
             json_path = argv[++i];
         } else if (arg("--csv")) {
@@ -137,11 +106,6 @@ main(int argc, char **argv)
             metrics_path = argv[++i];
         } else if (arg("--trace")) {
             trace_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--noisy")) {
-            opts.portfolio.base.annealer.noise =
-                anneal::NoiseModel::dwave2000q();
-            opts.portfolio.base.annealer.greedy_finish = true;
-            opts.portfolio.base.annealer.attempts = 1;
         } else if (!std::strcmp(argv[i], "--no-share")) {
             opts.portfolio.share_clauses = false;
         } else if (!std::strcmp(argv[i], "--strict")) {
@@ -160,13 +124,9 @@ main(int argc, char **argv)
         std::printf(
             "usage: %s [files...] [--dir D] [--manifest F|-] "
             "[--workers N] [--jobs N] [--timeout-s X] [--conflicts N] "
-            "[--memory-mb M] [--sampler NAME] [--depth N] "
-            "[--num-reads N] [--reads-groups N] "
-            "[--topology chimera|pegasus|zephyr] "
-            "[--simplify off|light|full] [--noisy] [--no-share] "
-            "[--json FILE] [--csv FILE] "
-            "[--metrics FILE] [--trace FILE] [--strict] [--quiet]\n",
-            argv[0]);
+            "[--memory-mb M] [--no-share] [--json FILE] [--csv FILE] "
+            "[--metrics FILE] [--trace FILE] [--strict] [--quiet]%s\n",
+            argv[0], core::flagUsage().c_str());
         return 2;
     }
 

@@ -6,49 +6,28 @@
  * result in SAT-competition style ("s SATISFIABLE" + "v" lines).
  *
  *   ./build/examples/dimacs_solver problem.cnf [--classic]
- *       [--noisy] [--warmup N] [--sampler=NAME] [--depth N]
- *       [--num-reads N] [--reads-groups N]
- *       [--topology=NAME]
- *       [--timeout-s X] [--conflicts N]
- *       [--simplify[=<off|light|full>]] [--metrics FILE]
- *       [--trace FILE] [--no-frontend-cache]
- *       [--incremental-tracking]
+ *       [--warmup N] [--timeout-s X] [--conflicts N]
+ *       [--metrics FILE] [--trace FILE] [--no-frontend-cache]
+ *       [--incremental-tracking] [knob flags]
  *
- * --simplify selects the inprocessing strength (bare --simplify =
- * light): light runs the equivalence-preserving passes (units, SCC
- * equivalent literals, subsumption), full adds failed-literal
- * probing, vivification and bounded variable elimination; models
- * are reconstructed back to the input variables either way. The
- * hybrid path inprocesses inside HybridSolver (so the annealer
- * frontend sees the reduced formula); --classic preprocesses here
- * and extends the model afterwards.
+ * The knob flags every front door shares are parsed, range-checked
+ * and listed in the usage line by the knob table (core/knobs.h;
+ * README's CLI section explains them). Here a bare --simplify means
+ * light. The hybrid path inprocesses inside HybridSolver (so the
+ * annealer frontend sees the reduced formula); --classic
+ * preprocesses here and extends the model afterwards. Any other
+ * argument exits 2 with "unknown option".
  *
- * --sampler selects the annealing backend by name (sync, qa,
- * logical, sa, batch, async, async:<backend>); --depth >= 2 enables
- * the asynchronous pipeline on any backend. --num-reads N draws N
- * independent annealing reads per device call (best energy kept
- * first), mirroring a real QPU's num_reads knob; read 1 is always
- * bit-identical to a single-read run, so extra reads can only
- * improve the sample. The extra reads run through the lockstep SIMD
- * batch kernel (see src/anneal/sa_batch.h), and --reads-groups N
- * splits them into N parallel lockstep groups fanned across the
- * shared WorkPool (0 = auto: groups of up to 8 lanes), compounding
- * the per-core vector speedup with core count without changing
- * results.
- * --topology picks the hardware graph family (chimera, the D-Wave
- * 2000Q default; the higher-degree pegasus fabric whose skip
- * couplers shorten chains; or zephyr, which adds a third coupler
- * distance on top of pegasus's fabric). --timeout-s bounds the
- * run by wall clock (a watchdog thread trips the cooperative stop
- * token every layer observes) and --conflicts by conflict count;
- * either prints "s UNKNOWN" when it fires. --metrics dumps the
- * run's metrics registry as JSON ("hyqsat.metrics/1" schema);
- * --trace streams JSONL events (restarts, pipeline stalls, backend
- * outcomes) as they happen. --no-frontend-cache disables the
- * frontend's (embedding, encoding) memoization (ablation knob;
- * results are bit-identical either way) and --incremental-tracking
- * switches the solver to incremental satisfied-clause counters
- * instead of O(clauses) scans.
+ * --timeout-s bounds the run by wall clock (a watchdog thread
+ * trips the cooperative stop token every layer observes) and
+ * --conflicts by conflict count; either prints "s UNKNOWN" when it
+ * fires. --metrics dumps the run's metrics registry as JSON
+ * ("hyqsat.metrics/1" schema); --trace streams JSONL events
+ * (restarts, pipeline stalls, backend outcomes) as they happen.
+ * --no-frontend-cache disables the frontend's (embedding, encoding)
+ * memoization (ablation knob; results are bit-identical either way)
+ * and --incremental-tracking switches the solver to incremental
+ * satisfied-clause counters instead of O(clauses) scans.
  */
 
 #include <atomic>
@@ -63,6 +42,7 @@
 #include <thread>
 
 #include "core/hybrid_solver.h"
+#include "core/knobs.h"
 #include "sat/dimacs.h"
 #include "simplify/pipeline.h"
 #include "util/cancel.h"
@@ -74,81 +54,40 @@ int
 main(int argc, char **argv)
 {
     if (argc < 2) {
-        std::string names;
-        for (const auto &n : anneal::samplerNames())
-            names += (names.empty() ? "" : "|") + n;
-        std::printf("usage: %s problem.cnf [--classic] [--noisy] "
-                    "[--warmup N] [--sampler=%s] [--depth N] "
-                    "[--num-reads N] [--reads-groups N] "
-                    "[--topology=chimera|pegasus|zephyr] "
+        std::printf("usage: %s problem.cnf [--classic] [--warmup N]%s "
                     "[--timeout-s X] [--conflicts N] "
-                    "[--simplify[=off|light|full]] "
                     "[--metrics FILE] [--trace FILE] "
                     "[--no-frontend-cache] [--incremental-tracking]\n",
-                    argv[0], names.c_str());
+                    argv[0], core::flagUsage().c_str());
         return 2;
     }
     const std::string path = argv[1];
-    bool classic = false, noisy = false;
-    simplify::Strength strength = simplify::Strength::Off;
-    std::int64_t warmup = -1;
-    std::string sampler = "sync";
-    int depth = 1;
-    int num_reads = 1;
-    int reads_groups = 0;
-    topology::Kind topo = topology::Kind::Chimera;
+    // The shared knobs (core/knobs.h) land straight in the hybrid
+    // config; --classic reads only its simplify strength.
+    core::HybridConfig config;
+    config.annealer = anneal::QuantumAnnealer::Options::simulator();
+    bool classic = false;
     double timeout_s = 0.0;
     std::int64_t conflict_budget = -1;
-    bool frontend_cache = true, incremental_tracking = false;
     std::string metrics_path, trace_path;
     for (int i = 2; i < argc; ++i) {
+        // Bare --simplify means light here, so this CLI never reads
+        // the table's `--simplify LEVEL` form.
+        if (!std::strcmp(argv[i], "--simplify")) {
+            config.simplify_strength = simplify::Strength::Light;
+            continue;
+        }
+        std::string error;
+        if (core::parseFlag(argc, argv, i, config, error))
+            continue;
+        if (!error.empty()) {
+            std::printf("c %s\n", error.c_str());
+            return 2;
+        }
         if (!std::strcmp(argv[i], "--classic"))
             classic = true;
-        else if (!std::strcmp(argv[i], "--noisy"))
-            noisy = true;
-        else if (!std::strcmp(argv[i], "--simplify"))
-            strength = simplify::Strength::Light;
-        else if (!std::strncmp(argv[i], "--simplify=", 11)) {
-            if (!simplify::parseStrength(argv[i] + 11, strength)) {
-                std::printf("c bad --simplify level: %s (expected "
-                            "off, light or full)\n",
-                            argv[i] + 11);
-                return 2;
-            }
-        }
         else if (!std::strcmp(argv[i], "--warmup") && i + 1 < argc)
-            warmup = std::atoll(argv[++i]);
-        else if (!std::strncmp(argv[i], "--sampler=", 10))
-            sampler = argv[i] + 10;
-        else if (!std::strcmp(argv[i], "--sampler") && i + 1 < argc)
-            sampler = argv[++i];
-        else if (!std::strcmp(argv[i], "--depth") && i + 1 < argc)
-            depth = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--num-reads") && i + 1 < argc)
-            num_reads = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--reads-groups") &&
-                 i + 1 < argc)
-            reads_groups = std::atoi(argv[++i]);
-        else if (!std::strncmp(argv[i], "--topology=", 11)) {
-            const auto kind = topology::parseKind(argv[i] + 11);
-            if (!kind) {
-                std::printf("c bad --topology: %s (expected chimera, "
-                            "pegasus or zephyr)\n",
-                            argv[i] + 11);
-                return 2;
-            }
-            topo = *kind;
-        }
-        else if (!std::strcmp(argv[i], "--topology") && i + 1 < argc) {
-            const auto kind = topology::parseKind(argv[++i]);
-            if (!kind) {
-                std::printf("c bad --topology: %s (expected chimera, "
-                            "pegasus or zephyr)\n",
-                            argv[i]);
-                return 2;
-            }
-            topo = *kind;
-        }
+            config.warmup_override = std::atoll(argv[++i]);
         else if (!std::strcmp(argv[i], "--timeout-s") && i + 1 < argc)
             timeout_s = std::atof(argv[++i]);
         else if (!std::strcmp(argv[i], "--conflicts") && i + 1 < argc)
@@ -158,10 +97,15 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc)
             trace_path = argv[++i];
         else if (!std::strcmp(argv[i], "--no-frontend-cache"))
-            frontend_cache = false;
+            config.frontend.cache_embeddings = false;
         else if (!std::strcmp(argv[i], "--incremental-tracking"))
-            incremental_tracking = true;
+            config.solver.incremental_clause_tracking = true;
+        else {
+            std::printf("c unknown option %s\n", argv[i]);
+            return 2;
+        }
     }
+    const simplify::Strength strength = config.simplify_strength;
 
     // One registry for the whole run; the solve layers merge their
     // per-solve registries into it on the way out. The trace sink
@@ -263,34 +207,16 @@ main(int argc, char **argv)
         opts.conflict_budget = conflict_budget;
         result = core::solveClassicCdcl(cnf, opts, &stop, &registry);
     } else {
-        core::HybridConfig config;
         config.stop = &stop;
         config.metrics = &registry;
         config.solver.conflict_budget = conflict_budget;
-        config.solver.incremental_clause_tracking =
-            incremental_tracking;
-        config.frontend.cache_embeddings = frontend_cache;
-        if (noisy) {
-            config.annealer.noise = anneal::NoiseModel::dwave2000q();
-        } else {
-            config.annealer.noise = anneal::NoiseModel::noiseFree();
-            config.annealer.greedy_finish = true;
-            config.annealer.attempts = 2;
-        }
-        config.warmup_override = warmup;
-        config.simplify_strength = strength;
-        config.sampler = sampler;
-        config.pipeline_depth = std::max(depth, 1);
-        config.num_reads = std::max(num_reads, 1);
-        config.reads_groups = std::max(reads_groups, 0);
-        config.topology = topo;
         core::HybridSolver solver(config);
         result = solver.solve(cnf);
         std::printf("c sampler=%s depth=%d num_reads=%d "
                     "reads_groups=%d topology=%s simplify=%s\n",
                     config.sampler.c_str(), config.pipeline_depth,
                     config.num_reads, config.reads_groups,
-                    topology::kindName(topo),
+                    topology::kindName(config.topology),
                     simplify::strengthName(strength));
         std::printf("c %d QA samples applied over %d warm-up "
                     "iterations (%d submitted, %d stale, %d stalls)\n",

@@ -32,9 +32,7 @@ main(int argc, char **argv)
                 cnf.numVars(), cnf.numClauses());
 
     core::HybridConfig config;
-    config.annealer.noise = anneal::NoiseModel::noiseFree();
-    config.annealer.greedy_finish = true;
-    config.annealer.attempts = 2;
+    config.annealer = anneal::QuantumAnnealer::Options::simulator();
     core::HybridSolver solver(config);
     const auto result = solver.solve(sat::toThreeSat(cnf));
 

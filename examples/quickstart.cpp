@@ -43,9 +43,7 @@ main(int argc, char **argv)
 
     // --- HyQSAT: CDCL + simulated quantum annealer warm-up.
     core::HybridConfig config;
-    config.annealer.noise = anneal::NoiseModel::noiseFree();
-    config.annealer.greedy_finish = true;
-    config.annealer.attempts = 2;
+    config.annealer = anneal::QuantumAnnealer::Options::simulator();
     core::HybridSolver hybrid(config);
     const auto result = hybrid.solve(cnf);
 

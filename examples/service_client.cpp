@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "core/knobs.h"
 #include "service/protocol.h"
 
 using namespace hyqsat;
@@ -181,9 +182,9 @@ main(int argc, char **argv)
             priority = std::atoi(argv[++i]);
         } else if (arg("--simplify")) {
             simplify_level = argv[++i];
-            if (simplify_level != "off" &&
-                simplify_level != "light" &&
-                simplify_level != "full") {
+            // The same knob-table row the server validates OPEN with.
+            if (!core::parseOverride("simplify=" + simplify_level,
+                                     /*open=*/true)) {
                 std::fprintf(stderr,
                              "bad --simplify level: %s (expected "
                              "off, light or full)\n",

@@ -8,21 +8,16 @@
  *   ./build/examples/solver_daemon --socket /tmp/hyqsat.sock
  *       [--port N] [--jobs N] [--workers N] [--queue-depth N]
  *       [--tenant-depth N] [--timeout-s X] [--conflicts N]
- *       [--memory-mb M] [--sampler NAME] [--depth N]
- *       [--num-reads N] [--reads-groups N]
- *       [--topology NAME]
- *       [--simplify off|light|full] [--noisy]
+ *       [--memory-mb M] [--sessions N] [--tenant-sessions N]
  *       [--drain finish|cancel] [--metrics FILE] [--trace FILE]
- *       [--quiet]
+ *       [--quiet] [knob flags]
  *
- * --simplify sets the default inprocessing strength applied to every
- * job; a client's SUBMIT may override it per job with the optional
- * simplify=<level> token. --topology chimera|pegasus|zephyr sets the
- * default hardware graph family, and --reads-groups N how many
- * parallel lockstep groups a multi-read anneal fans its extra reads
- * across the WorkPool in (0 = auto: groups of up to 8 lanes); a
- * SUBMIT may override them with topology=<name> / reads_groups=<n>
- * tokens, and every report row echoes the effective values.
+ * The knob flags every front door shares set the default solver
+ * configuration of every job and session; the knob table
+ * (core/knobs.h) parses, range-checks and lists them in the usage
+ * line, and marks which of them a SUBMIT or OPEN may override per
+ * job with a key=value token. Every report row echoes the
+ * effective simplify, topology and reads_groups.
  *
  * Clients speak the line protocol of service/protocol.h (SUBMIT /
  * WAIT / STATUS / METRICS / SHUTDOWN); the bundled service_client
@@ -53,11 +48,11 @@
 #include <string>
 #include <thread>
 
+#include "core/knobs.h"
 #include "service/scheduler.h"
 #include "service/server.h"
 #include "service/session_manager.h"
 #include "service/signals.h"
-#include "simplify/pipeline.h"
 #include "util/metrics.h"
 
 using namespace hyqsat;
@@ -66,10 +61,8 @@ int
 main(int argc, char **argv)
 {
     service::SchedulerOptions sopts;
-    sopts.portfolio.base.annealer.noise =
-        anneal::NoiseModel::noiseFree();
-    sopts.portfolio.base.annealer.greedy_finish = true;
-    sopts.portfolio.base.annealer.attempts = 2;
+    sopts.portfolio.base.annealer =
+        anneal::QuantumAnnealer::Options::simulator();
     service::ServerOptions server_opts;
     service::SessionManagerOptions session_opts;
     service::DrainPolicy signal_policy =
@@ -78,6 +71,13 @@ main(int argc, char **argv)
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
+        std::string error;
+        if (core::parseFlag(argc, argv, i, sopts.portfolio.base, error))
+            continue;
+        if (!error.empty()) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            return 2;
+        }
         const auto arg = [&](const char *name) {
             return !std::strcmp(argv[i], name) && i + 1 < argc;
         };
@@ -108,37 +108,6 @@ main(int argc, char **argv)
         } else if (arg("--tenant-sessions")) {
             session_opts.max_per_tenant =
                 static_cast<std::size_t>(std::atoll(argv[++i]));
-        } else if (arg("--sampler")) {
-            sopts.portfolio.base.sampler = argv[++i];
-        } else if (arg("--depth")) {
-            sopts.portfolio.base.pipeline_depth =
-                std::max(1, std::atoi(argv[++i]));
-        } else if (arg("--num-reads")) {
-            sopts.portfolio.base.num_reads =
-                std::max(1, std::atoi(argv[++i]));
-        } else if (arg("--reads-groups")) {
-            sopts.portfolio.base.reads_groups =
-                std::max(0, std::atoi(argv[++i]));
-        } else if (arg("--topology")) {
-            const auto kind = topology::parseKind(argv[++i]);
-            if (!kind) {
-                std::fprintf(stderr,
-                             "bad --topology: %s (expected chimera, "
-                             "pegasus or zephyr)\n",
-                             argv[i]);
-                return 2;
-            }
-            sopts.portfolio.base.topology = *kind;
-        } else if (arg("--simplify")) {
-            if (!simplify::parseStrength(
-                    argv[++i],
-                    sopts.portfolio.base.simplify_strength)) {
-                std::fprintf(stderr,
-                             "bad --simplify level: %s (expected "
-                             "off, light or full)\n",
-                             argv[i]);
-                return 2;
-            }
         } else if (arg("--drain")) {
             const std::string policy = argv[++i];
             if (policy == "cancel") {
@@ -152,11 +121,6 @@ main(int argc, char **argv)
             metrics_path = argv[++i];
         } else if (arg("--trace")) {
             trace_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--noisy")) {
-            sopts.portfolio.base.annealer.noise =
-                anneal::NoiseModel::dwave2000q();
-            sopts.portfolio.base.annealer.greedy_finish = true;
-            sopts.portfolio.base.annealer.attempts = 1;
         } else if (!std::strcmp(argv[i], "--quiet")) {
             quiet = true;
         } else {
@@ -171,13 +135,9 @@ main(int argc, char **argv)
             "[--workers N] [--queue-depth N] [--tenant-depth N] "
             "[--timeout-s X] [--conflicts N] [--memory-mb M] "
             "[--sessions N] [--tenant-sessions N] "
-            "[--sampler NAME] [--depth N] "
-            "[--num-reads N] [--reads-groups N] "
-            "[--topology chimera|pegasus|zephyr] "
-            "[--simplify off|light|full] [--noisy] "
             "[--drain finish|cancel] [--metrics FILE] "
-            "[--trace FILE] [--quiet]\n",
-            argv[0]);
+            "[--trace FILE] [--quiet]%s\n",
+            argv[0], core::flagUsage().c_str());
         return 2;
     }
 
@@ -207,8 +167,8 @@ main(int argc, char **argv)
 
     service::JobScheduler scheduler(sopts);
     // Sessions reuse the portfolio's base solver configuration (so
-    // --sampler/--depth/--simplify/--noisy shape them too) and the
-    // daemon registry for the service-level session.* counters.
+    // the knob flags shape them too) and the daemon registry for the
+    // service-level session.* counters.
     session_opts.hybrid = sopts.portfolio.base;
     session_opts.metrics = &registry;
     service::SessionManager sessions(session_opts);

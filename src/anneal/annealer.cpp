@@ -102,6 +102,25 @@ resolveCouplingSlots(const qubo::CsrIsing &csr,
 
 } // namespace
 
+QuantumAnnealer::Options
+QuantumAnnealer::Options::simulator()
+{
+    Options opts = dwave2000q();
+    opts.noise = NoiseModel::noiseFree();
+    opts.attempts = 2;
+    return opts;
+}
+
+QuantumAnnealer::Options
+QuantumAnnealer::Options::dwave2000q()
+{
+    Options opts;
+    opts.noise = NoiseModel::dwave2000q();
+    opts.greedy_finish = true;
+    opts.attempts = 1;
+    return opts;
+}
+
 QuantumAnnealer::QuantumAnnealer(const chimera::ChimeraGraph &graph,
                                  Options opts)
     : graph_(graph), opts_(opts), rng_(opts.seed)
@@ -363,43 +382,6 @@ QuantumAnnealer::sample(const qubo::EncodedProblem &problem,
         if (out.clause_energy == 0.0)
             break;
     }
-    return out;
-}
-
-AnnealSample
-QuantumAnnealer::sampleMajorityVote(const qubo::EncodedProblem &problem,
-                                    const embed::Embedding &embedding,
-                                    int samples)
-{
-    AnnealSample out;
-    const int num_nodes = problem.numNodes();
-    out.node_bits.assign(num_nodes, false);
-    if (num_nodes == 0 || samples <= 0)
-        return out;
-
-    SaStats total;
-    std::vector<int> votes(num_nodes, 0);
-    for (int k = 0; k < samples; ++k) {
-        const AnnealSample shot = sample(problem, embedding);
-        addStats(total, run_stats_);
-        if (shot.cancelled) {
-            out.cancelled = true;
-            break;
-        }
-        out.chain_breaks += shot.chain_breaks;
-        for (int n = 0; n < num_nodes; ++n)
-            votes[n] += shot.node_bits[n] ? 1 : -1;
-    }
-    for (int n = 0; n < num_nodes; ++n) {
-        if (votes[n] == 0)
-            out.node_bits[n] = rng_.chance(0.5);
-        else
-            out.node_bits[n] = votes[n] > 0;
-    }
-    out.clause_energy = problem.clauseSpaceEnergy(out.node_bits);
-    out.weighted_energy = problem.objective.energy(out.node_bits);
-    out.device_time_us = opts_.timing.sampleTimeUs(samples);
-    run_stats_ = total;
     return out;
 }
 

@@ -91,8 +91,9 @@ class QuantumAnnealer
         double chain_strength = 1.0;
 
         /**
-         * Zero-temperature descent after the anneal. On for the
-         * noise-free simulator, off for noisy device emulation.
+         * Zero-temperature descent after the anneal. Both presets
+         * below turn it on: a physical device also relaxes into a
+         * local minimum of its noise-perturbed final Hamiltonian.
          */
         bool greedy_finish = false;
 
@@ -126,6 +127,12 @@ class QuantumAnnealer
         int reads_groups = 0;
 
         std::uint64_t seed = 0x5eed0f2a;
+
+        /** The §VI-B noise-free simulator: two attempts. */
+        static Options simulator();
+
+        /** The §VI-C noisy D-Wave 2000Q: one shot. */
+        static Options dwave2000q();
     };
 
     QuantumAnnealer(const chimera::ChimeraGraph &graph, Options opts);
@@ -159,18 +166,6 @@ class QuantumAnnealer
                                const embed::CompiledSlot *slot);
 
     /**
-     * Classical noise mitigation from the paper's related work
-     * (§VIII-C, majority voting [63]): draw @p samples device shots
-     * and majority-vote every node's value across them; the
-     * returned sample carries the voted assignment, its energies
-     * and the summed device time. HyQSAT itself deliberately uses
-     * one shot per iteration; this is the baseline it avoids.
-     */
-    AnnealSample sampleMajorityVote(const qubo::EncodedProblem &problem,
-                                    const embed::Embedding &embedding,
-                                    int samples);
-
-    /**
      * The sampler sample() anneals for (@p problem, @p embedding):
      * the compiled physical model with its chain groups and one
      * control-noise draw applied (the draws sample() makes first).
@@ -185,7 +180,7 @@ class QuantumAnnealer
      * Cooperative cancellation for every later sample: the token is
      * polled once per SA sweep (SaOptions::stop). A sample it cuts
      * short comes back marked AnnealSample::cancelled, with no
-     * further attempts or shots. nullptr (the default) = none.
+     * further attempts. nullptr (the default) = none.
      */
     void setStopToken(const StopToken *stop) { stop_ = stop; }
 
@@ -196,8 +191,8 @@ class QuantumAnnealer
 
     /**
      * Annealing work counters of the most recent sample() /
-     * sampleLogical() / sampleMajorityVote() call (summed over
-     * attempts, reads and shots). Feeds the anneal.* metrics.
+     * sampleLogical() call (summed over attempts and reads). Feeds
+     * the anneal.* metrics.
      */
     const SaStats &lastRunStats() const { return run_stats_; }
 

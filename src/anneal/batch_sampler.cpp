@@ -81,9 +81,8 @@ BatchSampler::compute(const SampleRequest &request)
     }
     AnnealSample out = results_[best];
 
-    // Device model: N consecutive anneal-readout cycles (the same
-    // schedule sampleMajorityVote charges), regardless of the host
-    // running them in parallel.
+    // Device model: N consecutive anneal-readout cycles, regardless
+    // of the host running them in parallel.
     out.device_time_us = opts_.annealer.timing.sampleTimeUs(n);
     int breaks = 0;
     for (const auto &r : results_) {

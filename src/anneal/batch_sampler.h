@@ -6,8 +6,8 @@
  * (ties resolved by worker index for determinism).
  *
  * This models a multi-read device schedule — the reported device
- * time is N consecutive anneal-readout cycles, exactly like
- * QuantumAnnealer::sampleMajorityVote — while the host-side cost is
+ * time is N consecutive anneal-readout cycles
+ * (TimingModel::sampleTimeUs(N)) — while the host-side cost is
  * amortized across cores. Per-worker results are deterministic
  * regardless of which pool thread runs which worker: each worker
  * owns its annealer (and Rng), and the submitting thread joins the

@@ -41,6 +41,8 @@ namespace hyqsat::core {
 struct HybridConfig
 {
     sat::SolverOptions solver = sat::SolverOptions::minisatStyle();
+
+    /** Device model; num_reads/reads_groups below replace its own. */
     anneal::QuantumAnnealer::Options annealer;
     FrontendOptions frontend;
     BackendOptions backend;
@@ -92,20 +94,11 @@ struct HybridConfig
     int batch_samples = 4;
 
     /**
-     * Independent annealing reads per device sample; the best energy
-     * wins (anneal::SaOptions::num_reads). 1 reproduces the
-     * single-chain sampler bit for bit; reads beyond the first run
-     * in lockstep SIMD groups on the shared WorkPool.
+     * Annealing reads per device sample and the parallel lockstep
+     * groups the extra reads split into (0 = auto). The sampler spec
+     * copies both into the annealer options, which document them.
      */
     int num_reads = 1;
-
-    /**
-     * Parallel lockstep groups the extra reads split into
-     * (anneal::SaOptions::reads_groups): 0 auto-sizes groups of up
-     * to 8 SIMD lanes fanned across the shared WorkPool, 1 forces a
-     * single group, N pins the group count. Results are a pure
-     * function of (seed, model, options) for every value.
-     */
     int reads_groups = 0;
 
     /** Modeled network round trip per async sample (microseconds). */

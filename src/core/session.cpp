@@ -51,8 +51,7 @@ pipelineDelta(const PipelineStats &after, const PipelineStats &before)
 
 /**
  * Sampler backend spec derived from a hybrid configuration: the
- * depth>=2 async wrapping, num_reads composition and stop-token
- * plumbing.
+ * depth>=2 async wrapping, the read counts and stop-token plumbing.
  */
 anneal::SamplerSpec
 hybridSamplerSpec(const HybridConfig &config)
@@ -60,13 +59,8 @@ hybridSamplerSpec(const HybridConfig &config)
     anneal::SamplerSpec spec;
     spec.name = config.sampler;
     spec.annealer = config.annealer;
-    // The top-level knob and a directly-configured annealer option
-    // compose as "whoever asks for more reads wins".
-    spec.annealer.num_reads =
-        std::max({config.num_reads, config.annealer.num_reads, 1});
-    spec.annealer.reads_groups =
-        config.reads_groups > 0 ? config.reads_groups
-                                : config.annealer.reads_groups;
+    spec.annealer.num_reads = config.num_reads;
+    spec.annealer.reads_groups = config.reads_groups;
     spec.batch_samples = config.batch_samples;
     spec.pipeline_depth = std::max(config.pipeline_depth, 2);
     spec.rtt_us = config.rtt_us;

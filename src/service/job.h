@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <string>
 
+#include "core/knobs.h"
+
 namespace hyqsat::service {
 
 /** Monotonic per-scheduler job identifier (0 = invalid). */
@@ -48,24 +50,10 @@ struct JobSpec
     double timeout_s = 0.0;
 
     /**
-     * Inprocessing strength override ("off", "light", "full"); ""
-     * keeps the scheduler's configured portfolio defaults. Applied
-     * to every worker's base config before diversification.
+     * Validated SUBMIT overrides (core/knobs.h), applied to the base
+     * config and every explicit worker before diversification.
      */
-    std::string simplify;
-
-    /**
-     * Hardware-topology override ("chimera", "pegasus"); "" keeps
-     * the scheduler's configured default. Applied like simplify.
-     */
-    std::string topology;
-
-    /**
-     * Parallel lockstep-group override for the extra reads: >= 0
-     * pins HybridConfig::reads_groups (0 = auto-sized groups of up
-     * to 8 lanes), -1 keeps the scheduler's configured default.
-     */
-    int reads_groups = -1;
+    core::KnobOverrides overrides;
 };
 
 /** Admission-control verdict for one submit. */

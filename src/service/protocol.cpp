@@ -1,9 +1,8 @@
 #include "service/protocol.h"
 
+#include <cctype>
 #include <charconv>
 
-#include "simplify/pipeline.h"
-#include "topology/topology.h"
 #include "util/metrics.h"
 
 namespace hyqsat::service {
@@ -29,44 +28,62 @@ parseInt(std::string_view tok, int &out)
 }
 
 /**
- * Parse one trailing `key=value` override token of SUBMIT/OPEN.
- * Values are validated here so the scheduler can apply them blindly.
+ * `key=<value>` for every knob-table row SUBMIT (or, with @p open,
+ * OPEN) takes, in table order; the protocol writes value
+ * placeholders in lower case.
  */
-bool
-parseOption(std::string_view opt, Request &req)
+std::vector<std::string>
+overrideKeys(bool open)
 {
-    constexpr std::string_view kSimplify = "simplify=";
-    constexpr std::string_view kTopology = "topology=";
-    constexpr std::string_view kReadsGroups = "reads_groups=";
-    if (opt.rfind(kSimplify, 0) == 0) {
-        const auto value = opt.substr(kSimplify.size());
-        simplify::Strength strength;
-        if (!simplify::parseStrength(std::string(value), strength))
-            return false;
-        req.simplify = std::string(value);
-        return true;
+    std::vector<std::string> keys;
+    for (const core::Knob &knob : core::knobs()) {
+        if (!knob.key || (open && !knob.open))
+            continue;
+        std::string syntax = knob.syntax;
+        for (char &c : syntax)
+            c = static_cast<char>(
+                std::tolower(static_cast<unsigned char>(c)));
+        keys.push_back(std::string(knob.key) + "=<" + syntax + ">");
     }
-    if (opt.rfind(kTopology, 0) == 0) {
-        const auto value = opt.substr(kTopology.size());
-        if (!topology::parseKind(value).has_value())
-            return false;
-        req.topology = std::string(value);
-        return true;
-    }
-    if (opt.rfind(kReadsGroups, 0) == 0) {
-        const auto value = opt.substr(kReadsGroups.size());
-        int groups = -1;
-        if (!parseInt(value, groups) || groups < 0 || groups > 4096)
-            return false;
-        req.reads_groups = groups;
-        return true;
-    }
-    return false;
+    return keys;
 }
 
-constexpr const char *kOptionUsage =
-    "simplify=<off|light|full>, topology=<chimera|pegasus|zephyr> "
-    "or reads_groups=<n>";
+/** "usage: <verb and fields> [key=<value>]..." */
+std::string
+usageWithKeys(const char *fields, const std::vector<std::string> &keys)
+{
+    std::string out = std::string("usage: ") + fields;
+    for (const std::string &key : keys)
+        out += " [" + key + "]";
+    return out;
+}
+
+/**
+ * Parse SUBMIT/OPEN's trailing `key=value` tokens (from @p first on)
+ * into req.overrides; on a bad one set req.error to the @p keys
+ * expected and return false.
+ */
+bool
+parseOverrides(const std::vector<std::string_view> &tokens,
+               std::size_t first, bool open,
+               const std::vector<std::string> &keys, Request &req)
+{
+    for (std::size_t i = first; i < tokens.size(); ++i) {
+        auto parsed = core::parseOverride(tokens[i], open);
+        if (!parsed) {
+            req.error = "bad option (expected ";
+            for (std::size_t k = 0; k < keys.size(); ++k) {
+                if (k > 0)
+                    req.error += k + 1 < keys.size() ? ", " : " or ";
+                req.error += keys[k];
+            }
+            req.error += "): " + std::string(tokens[i]);
+            return false;
+        }
+        req.overrides.push_back(std::move(*parsed));
+    }
+    return true;
+}
 
 } // namespace
 
@@ -105,25 +122,18 @@ parseRequest(std::string_view line)
         // SUBMIT <tenant> <priority> <name> [key=value...] — all
         // single tokens; the optional extras are key=value overrides
         // in any order (anything else stays Invalid).
-        if (tokens.size() < 4 || tokens.size() > 7) {
-            req.error = "usage: SUBMIT <tenant> <priority> <name> "
-                        "[simplify=<off|light|full>] "
-                        "[topology=<chimera|pegasus|zephyr>] "
-                        "[reads_groups=<n>]";
+        const std::vector<std::string> keys = overrideKeys(false);
+        if (tokens.size() < 4 || tokens.size() > 4 + keys.size()) {
+            req.error =
+                usageWithKeys("SUBMIT <tenant> <priority> <name>", keys);
             return req;
         }
         if (!parseInt(tokens[2], req.priority)) {
             req.error = "bad priority";
             return req;
         }
-        for (std::size_t i = 4; i < tokens.size(); ++i) {
-            if (!parseOption(tokens[i], req)) {
-                req.error = "bad option (expected " +
-                            std::string(kOptionUsage) +
-                            "): " + std::string(tokens[i]);
-                return req;
-            }
-        }
+        if (!parseOverrides(tokens, 4, false, keys, req))
+            return req;
         req.verb = Verb::Submit;
         req.tenant = std::string(tokens[1]);
         req.name = std::string(tokens[3]);
@@ -163,23 +173,15 @@ parseRequest(std::string_view line)
         return req;
     }
     if (verb == "OPEN") {
-        // OPEN <tenant> [simplify=<level>] — same optional override
-        // key SUBMIT takes.
-        if (tokens.size() != 2 && tokens.size() != 3) {
-            req.error =
-                "usage: OPEN <tenant> [simplify=<off|light|full>]";
+        // OPEN <tenant> [key=value...] — the subset of SUBMIT's
+        // override keys the knob table marks for OPEN.
+        const std::vector<std::string> keys = overrideKeys(true);
+        if (tokens.size() < 2 || tokens.size() > 2 + keys.size()) {
+            req.error = usageWithKeys("OPEN <tenant>", keys);
             return req;
         }
-        if (tokens.size() == 3) {
-            const std::string_view opt = tokens[2];
-            if (opt.rfind("simplify=", 0) != 0 ||
-                !parseOption(opt, req)) {
-                req.error = "bad option (expected "
-                            "simplify=<off|light|full>): " +
-                            std::string(opt);
-                return req;
-            }
-        }
+        if (!parseOverrides(tokens, 2, true, keys, req))
+            return req;
         req.verb = Verb::Open;
         req.tenant = std::string(tokens[1]);
         return req;

@@ -6,10 +6,8 @@
  * daemon without a serialization library.
  *
  * Client -> server:
- *   SUBMIT <tenant> <priority> <name> [simplify=<off|light|full>]
- *                    [topology=<chimera|pegasus|zephyr>]
- *                    [reads_groups=<n>]
- *                    then DIMACS lines, then END
+ *   SUBMIT <tenant> <priority> <name> [key=value...]
+ *                    then DIMACS lines, then END (keys: core/knobs.h)
  *   WAIT <id>        block until the job finishes
  *   STATUS <id>      non-blocking state probe
  *   METRICS          /metrics-style text snapshot
@@ -84,10 +82,7 @@ struct Request
     std::string tenant;
     int priority = 0;
     std::string name;
-    std::string simplify; ///< "" = daemon default strength
-    std::string topology; ///< "" = daemon default hardware graph
-    int reads_groups = -1; ///< -1 = daemon default, else >= 0
-                           ///< (0 = auto-sized lockstep groups)
+    core::KnobOverrides overrides; ///< key=value tokens, validated
 
     // WAIT / STATUS / session-verb id field.
     JobId id = 0;

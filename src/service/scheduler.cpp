@@ -379,38 +379,15 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
     popts.external_stop = &job->stop;
     popts.metrics = &inst_metrics;
 
-    // Per-job inprocessing override: retarget the base config (and
-    // any explicit worker slate) before diversification. An invalid
-    // spelling was already rejected at the protocol layer; here it
-    // just falls back to the configured default.
-    simplify::Strength strength = popts.base.simplify_strength;
-    if (!spec.simplify.empty() &&
-        simplify::parseStrength(spec.simplify, strength)) {
-        popts.base.simplify_strength = strength;
-        for (portfolio::WorkerConfig &w : popts.workers)
-            w.hybrid.simplify_strength = strength;
-    }
-    rec.simplify = simplify::strengthName(strength);
-
-    // Topology and lockstep-group overrides, applied the same way
-    // (base config + any explicit slate; echoed in the record).
-    topology::Kind topo = popts.base.topology;
-    if (const auto kind = topology::parseKind(spec.topology)) {
-        topo = *kind;
-        popts.base.topology = topo;
-        for (portfolio::WorkerConfig &w : popts.workers)
-            w.hybrid.topology = topo;
-    }
-    rec.topology = topology::kindName(topo);
-
-    int reads_groups = popts.base.reads_groups;
-    if (spec.reads_groups >= 0) {
-        reads_groups = spec.reads_groups;
-        popts.base.reads_groups = reads_groups;
-        for (portfolio::WorkerConfig &w : popts.workers)
-            w.hybrid.reads_groups = reads_groups;
-    }
-    rec.reads_groups = reads_groups;
+    // Per-job overrides retarget the base config and any explicit
+    // worker slate before diversification; the record echoes the
+    // effective base values.
+    core::applyOverrides(spec.overrides, popts.base);
+    for (portfolio::WorkerConfig &w : popts.workers)
+        core::applyOverrides(spec.overrides, w.hybrid);
+    rec.simplify = simplify::strengthName(popts.base.simplify_strength);
+    rec.topology = topology::kindName(popts.base.topology);
+    rec.reads_groups = popts.base.reads_groups;
 
     const int workers = popts.workers.empty()
                             ? popts.num_workers

@@ -262,9 +262,7 @@ Server::serveConnection(int fd)
             spec.tenant = req.tenant;
             spec.priority = req.priority;
             spec.name = req.name;
-            spec.simplify = req.simplify;
-            spec.topology = req.topology;
-            spec.reads_groups = req.reads_groups;
+            spec.overrides = req.overrides;
             spec.dimacs = std::move(dimacs);
             const Submission sub = scheduler_.submit(std::move(spec));
             if (!sendLine(fd, formatSubmission(sub)))
@@ -317,7 +315,7 @@ Server::serveConnection(int fd)
                 break;
             }
             const OpenResult res =
-                sessions_->open(req.tenant, req.simplify);
+                sessions_->open(req.tenant, req.overrides);
             const std::string reply =
                 res.accepted ? "OK " + std::to_string(res.id)
                              : "REJECTED " + res.reject_reason;

@@ -115,7 +115,7 @@ SessionManager::closeLocked(SessionId sid)
 
 OpenResult
 SessionManager::open(const std::string &tenant,
-                     const std::string &simplify)
+                     const core::KnobOverrides &overrides)
 {
     OpenResult out;
     std::lock_guard<std::mutex> lock(mutex_);
@@ -135,10 +135,7 @@ SessionManager::open(const std::string &tenant,
         return reject("tenant_sessions_full");
 
     core::HybridConfig config = opts_.hybrid;
-    simplify::Strength strength;
-    if (!simplify.empty() &&
-        simplify::parseStrength(simplify, strength))
-        config.simplify_strength = strength;
+    core::applyOverrides(overrides, config);
 
     auto entry = std::make_shared<Entry>();
     entry->tenant = tenant;

@@ -77,12 +77,11 @@ class SessionManager
     SessionManager &operator=(const SessionManager &) = delete;
 
     /**
-     * Open a session for @p tenant. @p simplify overrides the base
-     * config's inprocessing strength ("off"/"light"/"full", "" =
-     * keep the default).
+     * Open a session for @p tenant, its base config retargeted by
+     * the validated OPEN @p overrides (core/knobs.h).
      */
     OpenResult open(const std::string &tenant,
-                    const std::string &simplify);
+                    const core::KnobOverrides &overrides);
 
     /**
      * Add clauses from DIMACS text (a full file with a `p cnf`

@@ -164,52 +164,6 @@ TEST(Annealer, EmptyProblemIsTrivial)
     EXPECT_TRUE(s.node_bits.empty());
 }
 
-TEST(Annealer, MajorityVoteImprovesNoisySamples)
-{
-    const auto g = chimera::ChimeraGraph::dwave2000q();
-    Rng rng(11);
-    const auto cnf = sat::testing::randomCnf(15, 35, 3, rng);
-    const std::vector<LitVec> clauses(cnf.clauses().begin(),
-                                      cnf.clauses().end());
-    const auto fx = embedFixture(g, clauses);
-
-    QuantumAnnealer::Options noisy;
-    noisy.noise.readout_flip_prob = 0.15;
-    noisy.greedy_finish = true;
-    QuantumAnnealer qa(g, noisy);
-
-    double single = 0, voted = 0;
-    for (int i = 0; i < 8; ++i) {
-        single += qa.sample(fx.problem, fx.embedding).clause_energy;
-        voted += qa.sampleMajorityVote(fx.problem, fx.embedding, 5)
-                     .clause_energy;
-    }
-    EXPECT_LE(voted, single);
-}
-
-TEST(Annealer, MajorityVoteChargesDeviceTimePerShot)
-{
-    const chimera::ChimeraGraph g(2, 2, 4);
-    QuantumAnnealer qa(g, {});
-    const auto fx = embedFixture(g, {{mkLit(0), mkLit(1)}});
-    const auto s = qa.sampleMajorityVote(fx.problem, fx.embedding, 4);
-    TimingModel t;
-    EXPECT_DOUBLE_EQ(s.device_time_us, t.sampleTimeUs(4));
-}
-
-TEST(Annealer, MajorityVoteEmptyCases)
-{
-    const chimera::ChimeraGraph g(2, 2, 4);
-    QuantumAnnealer qa(g, {});
-    const qubo::EncodedProblem empty;
-    const embed::Embedding no_chains;
-    EXPECT_TRUE(qa.sampleMajorityVote(empty, no_chains, 3)
-                    .node_bits.empty());
-    const auto fx = embedFixture(g, {{mkLit(0)}});
-    const auto s = qa.sampleMajorityVote(fx.problem, fx.embedding, 0);
-    EXPECT_DOUBLE_EQ(s.clause_energy, 0.0);
-}
-
 TEST(Annealer, TimingModelArithmetic)
 {
     TimingModel t;

@@ -1,16 +1,13 @@
 /**
  * @file
- * Backend strategy ablations and majority-vote baseline coverage:
- * every feedback strategy can be disabled independently without
- * compromising soundness, and the §VIII-C majority-voting baseline
- * behaves like single-shot sampling when given one shot.
+ * Backend strategy ablations: every feedback strategy can be
+ * disabled independently without compromising soundness.
  */
 
 #include <gtest/gtest.h>
 
 #include "anneal/annealer.h"
 #include "core/hybrid_solver.h"
-#include "embed/hyqsat_embedder.h"
 #include "sat/brute_force.h"
 #include "tests/sat/helpers.h"
 
@@ -126,58 +123,6 @@ TEST(StrategyAblation, AllStrategiesDisabledDegradesToPlainCdcl)
         EXPECT_EQ(result.stats.iterations, classic.stats.iterations)
             << "feedback-free warm-up must not change the search";
     }
-}
-
-/** Fixture shared by the majority-vote tests. */
-struct MajorityVoteFixture
-{
-    chimera::ChimeraGraph graph = chimera::ChimeraGraph::dwave2000q();
-    qubo::EncodedProblem problem;
-    embed::Embedding embedding;
-
-    MajorityVoteFixture()
-    {
-        Rng gen(31);
-        const auto cnf = sat::testing::randomCnf(15, 34, 3, gen);
-        const std::vector<sat::LitVec> clauses(cnf.clauses().begin(),
-                                               cnf.clauses().end());
-        embed::HyQsatEmbedder embedder(graph);
-        auto fx = embedder.embedQueue(clauses);
-        problem = fx.problem;
-        embedding = fx.embedding;
-    }
-};
-
-TEST(MajorityVote, SingleShotEquivalentToPlainSample)
-{
-    MajorityVoteFixture fx;
-    anneal::QuantumAnnealer::Options opts;
-    opts.noise = anneal::NoiseModel::noiseFree();
-    opts.greedy_finish = true;
-
-    anneal::QuantumAnnealer a(fx.graph, opts);
-    anneal::QuantumAnnealer b(fx.graph, opts);
-    const auto plain = a.sample(fx.problem, fx.embedding);
-    const auto voted =
-        b.sampleMajorityVote(fx.problem, fx.embedding, 1);
-    EXPECT_EQ(plain.node_bits, voted.node_bits);
-    EXPECT_DOUBLE_EQ(plain.clause_energy, voted.clause_energy);
-    EXPECT_DOUBLE_EQ(plain.device_time_us, voted.device_time_us);
-}
-
-TEST(MajorityVote, DeterministicPerSeed)
-{
-    MajorityVoteFixture fx;
-    anneal::QuantumAnnealer::Options opts;
-    opts.noise.readout_flip_prob = 0.1;
-    opts.seed = 0x5151;
-
-    anneal::QuantumAnnealer a(fx.graph, opts);
-    anneal::QuantumAnnealer b(fx.graph, opts);
-    const auto va = a.sampleMajorityVote(fx.problem, fx.embedding, 5);
-    const auto vb = b.sampleMajorityVote(fx.problem, fx.embedding, 5);
-    EXPECT_EQ(va.node_bits, vb.node_bits);
-    EXPECT_DOUBLE_EQ(va.clause_energy, vb.clause_energy);
 }
 
 } // namespace

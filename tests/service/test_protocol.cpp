@@ -12,6 +12,17 @@
 namespace hyqsat::service {
 namespace {
 
+/** The value @p req overrides @p key with ("" = no override). */
+std::string
+overrideOf(const Request &req, std::string_view key)
+{
+    std::string value;
+    for (const core::KnobOverride &o : req.overrides)
+        if (o.knob->key == key)
+            value = o.value;
+    return value;
+}
+
 TEST(ServiceProtocol, SplitTokensSkipsBlankRuns)
 {
     const auto tokens = splitTokens("  SUBMIT\tacme  3 job-1\r");
@@ -46,13 +57,15 @@ TEST(ServiceProtocol, SubmitSimplifyOption)
         parseRequest("SUBMIT acme 3 job-1 simplify=full");
     EXPECT_EQ(req.verb, Verb::Submit);
     EXPECT_EQ(req.name, "job-1");
-    EXPECT_EQ(req.simplify, "full");
-    EXPECT_EQ(parseRequest("SUBMIT acme 3 j simplify=off").simplify,
+    EXPECT_EQ(overrideOf(req, "simplify"), "full");
+    EXPECT_EQ(overrideOf(parseRequest("SUBMIT acme 3 j simplify=off"),
+                         "simplify"),
               "off");
-    EXPECT_EQ(parseRequest("SUBMIT acme 3 j simplify=light").simplify,
+    EXPECT_EQ(overrideOf(parseRequest("SUBMIT acme 3 j simplify=light"),
+                         "simplify"),
               "light");
     // A plain SUBMIT leaves the override empty (daemon default).
-    EXPECT_TRUE(parseRequest("SUBMIT acme 3 job-1").simplify.empty());
+    EXPECT_TRUE(parseRequest("SUBMIT acme 3 job-1").overrides.empty());
     // Misspelled levels and foreign key=value tokens stay Invalid.
     EXPECT_EQ(parseRequest("SUBMIT acme 3 j simplify=max").verb,
               Verb::Invalid);
@@ -68,18 +81,19 @@ TEST(ServiceProtocol, SubmitTopologyAndReadsBatchOptions)
     const Request req = parseRequest(
         "SUBMIT acme 3 job-1 topology=pegasus simplify=light");
     EXPECT_EQ(req.verb, Verb::Submit);
-    EXPECT_EQ(req.simplify, "light");
-    EXPECT_EQ(req.topology, "pegasus");
+    EXPECT_EQ(overrideOf(req, "simplify"), "light");
+    EXPECT_EQ(overrideOf(req, "topology"), "pegasus");
 
     const Request chimera =
         parseRequest("SUBMIT acme 0 j topology=chimera");
     EXPECT_EQ(chimera.verb, Verb::Submit);
-    EXPECT_EQ(chimera.topology, "chimera");
+    EXPECT_EQ(overrideOf(chimera, "topology"), "chimera");
 
     // Defaults when absent; bad values stay Invalid.
     const Request plain = parseRequest("SUBMIT acme 3 job-1");
-    EXPECT_TRUE(plain.topology.empty());
-    EXPECT_EQ(parseRequest("SUBMIT acme 3 j topology=zephyr").topology,
+    EXPECT_TRUE(overrideOf(plain, "topology").empty());
+    EXPECT_EQ(overrideOf(parseRequest("SUBMIT acme 3 j topology=zephyr"),
+                         "topology"),
               "zephyr");
     EXPECT_EQ(parseRequest("SUBMIT acme 3 j topology=kite").verb,
               Verb::Invalid);
@@ -101,12 +115,13 @@ TEST(ServiceProtocol, SubmitReadsGroupsOption)
         "SUBMIT acme 2 job-9 reads_groups=4 topology=zephyr "
         "simplify=off");
     EXPECT_EQ(req.verb, Verb::Submit);
-    EXPECT_EQ(req.reads_groups, 4);
-    EXPECT_EQ(req.topology, "zephyr");
+    EXPECT_EQ(overrideOf(req, "reads_groups"), "4");
+    EXPECT_EQ(overrideOf(req, "topology"), "zephyr");
 
-    EXPECT_EQ(parseRequest("SUBMIT t 0 j reads_groups=0").reads_groups,
-              0);
-    EXPECT_EQ(parseRequest("SUBMIT t 0 j").reads_groups, -1)
+    EXPECT_EQ(overrideOf(parseRequest("SUBMIT t 0 j reads_groups=0"),
+                         "reads_groups"),
+              "0");
+    EXPECT_EQ(overrideOf(parseRequest("SUBMIT t 0 j"), "reads_groups"), "")
         << "unset keeps the daemon default";
 
     // Bounds and syntax: negative, huge, and junk stay Invalid.

@@ -100,7 +100,7 @@ TEST(JobScheduler, SimplifyOverrideEchoedInRecord)
 {
     JobScheduler scheduler(smallOptions());
     JobSpec spec = inlineJob("default", 0, "easy", kSatCnf);
-    spec.simplify = "full";
+    spec.overrides = {*core::parseOverride("simplify=full", false)};
     const Submission sub = scheduler.submit(std::move(spec));
     ASSERT_TRUE(sub.accepted);
     const InstanceRecord rec = scheduler.wait(sub.id);
@@ -124,7 +124,7 @@ TEST(JobScheduler, SimplifyOverrideEchoedInRecord)
 InstanceRecord
 runBudgetedJob(bool slate, topology::Kind topo, int groups,
                const std::string &topology_override,
-               int groups_override)
+               const std::string &groups_override)
 {
     SchedulerOptions opts = smallOptions();
     opts.workers = 1;
@@ -144,8 +144,9 @@ runBudgetedJob(bool slate, topology::Kind topo, int groups,
     JobSpec spec = inlineJob(
         "t", 0, "budgeted",
         sat::toDimacsString(gen::uniformRandom3Sat(90, 450, gen)));
-    spec.topology = topology_override;
-    spec.reads_groups = groups_override;
+    for (const std::string &token : {topology_override, groups_override})
+        if (!token.empty())
+            spec.overrides.push_back(*core::parseOverride(token, false));
     JobScheduler scheduler(opts);
     const Submission sub = scheduler.submit(std::move(spec));
     EXPECT_TRUE(sub.accepted);
@@ -184,11 +185,12 @@ TEST(JobScheduler, TopologyAndReadsGroupsOverridesReachEveryWorker)
         // must count exactly what a portfolio configured that way
         // counts, and differ from the un-overridden portfolio.
         const InstanceRecord overridden =
-            runBudgetedJob(slate, Kind::Chimera, 0, "pegasus", 8);
+            runBudgetedJob(slate, Kind::Chimera, 0, "topology=pegasus",
+                           "reads_groups=8");
         const InstanceRecord native =
-            runBudgetedJob(slate, Kind::Pegasus, 8, "", -1);
+            runBudgetedJob(slate, Kind::Pegasus, 8, "", "");
         const InstanceRecord plain =
-            runBudgetedJob(slate, Kind::Chimera, 0, "", -1);
+            runBudgetedJob(slate, Kind::Chimera, 0, "", "");
         ASSERT_EQ(overridden.status, "UNKNOWN");
         ASSERT_EQ(native.status, "UNKNOWN");
         ASSERT_EQ(plain.status, "UNKNOWN");

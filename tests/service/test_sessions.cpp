@@ -55,11 +55,13 @@ TEST(SessionProtocol, OpenParsesTenantAndSimplify)
     Request req = parseRequest("OPEN acme");
     EXPECT_EQ(req.verb, Verb::Open);
     EXPECT_EQ(req.tenant, "acme");
-    EXPECT_EQ(req.simplify, "");
+    EXPECT_TRUE(req.overrides.empty());
 
     req = parseRequest("OPEN acme simplify=full");
     EXPECT_EQ(req.verb, Verb::Open);
-    EXPECT_EQ(req.simplify, "full");
+    ASSERT_EQ(req.overrides.size(), 1u);
+    EXPECT_STREQ(req.overrides[0].knob->key, "simplify");
+    EXPECT_EQ(req.overrides[0].value, "full");
 
     EXPECT_EQ(parseRequest("OPEN acme simplify=bogus").verb,
               Verb::Invalid);
@@ -130,7 +132,7 @@ TEST(SessionProtocol, CoreRoundTrips)
 TEST(SessionManager, OpenAddAssumeSolveCoreCloseLifecycle)
 {
     SessionManager manager(smallSessionOptions());
-    const OpenResult open = manager.open("acme", "");
+    const OpenResult open = manager.open("acme", {});
     ASSERT_TRUE(open.accepted) << open.reject_reason;
     ASSERT_NE(open.id, 0u);
 
@@ -170,7 +172,7 @@ TEST(SessionManager, OpenAddAssumeSolveCoreCloseLifecycle)
 TEST(SessionManager, AddRejectsMalformedBodies)
 {
     SessionManager manager(smallSessionOptions());
-    const OpenResult open = manager.open("acme", "");
+    const OpenResult open = manager.open("acme", {});
     ASSERT_TRUE(open.accepted);
     EXPECT_NE(manager.add(open.id, "1 two 0\n"), "");
     EXPECT_NE(manager.add(open.id, "1 2 3\n"), ""); // missing 0
@@ -188,13 +190,13 @@ TEST(SessionManager, LiteralsBeyondTheLitBoundAreRejected)
     SessionManager manager(smallSessionOptions());
     // 2^30 is the largest literal a sat::Lit packs: accepted (the
     // session is closed unsolved; solving would allocate 2^30 vars).
-    const OpenResult edge = manager.open("acme", "");
+    const OpenResult edge = manager.open("acme", {});
     ASSERT_TRUE(edge.accepted);
     EXPECT_EQ(manager.add(edge.id, "1073741824 -1073741824 0\n"), "");
     EXPECT_EQ(manager.assume(edge.id, {1073741824, -1073741824}), "");
     EXPECT_TRUE(manager.close(edge.id));
 
-    const OpenResult open = manager.open("acme", "");
+    const OpenResult open = manager.open("acme", {});
     ASSERT_TRUE(open.accepted);
     for (const char *lit : {"1073741825", "-1073741825", "2147483647",
                             "-2147483647", "-2147483648"}) {
@@ -220,14 +222,14 @@ TEST(SessionManager, AdmissionCapsRejectWithReasons)
     opts.max_per_tenant = 2;
     SessionManager manager(opts);
 
-    ASSERT_TRUE(manager.open("a", "").accepted);
-    ASSERT_TRUE(manager.open("a", "").accepted);
-    const OpenResult tenant_full = manager.open("a", "");
+    ASSERT_TRUE(manager.open("a", {}).accepted);
+    ASSERT_TRUE(manager.open("a", {}).accepted);
+    const OpenResult tenant_full = manager.open("a", {});
     EXPECT_FALSE(tenant_full.accepted);
     EXPECT_EQ(tenant_full.reject_reason, "tenant_sessions_full");
 
-    ASSERT_TRUE(manager.open("b", "").accepted);
-    const OpenResult global_full = manager.open("c", "");
+    ASSERT_TRUE(manager.open("b", {}).accepted);
+    const OpenResult global_full = manager.open("c", {});
     EXPECT_FALSE(global_full.accepted);
     EXPECT_EQ(global_full.reject_reason, "sessions_full");
     EXPECT_EQ(manager.active(), 3u);
@@ -236,13 +238,13 @@ TEST(SessionManager, AdmissionCapsRejectWithReasons)
 TEST(SessionManager, DrainRejectsOpensButServesLiveSessions)
 {
     SessionManager manager(smallSessionOptions());
-    const OpenResult open = manager.open("acme", "");
+    const OpenResult open = manager.open("acme", {});
     ASSERT_TRUE(open.accepted);
     EXPECT_EQ(manager.add(open.id, "1 2 0\n"), "");
 
     manager.drain();
     EXPECT_TRUE(manager.draining());
-    const OpenResult rejected = manager.open("acme", "");
+    const OpenResult rejected = manager.open("acme", {});
     EXPECT_FALSE(rejected.accepted);
     EXPECT_EQ(rejected.reject_reason, "draining");
 
@@ -259,11 +261,14 @@ TEST(SessionManager, MetricsInvariantOpenedEqualsClosedPlusActive)
     opts.metrics = &registry;
     {
         SessionManager manager(opts);
-        const OpenResult a = manager.open("a", "");
-        const OpenResult b = manager.open("b", "");
+        const OpenResult a = manager.open("a", {});
+        const OpenResult b = manager.open("b", {});
         ASSERT_TRUE(a.accepted);
         ASSERT_TRUE(b.accepted);
-        manager.open("a", "simplify=bogus-is-kept-default");
+        // A value its row rejects keeps the configured default.
+        core::KnobOverride bogus = *core::parseOverride("simplify=off", true);
+        bogus.value = "bogus-is-kept-default";
+        manager.open("a", {bogus});
         EXPECT_TRUE(manager.close(a.id));
 
         EXPECT_EQ(registry.counter("session.opened")->value(), 3u);
@@ -286,7 +291,8 @@ TEST(SessionManager, SimplifyOverridePerSession)
     SessionManagerOptions opts = smallSessionOptions();
     opts.hybrid.simplify_strength = simplify::Strength::Off;
     SessionManager manager(opts);
-    const OpenResult open = manager.open("acme", "full");
+    const OpenResult open =
+        manager.open("acme", {*core::parseOverride("simplify=full", true)});
     ASSERT_TRUE(open.accepted);
     EXPECT_EQ(manager.add(open.id, "1 2 0\n-1 2 0\n"), "");
     const auto rec = manager.solve(open.id);
