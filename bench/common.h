@@ -47,9 +47,9 @@ instancesFor(const gen::Benchmark &benchmark)
 
 /**
  * Backend selection for the whole bench suite: HYQSAT_SAMPLER names
- * the sampling backend ("sync", "qa", "logical", "sa", "batch",
- * "async", "async:<backend>") and HYQSAT_PIPELINE_DEPTH sets the
- * async in-flight depth. Unset keeps the classic blocking loop.
+ * the device model ("qa", "logical" or "sa") and
+ * HYQSAT_PIPELINE_DEPTH sets the in-flight depth (>= 2 = the async
+ * pipeline). Unset keeps the classic blocking loop on "qa".
  */
 inline void
 applySamplerEnv(core::HybridConfig &cfg)

@@ -38,7 +38,7 @@ hybridIterations(const sat::Cnf &cnf, int grid, std::uint64_t seed)
     cfg.chimera_rows = grid;
     cfg.chimera_cols = grid;
     cfg.annealer.noise.readout_flip_prob = 0.1; // §VI-G bit flipping
-    cfg.use_embedding = false; // logical sampling, like the paper
+    cfg.sampler = "logical"; // logical sampling, like the paper
     cfg.frontend.queue.capacity = cnf.numClauses();
     // Bound the warm-up so the largest (500-variable) rows stay
     // within bench time on a single core.

@@ -49,7 +49,10 @@ using namespace hyqsat;
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> paths;
+    // Instance sources in command-line order: a file ("" kind), a
+    // --dir or a --manifest. They are read once the whole command
+    // line has parsed, so a bad flag exits before any file is read.
+    std::vector<std::pair<std::string, std::string>> sources;
     portfolio::BatchOptions opts;
     opts.portfolio.base.annealer =
         anneal::QuantumAnnealer::Options::simulator();
@@ -67,37 +70,25 @@ main(int argc, char **argv)
         const auto arg = [&](const char *name) {
             return !std::strcmp(argv[i], name) && i + 1 < argc;
         };
-        if (arg("--dir")) {
-            for (auto &p :
-                 portfolio::BatchRunner::collectCnfFiles(argv[++i]))
-                paths.push_back(std::move(p));
-        } else if (arg("--manifest")) {
-            const std::string src = argv[++i];
-            if (src == "-") {
-                for (auto &p :
-                     portfolio::BatchRunner::readManifest(std::cin))
-                    paths.push_back(std::move(p));
-            } else {
-                std::ifstream in(src);
-                if (!in) {
-                    std::fprintf(stderr, "cannot open manifest %s\n",
-                                 src.c_str());
-                    return 2;
-                }
-                for (auto &p : portfolio::BatchRunner::readManifest(in))
-                    paths.push_back(std::move(p));
-            }
+        if (arg("--dir") || arg("--manifest")) {
+            sources.emplace_back(argv[i], argv[i + 1]);
+            ++i;
         } else if (arg("--workers")) {
-            opts.portfolio.num_workers = std::atoi(argv[++i]);
+            core::parseNumberFlag(argv, i, error,
+                                  opts.portfolio.num_workers, 1,
+                                  core::kMaxCount);
         } else if (arg("--jobs")) {
-            opts.concurrency = std::atoi(argv[++i]);
+            core::parseNumberFlag(argv, i, error, opts.concurrency, 1,
+                                  core::kMaxCount);
         } else if (arg("--timeout-s")) {
-            opts.instance_timeout_s = std::atof(argv[++i]);
+            core::parseNumberFlag(argv, i, error,
+                                  opts.instance_timeout_s, 0.0);
         } else if (arg("--conflicts")) {
-            opts.portfolio.conflict_budget = std::atoll(argv[++i]);
+            core::parseNumberFlag(argv, i, error,
+                                  opts.portfolio.conflict_budget, -1);
         } else if (arg("--memory-mb")) {
-            opts.memory_budget_mb =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            core::parseNumberFlag(argv, i, error,
+                                  opts.memory_budget_mb, 0);
         } else if (arg("--json")) {
             json_path = argv[++i];
         } else if (arg("--csv")) {
@@ -116,7 +107,33 @@ main(int argc, char **argv)
             std::fprintf(stderr, "unknown option %s\n", argv[i]);
             return 2;
         } else {
-            paths.push_back(argv[i]);
+            sources.emplace_back("", argv[i]);
+        }
+        if (!error.empty()) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            return 2;
+        }
+    }
+
+    std::vector<std::string> paths;
+    for (auto &[kind, src] : sources) {
+        if (kind.empty()) {
+            paths.push_back(std::move(src));
+        } else if (kind == "--dir") {
+            for (auto &p : portfolio::BatchRunner::collectCnfFiles(src))
+                paths.push_back(std::move(p));
+        } else if (src == "-") {
+            for (auto &p : portfolio::BatchRunner::readManifest(std::cin))
+                paths.push_back(std::move(p));
+        } else {
+            std::ifstream in(src);
+            if (!in) {
+                std::fprintf(stderr, "cannot open manifest %s\n",
+                             src.c_str());
+                return 2;
+            }
+            for (auto &p : portfolio::BatchRunner::readManifest(in))
+                paths.push_back(std::move(p));
         }
     }
 

@@ -87,11 +87,12 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--classic"))
             classic = true;
         else if (!std::strcmp(argv[i], "--warmup") && i + 1 < argc)
-            config.warmup_override = std::atoll(argv[++i]);
+            core::parseNumberFlag(argv, i, error,
+                                  config.warmup_override, -1);
         else if (!std::strcmp(argv[i], "--timeout-s") && i + 1 < argc)
-            timeout_s = std::atof(argv[++i]);
+            core::parseNumberFlag(argv, i, error, timeout_s, 0.0);
         else if (!std::strcmp(argv[i], "--conflicts") && i + 1 < argc)
-            conflict_budget = std::atoll(argv[++i]);
+            core::parseNumberFlag(argv, i, error, conflict_budget, -1);
         else if (!std::strcmp(argv[i], "--metrics") && i + 1 < argc)
             metrics_path = argv[++i];
         else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc)
@@ -102,6 +103,10 @@ main(int argc, char **argv)
             config.solver.incremental_clause_tracking = true;
         else {
             std::printf("c unknown option %s\n", argv[i]);
+            return 2;
+        }
+        if (!error.empty()) {
+            std::printf("c %s\n", error.c_str());
             return 2;
         }
     }

@@ -84,30 +84,36 @@ main(int argc, char **argv)
         if (arg("--socket")) {
             server_opts.unix_path = argv[++i];
         } else if (arg("--port")) {
-            server_opts.tcp_port = std::atoi(argv[++i]);
+            core::parseNumberFlag(argv, i, error, server_opts.tcp_port, 0,
+                                  65535);
         } else if (arg("--jobs")) {
-            sopts.workers = std::max(1, std::atoi(argv[++i]));
+            core::parseNumberFlag(argv, i, error, sopts.workers, 1,
+                                  core::kMaxCount);
         } else if (arg("--workers")) {
-            sopts.portfolio.num_workers = std::atoi(argv[++i]);
+            core::parseNumberFlag(argv, i, error,
+                                  sopts.portfolio.num_workers, 1,
+                                  core::kMaxCount);
         } else if (arg("--queue-depth")) {
-            sopts.max_queue_depth =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            core::parseNumberFlag(argv, i, error, sopts.max_queue_depth,
+                                  0);
         } else if (arg("--tenant-depth")) {
-            sopts.max_tenant_depth =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            core::parseNumberFlag(argv, i, error, sopts.max_tenant_depth,
+                                  0);
         } else if (arg("--timeout-s")) {
-            sopts.default_timeout_s = std::atof(argv[++i]);
+            core::parseNumberFlag(argv, i, error,
+                                  sopts.default_timeout_s, 0.0);
         } else if (arg("--conflicts")) {
-            sopts.portfolio.conflict_budget = std::atoll(argv[++i]);
+            core::parseNumberFlag(argv, i, error,
+                                  sopts.portfolio.conflict_budget, -1);
         } else if (arg("--memory-mb")) {
-            sopts.memory_budget_mb =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            core::parseNumberFlag(argv, i, error, sopts.memory_budget_mb,
+                                  0);
         } else if (arg("--sessions")) {
-            session_opts.max_sessions =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            core::parseNumberFlag(argv, i, error,
+                                  session_opts.max_sessions, 0);
         } else if (arg("--tenant-sessions")) {
-            session_opts.max_per_tenant =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            core::parseNumberFlag(argv, i, error,
+                                  session_opts.max_per_tenant, 0);
         } else if (arg("--drain")) {
             const std::string policy = argv[++i];
             if (policy == "cancel") {
@@ -125,6 +131,10 @@ main(int argc, char **argv)
             quiet = true;
         } else {
             std::fprintf(stderr, "unknown option %s\n", argv[i]);
+            return 2;
+        }
+        if (!error.empty()) {
+            std::fprintf(stderr, "%s\n", error.c_str());
             return 2;
         }
     }

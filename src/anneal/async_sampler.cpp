@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "anneal/work_pool.h"
 #include "util/timer.h"
@@ -129,11 +128,6 @@ AsyncSampler::drainLoop()
         Timer timer;
         AnnealSample sample = inner_->sampleNow(std::move(job.request));
         const double host_s = timer.seconds();
-        if (opts_.rtt_us > 0.0 &&
-            !(opts_.stop && opts_.stop->stopRequested())) {
-            std::this_thread::sleep_for(std::chrono::duration<double,
-                                        std::micro>(opts_.rtt_us));
-        }
 
         lock.lock();
         SampleCompletion completion;

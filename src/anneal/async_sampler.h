@@ -10,9 +10,7 @@
  * WorkPool: at most one drain task is in flight at a time, so jobs
  * execute strictly in FIFO order on one thread at a time — a real
  * QPU is a single serially-scheduled device, so deeper parallelism
- * would misrepresent it; depth buys pipelining, not concurrency. An
- * optional modeled round-trip latency is slept on the strand to
- * emulate a remote device.
+ * would misrepresent it; depth buys pipelining, not concurrency.
  */
 
 #ifndef HYQSAT_ANNEAL_ASYNC_SAMPLER_H
@@ -37,9 +35,6 @@ class AsyncSampler : public Sampler
     {
         /** Max in-flight submissions (clamped to >= 2). */
         int depth = 2;
-
-        /** Modeled network round trip slept per sample (us). */
-        double rtt_us = 0.0;
 
         /**
          * Cooperative cancellation: when set, wait() polls the token

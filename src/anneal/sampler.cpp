@@ -1,7 +1,6 @@
 #include "anneal/sampler.h"
 
 #include "anneal/async_sampler.h"
-#include "anneal/batch_sampler.h"
 #include "embed/hyqsat_embedder.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -99,7 +98,7 @@ QaSampler::compute(const SampleRequest &request)
     MetricTimer::Scope scope(metrics_.sample_timer);
     const embed::CompiledSlot *slot = requestSlot(request);
     AnnealSample out;
-    if (force_logical_ || !request.use_embedding)
+    if (force_logical_)
         out = annealer_.sampleLogical(*request.problem, slot);
     else
         out = annealer_.sample(*request.problem, *request.embedding,
@@ -156,9 +155,8 @@ SaDirectSampler::compute(const SampleRequest &request)
 const std::vector<std::string> &
 samplerNames()
 {
-    static const std::vector<std::string> names = {
-        "sync", "qa", "logical", "sa", "batch", "async",
-    };
+    static const std::vector<std::string> names = {"qa", "logical",
+                                                    "sa"};
     return names;
 }
 
@@ -166,15 +164,14 @@ std::unique_ptr<Sampler>
 makeSampler(const SamplerSpec &spec, const chimera::ChimeraGraph &graph)
 {
     const std::string &name = spec.name;
-    if (name == "sync" || name == "qa" || name.empty() ||
-        name == "logical") {
+    std::unique_ptr<Sampler> device;
+    if (name == "qa" || name == "logical") {
         auto qa = std::make_unique<QaSampler>(
             graph, spec.annealer, /*force_logical=*/name == "logical",
             spec.metrics);
         qa->annealer().setStopToken(spec.stop);
-        return qa;
-    }
-    if (name == "sa") {
+        device = std::move(qa);
+    } else if (name == "sa") {
         SaDirectSampler::Options opts;
         opts.sa.sweeps = spec.annealer.noise.sweeps;
         opts.sa.beta_end = spec.annealer.noise.beta_final;
@@ -184,33 +181,17 @@ makeSampler(const SamplerSpec &spec, const chimera::ChimeraGraph &graph)
         opts.sa.stop = spec.stop;
         opts.timing = spec.annealer.timing;
         opts.seed = spec.annealer.seed;
-        return std::make_unique<SaDirectSampler>(opts, spec.metrics);
+        device = std::make_unique<SaDirectSampler>(opts, spec.metrics);
+    } else {
+        fatal("unknown sampler backend '%s' (known: qa, logical, sa)",
+              name.c_str());
     }
-    if (name == "batch") {
-        BatchSampler::Options opts;
-        opts.samples = spec.batch_samples;
-        opts.annealer = spec.annealer;
-        opts.metrics = spec.metrics;
-        opts.stop = spec.stop;
-        return std::make_unique<BatchSampler>(graph, opts);
-    }
-    if (name == "async" || name.rfind("async:", 0) == 0) {
-        SamplerSpec inner_spec = spec;
-        inner_spec.name =
-            name == "async" ? "qa" : name.substr(std::string("async:").size());
-        if (inner_spec.name.rfind("async", 0) == 0)
-            fatal("sampler '%s': async wrappers do not nest", name.c_str());
-        AsyncSampler::Options opts;
-        opts.depth = spec.pipeline_depth;
-        opts.rtt_us = spec.rtt_us;
-        opts.stop = spec.stop;
-        return std::make_unique<AsyncSampler>(
-            makeSampler(inner_spec, graph), opts);
-    }
-    fatal("unknown sampler backend '%s' (known: sync, qa, logical, sa, "
-          "batch, async, async:<backend>)",
-          name.c_str());
-    return nullptr; // unreachable
+    if (spec.pipeline_depth < 2)
+        return device;
+    AsyncSampler::Options opts;
+    opts.depth = spec.pipeline_depth;
+    opts.stop = spec.stop;
+    return std::make_unique<AsyncSampler>(std::move(device), opts);
 }
 
 } // namespace hyqsat::anneal

@@ -88,9 +88,6 @@ struct SampleRequest
     std::shared_ptr<const qubo::EncodedProblem> problem;
     std::shared_ptr<const embed::Embedding> embedding;
 
-    /** Sample through the embedding (false = ideal logical device). */
-    bool use_embedding = true;
-
     /**
      * The cached embed result that owns @p problem / @p embedding,
      * when the submitter has one (the hybrid pipeline's
@@ -176,9 +173,9 @@ class SyncSampler : public Sampler
 
 /**
  * The QuantumAnnealer device model behind the Sampler interface —
- * the default backend ("qa"; "sync" is an alias used when the
- * depth-1 behavior is the point). force_logical pins the ideal
- * all-to-all device regardless of the request ("logical").
+ * the default backend ("qa"). force_logical samples the ideal
+ * all-to-all device instead, ignoring the request's embedding
+ * ("logical").
  */
 class QaSampler : public SyncSampler
 {
@@ -234,26 +231,19 @@ class SaDirectSampler : public SyncSampler
 
 /**
  * Everything makeSampler() needs to build a backend by name:
- *   "sync" / "qa"  QuantumAnnealer device model (depth 1)
- *   "logical"      ideal all-to-all device (no embedding)
- *   "sa"           plain SA over the logical Ising model
- *   "batch"        thread-pool best-of-N QuantumAnnealer
- *   "async"        AsyncSampler-wrapped "qa" (depth >= 2)
- *   "async:<x>"    AsyncSampler wrapping backend <x>
+ *   "qa"       QuantumAnnealer device model through the embedding
+ *   "logical"  ideal all-to-all device (no embedding)
+ *   "sa"       plain SA over the logical Ising model
+ * Best-of-N is annealer.num_reads on any of them; a pipeline_depth
+ * of 2 or more runs the named backend behind an AsyncSampler.
  */
 struct SamplerSpec
 {
-    std::string name = "sync";
+    std::string name = "qa";
     QuantumAnnealer::Options annealer;
 
-    /** Independent seeds raced by the "batch" backend. */
-    int batch_samples = 4;
-
-    /** In-flight depth for async backends (clamped to >= 2). */
-    int pipeline_depth = 2;
-
-    /** Modeled network round-trip added per async sample (us). */
-    double rtt_us = 0.0;
+    /** Max in-flight samples; >= 2 wraps the backend in AsyncSampler. */
+    int pipeline_depth = 1;
 
     /**
      * Cooperative stop token; nullptr = none. Every backend polls it
@@ -272,11 +262,14 @@ struct SamplerSpec
     MetricsRegistry *metrics = nullptr;
 };
 
-/** Build a backend by name; fatal() on an unknown name. */
+/**
+ * Build the named backend, behind an AsyncSampler when
+ * spec.pipeline_depth >= 2; fatal() on a name samplerNames() lacks.
+ */
 std::unique_ptr<Sampler> makeSampler(const SamplerSpec &spec,
                                      const chimera::ChimeraGraph &graph);
 
-/** Known backend names (for --help strings). */
+/** The backend names makeSampler() accepts: qa, logical, sa. */
 const std::vector<std::string> &samplerNames();
 
 } // namespace hyqsat::anneal

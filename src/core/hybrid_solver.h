@@ -60,13 +60,6 @@ struct HybridConfig
     int chimera_shore = 4;
 
     /**
-     * Sample through the hardware embedding (true) or the ideal
-     * all-to-all logical device (false). The §VI-B noise-free
-     * simulator corresponds to embedding with a noise-free model.
-     */
-    bool use_embedding = true;
-
-    /**
      * Warm-up length: < 0 selects the paper's sqrt(K) policy with K
      * estimated from the formula size; >= 0 forces a length (0
      * degenerates to plain CDCL).
@@ -77,11 +70,12 @@ struct HybridConfig
     std::int64_t max_warmup = 4096;
 
     /**
-     * Sampling backend by name: "sync"/"qa" (blocking device model,
-     * the classic loop), "logical", "sa", "batch", "async" or
-     * "async:<backend>". See anneal::makeSampler.
+     * Device model by name (anneal::samplerNames()): "qa" samples
+     * through the hardware embedding, "logical" the ideal all-to-all
+     * device, "sa" plain SA over the logical Ising model. The §VI-B
+     * noise-free simulator is "qa" with a noise-free model.
      */
-    std::string sampler = "sync";
+    std::string sampler = "qa";
 
     /**
      * Max in-flight samples. 1 = the classic blocking loop; >= 2
@@ -90,9 +84,6 @@ struct HybridConfig
      */
     int pipeline_depth = 1;
 
-    /** Independent seeds raced by the "batch" backend. */
-    int batch_samples = 4;
-
     /**
      * Annealing reads per device sample and the parallel lockstep
      * groups the extra reads split into (0 = auto). The sampler spec
@@ -100,9 +91,6 @@ struct HybridConfig
      */
     int num_reads = 1;
     int reads_groups = 0;
-
-    /** Modeled network round trip per async sample (microseconds). */
-    double rtt_us = 0.0;
 
     std::uint64_t seed = 0x47a9be57;
 

@@ -1,6 +1,6 @@
 #include "core/knobs.h"
 
-#include <charconv>
+#include <algorithm>
 
 #include "core/hybrid_solver.h"
 
@@ -8,21 +8,13 @@ namespace hyqsat::core {
 
 namespace {
 
-/** Upper bound of every count knob (SUBMIT's reads_groups bound). */
-constexpr int kMaxCount = 4096;
-
 /** Parse all of @p text as an int in [@p lo, kMaxCount] into @p out. */
 bool
 setCount(std::string_view text, int lo, int &out)
 {
-    int value = 0;
-    const auto res =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (res.ec != std::errc() || res.ptr != text.data() + text.size() ||
-        value < lo || value > kMaxCount)
-        return false;
-    out = value;
-    return true;
+    const auto value = parseNumber<int>(text, lo, kMaxCount);
+    out = value.value_or(out);
+    return value.has_value();
 }
 
 // The keyed rows' order is the order SUBMIT's usage text lists them.
@@ -38,9 +30,11 @@ constexpr Knob kKnobs[] = {
          c.topology = kind.value_or(c.topology);
          return kind.has_value();
      }},
-    {"sampler", "NAME", nullptr, false,
-     // Any name: anneal::makeSampler is the one that resolves it.
+    {"sampler", "qa|logical|sa", nullptr, false,
      [](HybridConfig &c, std::string_view v) {
+         const auto &names = anneal::samplerNames();
+         if (std::find(names.begin(), names.end(), v) == names.end())
+             return false;
          c.sampler = std::string(v);
          return true;
      }},

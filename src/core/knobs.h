@@ -10,15 +10,64 @@
 #ifndef HYQSAT_CORE_KNOBS_H
 #define HYQSAT_CORE_KNOBS_H
 
+#include <charconv>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace hyqsat::core {
 
 struct HybridConfig;
+
+/** Upper bound of every count: knob rows and the CLIs' own counts. */
+constexpr int kMaxCount = 4096;
+
+/**
+ * Parse all of @p text as a T in [@p lo, @p hi]: the whole-word parse
+ * behind every numeric knob row and every CLI-only numeric flag.
+ * nullopt for an empty word, trailing junk, an out-of-range value
+ * or NaN.
+ */
+template <typename T>
+std::optional<T>
+parseNumber(std::string_view text, std::type_identity_t<T> lo,
+            std::type_identity_t<T> hi = std::numeric_limits<T>::max())
+{
+    T value{};
+    const auto res =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (res.ec != std::errc() || res.ptr != text.data() + text.size() ||
+        !(lo <= value && value <= hi))
+        return std::nullopt;
+    return value;
+}
+
+/**
+ * Parse argv[@p i + 1], the value of the CLI-only flag argv[@p i], as
+ * a number in [@p lo, @p hi] into @p out and step @p i onto it.
+ * @return false, with @p error "bad FLAG: VALUE" and @p out
+ *   untouched, when the value does not parse.
+ */
+template <typename T>
+bool
+parseNumberFlag(char **argv, int &i, std::string &error, T &out,
+                std::type_identity_t<T> lo,
+                std::type_identity_t<T> hi = std::numeric_limits<T>::max())
+{
+    const std::string flag = argv[i];
+    const std::string_view text = argv[++i];
+    const std::optional<T> value = parseNumber<T>(text, lo, hi);
+    if (!value) {
+        error = "bad " + flag + ": " + std::string(text);
+        return false;
+    }
+    out = *value;
+    return true;
+}
 
 /** One row of the knob table. */
 struct Knob

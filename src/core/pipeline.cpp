@@ -21,10 +21,8 @@ occupancyBounds(int capacity)
 
 SamplePipeline::SamplePipeline(const Frontend &frontend,
                                anneal::Sampler &sampler, Rng &rng,
-                               bool use_embedding,
                                MetricsRegistry *metrics)
-    : frontend_(frontend), sampler_(sampler), rng_(rng),
-      use_embedding_(use_embedding)
+    : frontend_(frontend), sampler_(sampler), rng_(rng)
 {
     if (!metrics) {
         own_metrics_ = std::make_unique<MetricsRegistry>();
@@ -95,7 +93,6 @@ SamplePipeline::step(const sat::Solver &solver, std::uint64_t epoch,
                 cache_->embedded, &cache_->embedded->problem);
             request.embedding = std::shared_ptr<const embed::Embedding>(
                 cache_->embedded, &cache_->embedded->embedding);
-            request.use_embedding = use_embedding_;
             // Hand the sampler the owning embed result too: its
             // CompiledSlot memoizes the compiled sampling form, so a
             // cache hit here also skips the annealer's model rebuild.

@@ -78,8 +78,7 @@ class SamplePipeline
      *        always available (single source of truth either way).
      */
     SamplePipeline(const Frontend &frontend, anneal::Sampler &sampler,
-                   Rng &rng, bool use_embedding,
-                   MetricsRegistry *metrics = nullptr);
+                   Rng &rng, MetricsRegistry *metrics = nullptr);
 
     /**
      * One pipeline advance at a decision iteration: refresh the
@@ -120,7 +119,6 @@ class SamplePipeline
     const Frontend &frontend_;
     anneal::Sampler &sampler_;
     Rng &rng_;
-    bool use_embedding_;
 
     std::shared_ptr<const FrontendResult> cache_;
     std::uint64_t cache_epoch_ = ~0ull;

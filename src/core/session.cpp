@@ -51,7 +51,8 @@ pipelineDelta(const PipelineStats &after, const PipelineStats &before)
 
 /**
  * Sampler backend spec derived from a hybrid configuration: the
- * depth>=2 async wrapping, the read counts and stop-token plumbing.
+ * backend name and pipeline depth, the read counts and stop-token
+ * plumbing.
  */
 anneal::SamplerSpec
 hybridSamplerSpec(const HybridConfig &config)
@@ -61,18 +62,8 @@ hybridSamplerSpec(const HybridConfig &config)
     spec.annealer = config.annealer;
     spec.annealer.num_reads = config.num_reads;
     spec.annealer.reads_groups = config.reads_groups;
-    spec.batch_samples = config.batch_samples;
-    spec.pipeline_depth = std::max(config.pipeline_depth, 2);
-    spec.rtt_us = config.rtt_us;
+    spec.pipeline_depth = config.pipeline_depth;
     spec.stop = config.stop;
-    // A depth >= 2 turns any named synchronous backend into an async
-    // pipeline; spelling "async" works too and defaults to depth 2.
-    if (config.pipeline_depth >= 2 &&
-        spec.name.rfind("async", 0) != 0) {
-        spec.name = spec.name.empty() || spec.name == "sync"
-                        ? "async"
-                        : "async:" + spec.name;
-    }
     return spec;
 }
 
@@ -239,7 +230,7 @@ Session::recompile()
     // submission with its conflict epoch; completions from an older
     // epoch are stale and discarded.
     pipeline_ = std::make_unique<SamplePipeline>(
-        *frontend_, *sampler_, rng_, config_.use_embedding, &metrics_);
+        *frontend_, *sampler_, rng_, &metrics_);
     if (pipeline_->asynchronous()) {
         // Completion-notification point: reconcile in-flight samples
         // at every conflict so stale work is retired (and pipeline

@@ -66,9 +66,10 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
                 std::max(base.pipeline_depth, 2);
             break;
         case 4:
-            // Best-of-N seed racing inside every sample.
+            // Best-of-N inside every sample: at least four lockstep
+            // reads per anneal, the lowest-energy read wins.
             w.label = "batch";
-            w.hybrid.sampler = "batch";
+            w.hybrid.num_reads = std::max(base.num_reads, 4);
             break;
         case 5:
             // CHB branching / faster restarts on the CDCL side,
@@ -81,7 +82,6 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
             // Ideal all-to-all device: no embedding losses.
             w.label = "logical";
             w.hybrid.sampler = "logical";
-            w.hybrid.use_embedding = false;
             break;
         case 7:
             // Greedy clause-queue head instead of the paper's random

@@ -144,7 +144,7 @@ parseDimacsFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
-        fatal("cannot open DIMACS file: %s", path.c_str());
+        return std::nullopt;
     return parseDimacs(in);
 }
 

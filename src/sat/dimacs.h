@@ -38,7 +38,7 @@ std::optional<Cnf> parseDimacs(std::istream &in);
 /** Parse a DIMACS CNF from a string. */
 std::optional<Cnf> parseDimacsString(const std::string &text);
 
-/** Parse a DIMACS CNF file; fatal() if the file cannot be opened. */
+/** Parse a DIMACS CNF file; nullopt if it cannot be opened, too. */
 std::optional<Cnf> parseDimacsFile(const std::string &path);
 
 /** Serialize @p cnf in DIMACS format. */

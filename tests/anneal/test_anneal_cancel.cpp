@@ -204,7 +204,7 @@ TEST_F(AnnealCancel, EverySyncBackendGetsTheToken)
     // makeSampler wires SamplerSpec::stop into each backend's anneal.
     StopToken stop;
     stop.requestStop();
-    for (const char *name : {"qa", "logical", "sa", "batch"}) {
+    for (const char *name : {"qa", "logical", "sa"}) {
         SamplerSpec spec;
         spec.name = name;
         spec.annealer = annealerOptions(64);
@@ -384,7 +384,7 @@ TEST_F(AnnealCancel, TrippedAsyncSamplerDestructsWithoutWaitingForJob)
     };
     StopToken stop;
     SamplerSpec spec;
-    spec.name = "async";
+    spec.pipeline_depth = 2;
     spec.annealer = annealerOptions(sweepsLasting(kFullSampleS, timeRun));
     spec.stop = &stop;
     auto sampler = makeSampler(spec, graph_);

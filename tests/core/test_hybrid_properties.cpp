@@ -19,7 +19,7 @@ namespace {
 struct SweepParam
 {
     bool noisy;
-    bool use_embedding;
+    bool embed; ///< "qa" through the embedding, else "logical"
     bool s1, s2, s4;
     bool random_queue;
     std::int64_t warmup; // -1 = sqrt(K)
@@ -30,7 +30,7 @@ paramName(const ::testing::TestParamInfo<SweepParam> &info)
 {
     const auto &p = info.param;
     std::string name = p.noisy ? "noisy" : "clean";
-    name += p.use_embedding ? "_embed" : "_logical";
+    name += p.embed ? "_embed" : "_logical";
     name += p.s1 ? "_s1" : "";
     name += p.s2 ? "_s2" : "";
     name += p.s4 ? "_s4" : "";
@@ -55,7 +55,7 @@ TEST_P(HybridSweep, SoundOnRandomInstances)
         cfg.annealer.noise = anneal::NoiseModel::noiseFree();
         cfg.annealer.greedy_finish = true;
     }
-    cfg.use_embedding = p.use_embedding;
+    cfg.sampler = p.embed ? "qa" : "logical";
     cfg.backend.enable_strategy1 = p.s1;
     cfg.backend.enable_strategy2 = p.s2;
     cfg.backend.enable_strategy4 = p.s4;

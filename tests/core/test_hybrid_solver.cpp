@@ -204,7 +204,7 @@ TEST(HybridSolver, LogicalSamplingModeWorks)
     Rng gen(12);
     const auto cnf = sat::testing::randomCnf(14, 58, 3, gen);
     auto cfg = noiseFreeConfig();
-    cfg.use_embedding = false;
+    cfg.sampler = "logical";
     HybridSolver solver(cfg);
     const auto result = solver.solve(cnf);
     EXPECT_EQ(result.status.isTrue(),

@@ -103,7 +103,7 @@ TEST(SamplePipeline, FreshCompletionIsDelivered)
 {
     Fixture fx;
     ManualSampler sampler(2);
-    SamplePipeline pipeline(fx.frontend, sampler, fx.rng, true);
+    SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
 
     std::vector<ReadySample> ready;
     pipeline.step(fx.solver, /*epoch=*/0, ready);
@@ -123,7 +123,7 @@ TEST(SamplePipeline, StaleCompletionIsDiscarded)
 {
     Fixture fx;
     ManualSampler sampler(2);
-    SamplePipeline pipeline(fx.frontend, sampler, fx.rng, true);
+    SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
 
     std::vector<ReadySample> ready;
     pipeline.step(fx.solver, 0, ready); // submit at epoch 0
@@ -147,7 +147,7 @@ TEST(SamplePipeline, FullPipelineCountsStalls)
 {
     Fixture fx;
     ManualSampler sampler(1);
-    SamplePipeline pipeline(fx.frontend, sampler, fx.rng, true);
+    SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
 
     std::vector<ReadySample> ready;
     pipeline.step(fx.solver, 0, ready); // fills the single slot
@@ -174,7 +174,7 @@ TEST(SamplePipeline, ConflictNotificationRetiresStaleWork)
 {
     Fixture fx;
     ManualSampler sampler(2);
-    SamplePipeline pipeline(fx.frontend, sampler, fx.rng, true);
+    SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
 
     std::vector<ReadySample> ready;
     pipeline.step(fx.solver, 0, ready);
@@ -190,7 +190,7 @@ TEST(SamplePipeline, FrontendCacheReusedWithinEpoch)
 {
     Fixture fx;
     ManualSampler sampler(8);
-    SamplePipeline pipeline(fx.frontend, sampler, fx.rng, true);
+    SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
 
     std::vector<ReadySample> ready;
     pipeline.step(fx.solver, 0, ready);
@@ -209,7 +209,7 @@ TEST(SamplePipeline, TracksInFlightAndBlockingTime)
 {
     Fixture fx;
     ManualSampler sampler(2);
-    SamplePipeline pipeline(fx.frontend, sampler, fx.rng, true);
+    SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
 
     std::vector<ReadySample> ready;
     pipeline.step(fx.solver, 0, ready);
@@ -227,8 +227,8 @@ TEST(SamplePipeline, AsynchronousReflectsSamplerCapacity)
 {
     Fixture fx;
     ManualSampler deep(4), shallow(1);
-    SamplePipeline a(fx.frontend, deep, fx.rng, true);
-    SamplePipeline b(fx.frontend, shallow, fx.rng, true);
+    SamplePipeline a(fx.frontend, deep, fx.rng);
+    SamplePipeline b(fx.frontend, shallow, fx.rng);
     EXPECT_TRUE(a.asynchronous());
     EXPECT_FALSE(b.asynchronous());
 }
@@ -237,7 +237,7 @@ TEST(PipelineCancel, CutShortCompletionIsCountedNotDelivered)
 {
     Fixture fx;
     ManualSampler sampler(2);
-    SamplePipeline pipeline(fx.frontend, sampler, fx.rng, true);
+    SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
 
     std::vector<ReadySample> ready;
     pipeline.step(fx.solver, 0, ready);

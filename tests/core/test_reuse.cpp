@@ -70,7 +70,6 @@ TEST(HybridSolverReuse, PipelinedSolverIsReusable)
     Rng gen(43);
     const auto cnf = gen::plantedRandom3Sat(40, 160, gen);
     auto cfg = noiseFreeConfig();
-    cfg.sampler = "async";
     cfg.pipeline_depth = 3;
     HybridSolver solver(cfg);
     const auto first = solver.solve(cnf);

@@ -34,7 +34,6 @@ testConfig()
     HybridConfig config;
     config.chimera_rows = 2;
     config.chimera_cols = 2;
-    config.use_embedding = false;
     config.sampler = "sa";
     config.warmup_override = 4;
     return config;
@@ -286,7 +285,7 @@ TEST(HybridSessionAB, OneShotSolveMatchesSession)
                     noisy ? anneal::NoiseModel::dwave2000q()
                           : anneal::NoiseModel::noiseFree();
                 cfg.annealer.greedy_finish = true;
-                cfg.sampler = "sync";
+                cfg.sampler = "qa";
                 cfg.pipeline_depth = 1;
                 cfg.simplify_strength = strength;
                 cfg.seed = 0x5e55 + static_cast<std::uint64_t>(seed);

@@ -126,6 +126,26 @@ TEST(BatchRunner, MixedBatchRecordsInInputOrder)
     EXPECT_FALSE(report.allDecided()) << "a parse error is not decided";
 }
 
+TEST(BatchRunner, MissingFileIsAParseErrorRow)
+{
+    // A path that cannot be opened fails its own row only: the rest
+    // of the batch still solves and reports in input order.
+    TempDir dir;
+    const auto missing = (dir.path / "absent.cnf").string();
+    const auto sat_path = dir.write("easy_sat.cnf", kSatCnf);
+
+    BatchRunner runner(smallOptions());
+    const auto report = runner.run({missing, sat_path});
+
+    ASSERT_EQ(report.records.size(), 2u);
+    EXPECT_EQ(report.records[0].name, "absent");
+    EXPECT_EQ(report.records[0].status, "PARSE_ERROR");
+    EXPECT_EQ(report.records[1].name, "easy_sat");
+    EXPECT_EQ(report.records[1].status, "SAT");
+    EXPECT_EQ(report.errors, 1);
+    EXPECT_EQ(report.sat, 1);
+}
+
 TEST(BatchRunner, AllDecidedOnCleanBatch)
 {
     TempDir dir;

@@ -296,6 +296,12 @@ TEST(PortfolioSolver, DiversifyTableShape)
         samplers.insert(w.hybrid.sampler);
     EXPECT_GE(samplers.size(), 3u);
 
+    // Slot 4 is best-of-N inside every sample: at least four
+    // lockstep reads on the base device.
+    EXPECT_EQ(slate[4].label, "batch");
+    EXPECT_EQ(slate[4].hybrid.sampler, base.sampler);
+    EXPECT_EQ(slate[4].hybrid.num_reads, 4);
+
     // Slot 9 is the dedicated parallel-lockstep-reads worker: at
     // least 16 reads per device sample.
     EXPECT_EQ(slate[9].label, "reads-batch");

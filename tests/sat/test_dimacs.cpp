@@ -109,6 +109,13 @@ TEST(Dimacs, FileRoundTrip)
     EXPECT_EQ(parsed->numClauses(), original.numClauses());
 }
 
+TEST(Dimacs, MissingFileIsNullopt)
+{
+    const std::string path = ::testing::TempDir() + "/no-such-file.cnf";
+    std::remove(path.c_str());
+    EXPECT_FALSE(parseDimacsFile(path).has_value());
+}
+
 TEST(Dimacs, NameEmittedAsComment)
 {
     Cnf cnf(1);

@@ -147,6 +147,8 @@ TEST(Knobs, CliRejectsBadValuesInsteadOfClamping)
         {"--reads-groups", "-1"},    {"--reads-groups", "4097"},
         {"--topology", "kite"},      {"--simplify", "max"},
         {"--depth=-3"},              {"--num-reads"},
+        {"--sampler", "bogus"},      {"--sampler", "async"},
+        {"--sampler", "batch"},      {"--sampler=sync"},
     };
     for (const auto &words : bad) {
         SCOPED_TRACE(words[0]);
@@ -170,6 +172,49 @@ TEST(Knobs, CliRejectsBadValuesInsteadOfClamping)
                            config, error));
     EXPECT_EQ(config.reads_groups, 0);
     EXPECT_EQ(config.num_reads, 4096);
+}
+
+TEST(Knobs, SamplerSyntaxIsTheBackendNames)
+{
+    std::string names;
+    for (const std::string &name : anneal::samplerNames())
+        names += (names.empty() ? "" : "|") + name;
+    for (const Knob &knob : knobs()) {
+        if (std::string(knob.flag) == "sampler")
+            EXPECT_EQ(knob.syntax, names);
+    }
+    for (const std::string &name : anneal::samplerNames()) {
+        HybridConfig config;
+        std::string error;
+        ASSERT_TRUE(parseWords({"--sampler", name}, config, error))
+            << error;
+        EXPECT_EQ(config.sampler, name);
+    }
+}
+
+TEST(Knobs, ParseNumberTakesWholeWordsInRange)
+{
+    EXPECT_EQ(parseNumber<int>("12", 1, kMaxCount), 12);
+    EXPECT_EQ(parseNumber<std::int64_t>("-1", -1), -1);
+    EXPECT_EQ(parseNumber<std::size_t>("2048", 0), 2048u);
+    EXPECT_EQ(parseNumber<double>("0.5", 0.0), 0.5);
+    for (const char *word : {"", "abc", "12x", " 12", "+3", "0"})
+        EXPECT_FALSE(parseNumber<int>(word, 1, kMaxCount)) << word;
+    EXPECT_FALSE(parseNumber<int>("4097", 1, kMaxCount));
+    EXPECT_FALSE(parseNumber<std::size_t>("-1", 0));
+    EXPECT_FALSE(parseNumber<std::int64_t>("-2", -1));
+    for (const char *word : {"nan", "inf", "-0.5", "1e999", "x"})
+        EXPECT_FALSE(parseNumber<double>(word, 0.0)) << word;
+
+    // The CLI form names the flag and leaves the target alone.
+    std::string words[] = {"cli", "--workers", "abc"};
+    char *argv[] = {words[0].data(), words[1].data(), words[2].data()};
+    int i = 1, workers = 4;
+    std::string error;
+    EXPECT_FALSE(parseNumberFlag(argv, i, error, workers, 1, kMaxCount));
+    EXPECT_EQ(error, "bad --workers: abc");
+    EXPECT_EQ(workers, 4);
+    EXPECT_EQ(i, 2);
 }
 
 TEST(Knobs, NonKnobWordsAreLeftToTheCli)

@@ -40,7 +40,6 @@ smallSessionOptions()
     SessionManagerOptions opts;
     opts.hybrid.chimera_rows = 2;
     opts.hybrid.chimera_cols = 2;
-    opts.hybrid.use_embedding = false;
     opts.hybrid.sampler = "sa";
     opts.hybrid.warmup_override = 4;
     return opts;
