@@ -26,8 +26,9 @@
  *           caller alone: all 8 reads advance through one
  *           instruction stream over the SoA layout, uniforms come
  *           from the BlockRng bulk fill and the Metropolis accept
- *           test is a table compare, on the widest ISA the host
- *           runs;
+ *           test is a compare against each uniform's -64 ln u
+ *           estimate (the bracket table on scalar and NEON), on the
+ *           widest ISA the host runs;
  *   batch8_scalar  the same lockstep run pinned to the scalar
  *           fallback kernel — by contract bit-identical to batch8,
  *           timed to show what vector width alone buys;
@@ -51,7 +52,9 @@
  *           time (chain_us) and reports group_vs_chain = one group's
  *           time / one chain's time; the logical rows above have no
  *           groups, which hides that block moves are a large share
- *           of a group's time;
+ *           of a group's time. It and batch8 carry exact_share: the
+ *           share of the timed runs' lane proposals whose decide the
+ *           kernel's fast compare left to the exact accept rule;
  *   *_overhead  the naive/csr pair at sweeps = 1, isolating the
  *           fixed per-sample cost (model recompile + adjacency
  *           rebuild) that the rewrite hoists out of the per-call
@@ -180,6 +183,33 @@ struct PathTiming
     double per_sample_us = 0.0;
     double reads_per_s = 0.0;
     double best_energy = 0.0;
+};
+
+/**
+ * Lockstep lane proposals and the ones the exact accept rule settled
+ * (SaStats::exact_decides), summed over runs.
+ */
+struct ExactShare
+{
+    std::uint64_t exact = 0;
+    std::uint64_t proposals = 0;
+
+    void
+    add(const std::vector<anneal::SaResult> &reads)
+    {
+        for (const anneal::SaResult &r : reads) {
+            exact += r.stats.exact_decides;
+            proposals += r.stats.flips_attempted;
+        }
+    }
+
+    double
+    share() const
+    {
+        return proposals > 0 ? static_cast<double>(exact) /
+                                   static_cast<double>(proposals)
+                             : 0.0;
+    }
 };
 
 /** Time @p reps calls of @p fn (each completing @p reads reads). */
@@ -374,8 +404,11 @@ main(int argc, char **argv)
             best = std::min(best, r.energy);
         return best;
     };
+    ExactShare batch8_exact;
     const PathTiming batch8 = timePath(multi_reps, 8, [&](int i) {
-        return lockBest(runLock8(kPathSeed + i, active));
+        const auto reads = runLock8(kPathSeed + i, active);
+        batch8_exact.add(reads);
+        return lockBest(reads);
     });
     const PathTiming batch8_scalar = timePath(multi_reps, 8, [&](int i) {
         return lockBest(runLock8(kPathSeed + i, simd::Isa::Scalar));
@@ -387,8 +420,11 @@ main(int argc, char **argv)
     const PathTiming embedded1 = timePath(emb_reps, 1, [&](int) {
         return emb_sampler.sample(emb_opts, emb_rng).energy;
     });
+    ExactShare embedded8_exact;
     const PathTiming embedded8 = timePath(emb_reps, 8, [&](int i) {
-        return lockBest(runEmb8(kPathSeed + i, active));
+        const auto reads = runEmb8(kPathSeed + i, active);
+        embedded8_exact.add(reads);
+        return lockBest(reads);
     });
 
     // Parallel rungs: identical work (same options, same per-rep
@@ -460,10 +496,10 @@ main(int argc, char **argv)
                 seq8.best_energy);
     std::printf("batch8          %9.2f us/sample  %9.0f reads/s "
                 "(lockstep %s: %.2fx csr per-read, bar >= 3x; "
-                "%.2fx vs seq8; best energy %.3f)\n",
+                "%.2fx vs seq8; best energy %.3f; exact share %.5f)\n",
                 batch8.per_sample_us, batch8.reads_per_s,
                 simd::isaName(active), reads_scaling, lockstep_vs_seq,
-                batch8.best_energy);
+                batch8.best_energy, batch8_exact.share());
     std::printf("batch8_scalar   %9.2f us/sample  %9.0f reads/s "
                 "(lockstep scalar fallback; vector width buys "
                 "%.2fx)\n",
@@ -491,9 +527,10 @@ main(int argc, char **argv)
                                          emb.groups.size())));
     std::printf("embedded8       %9.2f us/sample  %9.0f reads/s "
                 "(lockstep %s on the same model: one group costs "
-                "%.2fx a chain)\n",
+                "%.2fx a chain; exact share %.5f)\n",
                 embedded8.per_sample_us, embedded8.reads_per_s,
-                simd::isaName(active), group_vs_chain);
+                simd::isaName(active), group_vs_chain,
+                embedded8_exact.share());
     std::printf("naive_overhead  %9.2f us/sample at sweeps=1\n",
                 naive_oh.per_sample_us);
     std::printf("csr_overhead    %9.2f us/sample at sweeps=1 (%.2fx "
@@ -568,11 +605,12 @@ main(int argc, char **argv)
                     row.sweeps, row.t->best_energy);
         if (!std::strcmp(row.path, "embedded8")) {
             std::printf(",\"chains\":%zu,\"chain_us\":%.3f,"
-                        "\"group_vs_chain\":%.3f",
+                        "\"group_vs_chain\":%.3f,\"exact_share\":%.6f",
                         emb.groups.size(), embedded1.per_sample_us,
-                        group_vs_chain);
+                        group_vs_chain, embedded8_exact.share());
         }
         if (!std::strcmp(row.path, "batch8")) {
+            std::printf(",\"exact_share\":%.6f", batch8_exact.share());
             std::printf(",\"read_energies\":[");
             for (std::size_t k = 0; k < read_energies.size(); ++k)
                 std::printf("%s%.6f", k ? "," : "", read_energies[k]);

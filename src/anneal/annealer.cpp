@@ -81,6 +81,7 @@ addStats(SaStats &into, const SaStats &s)
     into.flips_accepted += s.flips_accepted;
     into.reads += s.reads;
     into.read_groups += s.read_groups;
+    into.exact_decides += s.exact_decides;
 }
 
 /** Rewrite a coupling op's endpoints to the edge's CSR twin slots. */

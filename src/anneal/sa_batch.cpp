@@ -14,12 +14,16 @@ namespace hyqsat::anneal {
 namespace detail {
 
 void
-fillUniformsScalar(std::uint64_t seed, std::uint64_t first, double *out,
-                   std::size_t n)
+fillUniformsScalar(std::uint64_t seed, std::uint64_t first, double *u,
+                   double *l, std::size_t n)
 {
     const BlockRng rng(seed);
     for (std::size_t k = 0; k < n; ++k)
-        out[k] = rng.uniformAt(first + k);
+        u[k] = rng.uniformAt(first + k);
+    if (l != nullptr) {
+        for (std::size_t k = 0; k < n; ++k)
+            l[k] = minusLog64(u[k]);
+    }
 }
 
 const double *
@@ -233,6 +237,7 @@ runLockstepGroup(const SaCompiled &compiled, const double *h,
     double *const tmp = scratchRow(scratch, 1);
     double *const accepted = scratchRow(scratch, 2);
     std::fill(accepted, accepted + lanes, 0.0);
+    std::vector<std::uint64_t> exact(static_cast<std::size_t>(lanes));
     std::vector<std::uint64_t> mask_buf(
         static_cast<std::size_t>(lanes) + 8);
     void *mp = mask_buf.data();
@@ -292,6 +297,7 @@ runLockstepGroup(const SaCompiled &compiled, const double *h,
     ctx.tmp = tmp;
     ctx.mask = mask;
     ctx.accepted = accepted;
+    ctx.exact = exact.data();
 
     simd::Isa use = isa;
     // The 512-bit kernel assumes whole 8-lane vectors; a 4-lane
@@ -351,6 +357,7 @@ runLockstepGroup(const SaCompiled &compiled, const double *h,
         res.stats.flips_attempted = ctx.attempts;
         res.stats.flips_accepted = static_cast<std::uint64_t>(
             accepted[static_cast<std::size_t>(r)]);
+        res.stats.exact_decides = exact[static_cast<std::size_t>(r)];
         res.stats.reads = 1;
         res.cancelled = ctx.cancelled;
     }

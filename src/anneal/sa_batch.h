@@ -15,10 +15,12 @@
  *
  * Randomness: a counter-based splitmix64 generator (BlockRng) fills
  * uniforms in cache-sized blocks instead of one draw per uphill
- * move and serves each proposal's uniforms in place, and the
- * Metropolis accept test is a table compare (precomputed exp(-x)
- * cutoffs) with an exact exp() fallback only in the rare ambiguous
- * band between the table's bounds.
+ * move and serves each proposal's uniforms in place, each with an
+ * estimate of -64 ln u stored at refill. The Metropolis accept test
+ * is a compare — against that estimate in the AVX2/AVX-512 kernels,
+ * against the precomputed exp(-x) bracket table in the scalar and
+ * NEON kernels — with an exact exp() fallback only in the rare
+ * ambiguous band the compare cannot settle.
  *
  * Two-level parallel scheduler (PR 10): num_reads is partitioned
  * into lockstep groups (SaOptions::reads_groups; auto = groups of up
@@ -61,14 +63,27 @@ class WorkPool;
 /**
  * Counter-based splitmix64 uniform stream with block refill. Word k
  * of seed s is splitmix64_mix(s + (k+1) * golden); the sequential
- * next() interface serves them in place from a cache-sized buffer.
- * Counter addressing keeps the stream random-access for golden tests
- * and makes the draw order independent of block boundaries.
+ * next() interface serves them in place from a cache-sized buffer,
+ * each uniform u next to L(u), an estimate of -64 ln u the refill
+ * stores beside it (the lockstep kernels' gather-free decide, see
+ * sa_batch_kernels.h). Counter addressing keeps the stream
+ * random-access for golden tests and makes the draw order
+ * independent of block boundaries.
  */
 class BlockRng
 {
   public:
     static constexpr std::size_t kBlock = 1024;
+
+    /**
+     * One sequential draw: u[k] is the uniform at stream position
+     * cursor() + k, l[k] its estimate of -64 ln u[k].
+     */
+    struct Draw
+    {
+        const double *u;
+        const double *l;
+    };
 
     explicit BlockRng(std::uint64_t seed) : seed_(seed) {}
 
@@ -92,27 +107,29 @@ class BlockRng
     }
 
     /**
-     * The next @p count uniforms of the sequential stream, read in
-     * place from the block buffer; the pointer stays valid until the
-     * next call. When fewer than @p count remain buffered, the
-     * unread tail moves to the buffer front and @p fill tops the
-     * buffer up: fill(seed, first, out, n) must store
-     * uniformAt(first + k) into out[k] for k < n. So a count that
-     * does not divide kBlock (12 lanes) still gets one contiguous
-     * run. A count above kBlock (a lockstep group wider than a
-     * block) is served whole from a separate wide buffer. Kernels
-     * pass @p fill as a lambda: its closure type is local to the
-     * kernel's translation unit, which keeps each ISA-specific
-     * instantiation of this template out of the shared (comdat)
-     * copies the portable TUs link against.
+     * The next @p count uniforms of the sequential stream and their
+     * estimates, read in place from the block buffers; the pointers
+     * stay valid until the next call. When fewer than @p count
+     * remain buffered, the unread tail moves to the buffer front and
+     * @p fill tops the buffers up: fill(seed, first, u, l, n) must
+     * store uniformAt(first + k) into u[k] and, if the caller reads
+     * them, its estimate into l[k] for k < n (detail::UniformFill
+     * states the estimate's bound). So a count that does not divide
+     * kBlock (12 lanes)
+     * still gets one contiguous run. A count above kBlock (a
+     * lockstep group wider than a block) is served whole from a
+     * separate wide buffer. Kernels pass @p fill as a lambda: its
+     * closure type is local to the kernel's translation unit, which
+     * keeps each ISA-specific instantiation of this template out of
+     * the shared (comdat) copies the portable TUs link against.
      */
     template <class Fill>
-    const double *
+    Draw
     next(std::size_t count, Fill &&fill)
     {
         if (filled_ - pos_ < count) [[unlikely]]
             return refill(count, fill);
-        const double *out = buf_ + pos_;
+        const Draw out{buf_ + pos_, lbuf_ + pos_};
         pos_ += count;
         return out;
     }
@@ -127,42 +144,47 @@ class BlockRng
      * the kernels' proposal loops carry only the call.
      */
     template <class Fill>
-    [[gnu::noinline]] const double *
+    [[gnu::noinline]] Draw
     refill(std::size_t count, Fill &fill)
     {
         const std::size_t tail = filled_ - pos_;
         base_ += pos_;
         if (count > kBlock) [[unlikely]] {
             if (wide_size_ < count) {
-                wide_.reset(new double[count + 7]);
+                wide_.reset(new double[2 * count + 7]);
                 wide_size_ = count;
             }
             void *p = wide_.get();
-            std::size_t space = (count + 7) * sizeof(double);
-            double *const out = static_cast<double *>(
-                std::align(64, count * sizeof(double), p, space));
-            std::copy(buf_ + pos_, buf_ + filled_, out);
-            fill(seed_, base_ + tail, out + tail, count - tail);
+            std::size_t space = (2 * count + 7) * sizeof(double);
+            double *const u = static_cast<double *>(
+                std::align(64, 2 * count * sizeof(double), p, space));
+            double *const l = u + count;
+            std::copy(buf_ + pos_, buf_ + filled_, u);
+            std::copy(lbuf_ + pos_, lbuf_ + filled_, l);
+            fill(seed_, base_ + tail, u + tail, l + tail, count - tail);
             // All of it is consumed; the block buffer starts empty.
             base_ += count;
             filled_ = 0;
             pos_ = 0;
-            return out;
+            return {u, l};
         }
         std::memmove(buf_, buf_ + pos_, tail * sizeof(double));
-        fill(seed_, base_ + tail, buf_ + tail, kBlock - tail);
+        std::memmove(lbuf_, lbuf_ + pos_, tail * sizeof(double));
+        fill(seed_, base_ + tail, buf_ + tail, lbuf_ + tail, kBlock - tail);
         filled_ = kBlock;
         pos_ = count;
-        return buf_;
+        return {buf_, lbuf_};
     }
 
     std::uint64_t seed_;
     std::uint64_t base_ = 0; ///< stream index of buf_[0]
     std::size_t filled_ = 0;
     std::size_t pos_ = 0;
-    std::unique_ptr<double[]> wide_; ///< draws above kBlock (+ align slack)
+    std::unique_ptr<double[]> wide_; ///< draws above kBlock: uniforms,
+                                     ///< then estimates (+ align slack)
     std::size_t wide_size_ = 0;
-    alignas(64) double buf_[kBlock];
+    alignas(64) double buf_[kBlock];  ///< uniforms
+    alignas(64) double lbuf_[kBlock]; ///< their -64 ln u estimates
 };
 
 /**

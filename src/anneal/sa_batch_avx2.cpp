@@ -14,14 +14,19 @@
  * accept counters stay in registers; the loop body is a template
  * over the vector count, compiled for one and two vectors and once
  * for a run-time count. Decisions, uniform consumption and counters
- * are those of the shared decideLanes(); the bit-equality and golden
- * tests in tests/anneal pin the two together.
+ * are those of the shared decideLanes(), reached without a gather:
+ * the refill stores each uniform's -64 ln u estimate (exponent from
+ * the double's bits with the 2^52 trick, kLogPoly on the mantissa)
+ * and decide compares 64 beta dE against it (kDecideMargin). The
+ * bit-equality and golden tests in tests/anneal pin the two
+ * together.
  */
 
 #include <immintrin.h>
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <vector>
 
 #include "anneal/sa_batch_kernels.h"
@@ -41,11 +46,42 @@ mullo64(__m256i a, __m256i b_lo, __m256i b_hi)
     return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
 }
 
+/**
+ * L(u) of 4 uniforms in [0, 1): the portable minusLog64(). The
+ * biased exponent e = bits >> 52 ORed into the mantissa of 2^52
+ * reads as 2^52 + e, so one subtraction of 2^52 + 1023 yields the
+ * exponent k exactly, without a conversion instruction.
+ */
+inline __m256d
+minusLog64(__m256d u)
+{
+    const __m256i bits = _mm256_castpd_si256(u);
+    const __m256d k = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(
+            _mm256_srli_epi64(bits, 52),
+            _mm256_set1_epi64x(0x4330000000000000ll))),
+        _mm256_set1_pd(0x1.0p52 + 1023.0));
+    const __m256d f = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(
+            _mm256_and_si256(bits, _mm256_set1_epi64x(0x000fffffffffffffll)),
+            _mm256_set1_epi64x(0x3ff0000000000000ll))),
+        _mm256_set1_pd(1.0));
+    __m256d q = _mm256_set1_pd(kLogPoly[4]);
+    for (int j = 3; j >= 0; --j)
+        q = _mm256_add_pd(_mm256_mul_pd(q, f), _mm256_set1_pd(kLogPoly[j]));
+    const __m256d l =
+        _mm256_add_pd(_mm256_mul_pd(k, _mm256_set1_pd(kMinus64Ln2)), q);
+    // u = 0 stores NaN, so its lane always takes the exact rule.
+    return _mm256_blendv_pd(
+        l, _mm256_set1_pd(std::numeric_limits<double>::quiet_NaN()),
+        _mm256_cmp_pd(u, _mm256_setzero_pd(), _CMP_EQ_OQ));
+}
+
 } // namespace
 
 void
-fillUniformsAvx2(std::uint64_t seed, std::uint64_t first, double *out,
-                 std::size_t n)
+fillUniformsAvx2(std::uint64_t seed, std::uint64_t first, double *u,
+                 double *l, std::size_t n)
 {
     // The splitmix64 finalizer of BlockRng::wordAt, 4 counters per
     // vector. The 53-bit value converts exactly in two halves: each
@@ -91,16 +127,26 @@ fillUniformsAvx2(std::uint64_t seed, std::uint64_t first, double *out,
             _mm256_castsi256_pd(
                 _mm256_or_si256(_mm256_srli_epi64(x, 32), exp84)),
             two84);
-        const __m256d u = _mm256_mul_pd(_mm256_add_pd(hi, lo), scale);
+        const __m256d vu = _mm256_mul_pd(_mm256_add_pd(hi, lo), scale);
+        const __m256d vl = minusLog64(vu);
         if (n - i >= 4) {
-            _mm256_storeu_pd(out + i, u);
+            _mm256_storeu_pd(u + i, vu);
+            _mm256_storeu_pd(l + i, vl);
         } else {
             const __m256i keep = _mm256_cmpgt_epi64(
                 _mm256_set1_epi64x(static_cast<long long>(n - i)),
                 _mm256_set_epi64x(3, 2, 1, 0));
-            _mm256_maskstore_pd(out + i, keep, u);
+            _mm256_maskstore_pd(u + i, keep, vu);
+            _mm256_maskstore_pd(l + i, keep, vl);
         }
     }
+}
+
+void
+minusLog64Avx2(const double *u, double *l, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; i += 4)
+        _mm256_storeu_pd(l + i, minusLog64(_mm256_loadu_pd(u + i)));
 }
 
 namespace {
@@ -117,26 +163,72 @@ struct Lanes4
 };
 
 /**
- * Exact-exp fixup for the rare lanes (bits of @p amb) of one vector
- * whose uniform landed between the bracket bounds: the shared
- * acceptUphill() per lane. Returns @p m with those it accepts set.
+ * Exact-exp fixup for the rare lanes (bits of @p open) of one vector
+ * that the estimate compare could not settle: the shared
+ * acceptOpenLane() per lane. Returns @p m with those it accepts set.
  */
 __m256d
-resolveExact(__m256d d, const double *u, unsigned amb, double beta,
-             __m256d m)
+resolveExact(__m256d d, const double *u, unsigned open, double beta,
+             __m256d m, std::uint64_t *exact)
 {
     alignas(32) double dd[4];
     alignas(32) std::uint64_t mm[4];
     _mm256_store_pd(dd, d);
     _mm256_store_pd(reinterpret_cast<double *>(mm), m);
     const double *table = acceptTable();
-    for (unsigned bits = amb; bits != 0; bits &= bits - 1) {
+    for (unsigned bits = open; bits != 0; bits &= bits - 1) {
         const int r = std::countr_zero(bits);
-        if (acceptUphill(table, beta * dd[r], u[r]))
+        if (acceptOpenLane(table, beta, dd[r], u[r], exact[r]))
             mm[r] = ~0ull;
     }
     return _mm256_load_pd(reinterpret_cast<const double *>(mm));
 }
+
+/**
+ * Metropolis accept mask (~0 / 0 per lane) of one vector's @p real
+ * lanes with dE @p d, uniforms @p u and their estimates @p l
+ * (kDecideMargin): downhill lanes and sure accepts take it, sure
+ * rejects do not, the rest (a NaN in dE or L fails every compare) go
+ * to resolveExact().
+ */
+HYQSAT_KERNEL_INLINE inline __m256d
+decideVector(__m256d d, __m256d real, double beta, const double *u,
+             const double *l, std::uint64_t *exact)
+{
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d margin = _mm256_set1_pd(kDecideMargin);
+    const __m256d vl = _mm256_loadu_pd(l);
+    const __m256d s = _mm256_mul_pd(
+        _mm256_mul_pd(_mm256_set1_pd(beta), d), _mm256_set1_pd(64.0));
+    const __m256d sure = _mm256_or_pd(
+        _mm256_cmp_pd(d, zero, _CMP_LE_OQ),
+        _mm256_cmp_pd(s, _mm256_sub_pd(vl, margin), _CMP_LT_OQ));
+    const __m256d not_reject =
+        _mm256_cmp_pd(s, _mm256_add_pd(vl, margin), _CMP_NGE_UQ);
+    const int open = _mm256_movemask_pd(
+        _mm256_andnot_pd(sure, _mm256_and_pd(real, not_reject)));
+    const __m256d m = _mm256_and_pd(real, sure);
+    if (open != 0) [[unlikely]]
+        return resolveExact(d, u, static_cast<unsigned>(open), beta, m,
+                            exact);
+    return m;
+}
+
+} // namespace
+
+void
+decideUphillAvx2(double beta, const double *d, const double *u,
+                 const double *l, std::size_t n, std::uint64_t *accept,
+                 std::uint64_t *exact)
+{
+    const __m256d real = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    for (std::size_t i = 0; i < n; i += 4)
+        _mm256_storeu_pd(reinterpret_cast<double *>(accept + i),
+                         decideVector(_mm256_loadu_pd(d + i), real, beta,
+                                      u + i, l + i, exact + i));
+}
+
+namespace {
 
 template <int V>
 void
@@ -150,15 +242,11 @@ runKernel(BatchCtx &ctx)
     const double *const w = ctx.w;
     const std::int32_t *const row_ptr = c.csr.row_ptr.data();
     const std::int32_t *const col = c.csr.col.data();
-    const double *const table = acceptTable();
     const __m256d minus2 = _mm256_set1_pd(-2.0);
     const __m256d two = _mm256_set1_pd(2.0);
     const __m256d zero = _mm256_setzero_pd();
     const __m256d one = _mm256_set1_pd(1.0);
     const __m256d sign = _mm256_set1_pd(-0.0);
-    const __m256d vstep = _mm256_set1_pd(kAcceptTableStep);
-    const __m256d vtop =
-        _mm256_set1_pd(static_cast<double>(kAcceptTableN));
 
     LaneSet<Lanes4, V> L(vecs);
     for (int v = 0; v < vecs; ++v) {
@@ -199,32 +287,13 @@ runKernel(BatchCtx &ctx)
             countAccepts();
             return true;
         }
-        const double *u =
+        const BlockRng::Draw draw =
             ctx.rng->next(static_cast<std::size_t>(lanes),
                           [](auto... a) { fillUniformsAvx2(a...); });
-        const __m256d vbeta = _mm256_set1_pd(beta);
         int any = 0;
         for (int v = 0; v < vecs; ++v) {
-            const __m256d vu = _mm256_loadu_pd(u + 4 * v);
-            __m256d scaled =
-                _mm256_mul_pd(_mm256_mul_pd(vbeta, L[v].d), vstep);
-            scaled = _mm256_max_pd(scaled, zero);
-            scaled = _mm256_min_pd(scaled, vtop);
-            __m128i j = _mm256_cvttpd_epi32(scaled);
-            j = _mm_add_epi32(j, j); // bracket pair index
-            const __m256d hi = _mm256_i32gather_pd(table, j, 8);
-            const __m256d lo = _mm256_i32gather_pd(table + 1, j, 8);
-            const __m256d sure =
-                _mm256_or_pd(_mm256_cmp_pd(L[v].d, zero, _CMP_LE_OQ),
-                             _mm256_cmp_pd(vu, lo, _CMP_LT_OQ));
-            L[v].m = _mm256_and_pd(L[v].real, sure);
-            const int amb = _mm256_movemask_pd(_mm256_andnot_pd(
-                sure, _mm256_and_pd(L[v].real,
-                                    _mm256_cmp_pd(vu, hi, _CMP_LT_OQ))));
-            if (amb != 0) [[unlikely]]
-                L[v].m = resolveExact(L[v].d, u + 4 * v,
-                                      static_cast<unsigned>(amb), beta,
-                                      L[v].m);
+            L[v].m = decideVector(L[v].d, L[v].real, beta, draw.u + 4 * v,
+                                  draw.l + 4 * v, ctx.exact + 4 * v);
             any |= _mm256_movemask_pd(L[v].m);
         }
         countAccepts();

@@ -21,24 +21,64 @@
  * No FMA intrinsics anywhere — multiply and add stay separate
  * instructions so every lane computes bit-identically to
  * runLockstepScalar, the reference. Decisions, uniform consumption
- * and counters are those of the shared decideLanes(); the
- * bit-equality and golden tests in tests/anneal pin the two
- * together.
+ * and counters are those of the shared decideLanes(), reached
+ * without a gather: the refill stores each uniform's -64 ln u
+ * estimate (getexp/getmant plus kLogPoly) and decide compares
+ * 64 beta dE against it (kDecideMargin). The bit-equality and
+ * golden tests in tests/anneal pin the two together.
  */
 
 #include <immintrin.h>
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <vector>
 
 #include "anneal/sa_batch_kernels.h"
 
 namespace hyqsat::anneal::detail {
 
+namespace {
+
+/**
+ * L(u) of 8 uniforms in [0, 1): the portable minusLog64() with the
+ * exponent from getexp and the mantissa in [1, 2) from getmant.
+ */
+inline __m512d
+minusLog64(__m512d u)
+{
+    const __m512d k = _mm512_getexp_pd(u);
+    const __m512d f = _mm512_sub_pd(
+        _mm512_getmant_pd(u, _MM_MANT_NORM_1_2, _MM_MANT_SIGN_src),
+        _mm512_set1_pd(1.0));
+    __m512d q = _mm512_set1_pd(kLogPoly[4]);
+    for (int j = 3; j >= 0; --j)
+        q = _mm512_add_pd(_mm512_mul_pd(q, f), _mm512_set1_pd(kLogPoly[j]));
+    const __m512d l =
+        _mm512_add_pd(_mm512_mul_pd(k, _mm512_set1_pd(kMinus64Ln2)), q);
+    // u = 0 stores NaN, so its lane always takes the exact rule.
+    return _mm512_mask_mov_pd(
+        l, _mm512_cmp_pd_mask(u, _mm512_setzero_pd(), _CMP_EQ_OQ),
+        _mm512_set1_pd(std::numeric_limits<double>::quiet_NaN()));
+}
+
+/** Store the @p n < 8 leading lanes of @p v (all 8 when n >= 8). */
+inline void
+storeLanes(double *out, __m512d v, std::size_t n)
+{
+    if (n >= 8)
+        _mm512_storeu_pd(out, v);
+    else
+        _mm512_mask_storeu_pd(
+            out, static_cast<__mmask8>((1u << n) - 1u), v);
+}
+
+} // namespace
+
 void
-fillUniformsAvx512(std::uint64_t seed, std::uint64_t first, double *out,
-                   std::size_t n)
+fillUniformsAvx512(std::uint64_t seed, std::uint64_t first, double *u,
+                   double *l, std::size_t n)
 {
     // The splitmix64 finalizer of BlockRng::wordAt, 8 counters per
     // vector; vpmullq wraps mod 2^64 like the scalar multiply, and
@@ -63,15 +103,18 @@ fillUniformsAvx512(std::uint64_t seed, std::uint64_t first, double *out,
         z = _mm512_mullo_epi64(
             _mm512_xor_si512(z, _mm512_srli_epi64(z, 27)), m2);
         z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
-        const __m512d u = _mm512_mul_pd(
+        const __m512d vu = _mm512_mul_pd(
             _mm512_cvtepu64_pd(_mm512_srli_epi64(z, 11)), scale);
-        if (n - i >= 8)
-            _mm512_storeu_pd(out + i, u);
-        else
-            _mm512_mask_storeu_pd(
-                out + i, static_cast<__mmask8>((1u << (n - i)) - 1u),
-                u);
+        storeLanes(u + i, vu, n - i);
+        storeLanes(l + i, minusLog64(vu), n - i);
     }
+}
+
+void
+minusLog64Avx512(const double *u, double *l, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; i += 8)
+        _mm512_storeu_pd(l + i, minusLog64(_mm512_loadu_pd(u + i)));
 }
 
 namespace {
@@ -88,24 +131,71 @@ struct Lanes8
 };
 
 /**
- * Exact-exp fixup for the rare lanes (@p amb) of one vector whose
- * uniform landed between the bracket bounds: the shared
- * acceptUphill() per lane. Returns the lanes it accepts.
+ * Exact-exp fixup for the rare lanes (@p open) of one vector that
+ * the estimate compare could not settle: the shared acceptOpenLane()
+ * per lane. Returns the lanes it accepts.
  */
 __mmask8
-resolveExact(__m512d d, const double *u, __mmask8 amb, double beta)
+resolveExact(__m512d d, const double *u, __mmask8 open, double beta,
+             std::uint64_t *exact)
 {
     alignas(64) double dd[8];
     _mm512_store_pd(dd, d);
     const double *table = acceptTable();
     unsigned accept = 0;
-    for (unsigned bits = amb; bits != 0; bits &= bits - 1) {
+    for (unsigned bits = open; bits != 0; bits &= bits - 1) {
         const int r = std::countr_zero(bits);
-        if (acceptUphill(table, beta * dd[r], u[r]))
+        if (acceptOpenLane(table, beta, dd[r], u[r], exact[r]))
             accept |= 1u << r;
     }
     return static_cast<__mmask8>(accept);
 }
+
+/**
+ * Metropolis accept mask of one vector's @p real lanes with dE @p d,
+ * uniforms @p u and their estimates @p l (kDecideMargin): downhill
+ * lanes and sure accepts take it, sure rejects do not, the rest (a
+ * NaN in dE or L fails every compare) go to resolveExact().
+ */
+HYQSAT_KERNEL_INLINE inline __mmask8
+decideVector(__m512d d, __mmask8 real, double beta, const double *u,
+             const double *l, std::uint64_t *exact)
+{
+    const __m512d zero = _mm512_setzero_pd();
+    const __m512d margin = _mm512_set1_pd(kDecideMargin);
+    const __m512d vl = _mm512_loadu_pd(l);
+    const __m512d s = _mm512_mul_pd(
+        _mm512_mul_pd(_mm512_set1_pd(beta), d), _mm512_set1_pd(64.0));
+    const __mmask8 sure =
+        _mm512_cmp_pd_mask(d, zero, _CMP_LE_OQ) |
+        _mm512_cmp_pd_mask(s, _mm512_sub_pd(vl, margin), _CMP_LT_OQ);
+    const __mmask8 open =
+        _mm512_mask_cmp_pd_mask(real, s, _mm512_add_pd(vl, margin),
+                                _CMP_NGE_UQ) &
+        static_cast<__mmask8>(~sure);
+    __mmask8 m = real & sure;
+    if (open != 0) [[unlikely]]
+        m |= resolveExact(d, u, open, beta, exact);
+    return m;
+}
+
+} // namespace
+
+void
+decideUphillAvx512(double beta, const double *d, const double *u,
+                   const double *l, std::size_t n, std::uint64_t *accept,
+                   std::uint64_t *exact)
+{
+    for (std::size_t i = 0; i < n; i += 8) {
+        const __mmask8 m = decideVector(_mm512_loadu_pd(d + i), 0xff,
+                                        beta, u + i, l + i, exact + i);
+        for (int r = 0; r < 8; ++r)
+            accept[i + static_cast<std::size_t>(r)] =
+                (m >> r) & 1u ? ~0ull : 0ull;
+    }
+}
+
+namespace {
 
 template <int V>
 void
@@ -119,14 +209,10 @@ runKernel(BatchCtx &ctx)
     const double *const w = ctx.w;
     const std::int32_t *const row_ptr = c.csr.row_ptr.data();
     const std::int32_t *const col = c.csr.col.data();
-    const double *const table = acceptTable();
     const __m512d minus2 = _mm512_set1_pd(-2.0);
     const __m512d two = _mm512_set1_pd(2.0);
     const __m512d zero = _mm512_setzero_pd();
     const __m512d one = _mm512_set1_pd(1.0);
-    const __m512d vstep = _mm512_set1_pd(kAcceptTableStep);
-    const __m512d vtop =
-        _mm512_set1_pd(static_cast<double>(kAcceptTableN));
     const __m512i sign = _mm512_set1_epi64(
         static_cast<long long>(0x8000000000000000ull));
 
@@ -166,30 +252,13 @@ runKernel(BatchCtx &ctx)
             countAccepts();
             return true;
         }
-        const double *u =
+        const BlockRng::Draw draw =
             ctx.rng->next(static_cast<std::size_t>(lanes),
                           [](auto... a) { fillUniformsAvx512(a...); });
-        const __m512d vbeta = _mm512_set1_pd(beta);
         unsigned any = 0;
         for (int v = 0; v < vecs; ++v) {
-            const __m512d vu = _mm512_loadu_pd(u + 8 * v);
-            __m512d scaled =
-                _mm512_mul_pd(_mm512_mul_pd(vbeta, L[v].d), vstep);
-            scaled = _mm512_max_pd(scaled, zero);
-            scaled = _mm512_min_pd(scaled, vtop);
-            __m256i j = _mm512_cvttpd_epi32(scaled);
-            j = _mm256_add_epi32(j, j); // bracket pair index
-            const __m512d hi = _mm512_i32gather_pd(j, table, 8);
-            const __m512d lo = _mm512_i32gather_pd(j, table + 1, 8);
-            const __mmask8 sure =
-                _mm512_cmp_pd_mask(L[v].d, zero, _CMP_LE_OQ) |
-                _mm512_cmp_pd_mask(vu, lo, _CMP_LT_OQ);
-            L[v].m = L[v].real & sure;
-            const __mmask8 amb =
-                L[v].real & _mm512_cmp_pd_mask(vu, hi, _CMP_LT_OQ) &
-                static_cast<__mmask8>(~sure);
-            if (amb != 0) [[unlikely]]
-                L[v].m |= resolveExact(L[v].d, u + 8 * v, amb, beta);
+            L[v].m = decideVector(L[v].d, L[v].real, beta, draw.u + 8 * v,
+                                  draw.l + 8 * v, ctx.exact + 8 * v);
             any |= L[v].m;
         }
         countAccepts();

@@ -12,12 +12,14 @@
  *
  * Two decide paths implement one rule. The scalar and NEON kernels
  * keep each proposal's per-lane state in BatchCtx rows and decide
- * through decideLanes() below — the scalar kernel is the reference.
- * The AVX2 and AVX-512 kernels keep a proposal's dE, uniforms,
- * accept mask, masked update term and accept counters in registers
- * and re-implement the same decisions with vector compares and table
- * gathers; the bit-equality and golden tests in tests/anneal pin the
- * two together.
+ * through decideLanes() below, against the exp(-x) bracket table —
+ * the scalar kernel is the reference. The AVX2 and AVX-512 kernels
+ * keep a proposal's dE, uniforms, accept mask, masked update term
+ * and accept counters in registers and reach the same decisions
+ * without a gather: they compare 64 beta dE against the -64 ln u
+ * estimate BlockRng stored at refill (kDecideMargin). Both paths
+ * hand the lanes their compare cannot settle to acceptUphill(); the
+ * bit-equality and golden tests in tests/anneal pin them together.
  *
  * The shared helpers are `static`, not `inline`: an inline (comdat)
  * function compiled inside the -mavx2 TU could win the linker's
@@ -32,6 +34,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numbers>
 #include <vector>
 
 #include "anneal/sa_batch.h"
@@ -81,6 +85,16 @@ inline constexpr double kAcceptTableStep = 64.0;
  */
 const double *acceptTable();
 
+/** Bracket pair of acceptTable() that covers x = beta * dE >= 0. */
+static inline int
+acceptBracket(double x)
+{
+    const double scaled = x * kAcceptTableStep;
+    return scaled >= static_cast<double>(kAcceptTableN)
+               ? kAcceptTableN
+               : static_cast<int>(scaled);
+}
+
 /**
  * Metropolis accept decision for an uphill proposal, the one rule
  * every sampler path uses: bracket exp(-x) with the pair of @p table
@@ -89,16 +103,14 @@ const double *acceptTable();
  * exactly as `u < std::exp(-x)` (the AcceptRule tests pin it at
  * every table boundary). The clamp at j = kAcceptTableN pairs
  * exp(-32) with 0.0, so no separate underflow threshold is needed.
- * (decideLanes below and the AVX2/AVX-512 kernels run the same
- * bracket branch-free.)
+ * (decideLanes below runs the same bracket branch-free; the
+ * AVX2/AVX-512 kernels reach the same decisions through
+ * kDecideMargin.)
  */
 static inline bool
 acceptUphill(const double *table, double x, double u)
 {
-    const double scaled = x * kAcceptTableStep;
-    const int j = scaled >= static_cast<double>(kAcceptTableN)
-                      ? kAcceptTableN
-                      : static_cast<int>(scaled);
+    const int j = acceptBracket(x);
     if (u >= table[2 * j])
         return false; // at/above the upper bound
     if (u < table[2 * j + 1])
@@ -107,23 +119,121 @@ acceptUphill(const double *table, double x, double u)
 }
 
 /**
- * BlockRng refill kernels: out[k] = BlockRng(seed).uniformAt(first +
- * k) for k < n. The hash is integer arithmetic and the >> 11
- * conversion to double is exact, so every ISA's fill writes the same
- * bits. Each is defined in its kernel's translation unit; the
- * portable one in sa_batch.cpp.
+ * The gather-free decide of the AVX2/AVX-512 kernels. At refill every
+ * uniform u gets L(u), an estimate of T = -64 ln u with
+ * |L - T| <= kDecideMargin / 2 (u = 0 stores NaN). An uphill lane
+ * with s = 64 x (x = beta * dE, the product acceptUphill() takes, so
+ * s is x scaled exactly) is a sure accept when s < L - delta and a
+ * sure reject when s >= L + delta; every other lane, and every lane
+ * with u = 0 (its NaN fails both compares), runs acceptOpenLane().
+ *
+ * Why that decides exactly as `u < exp(-x)`: s < L - delta gives
+ * 64 x < T - delta/2 (the rounding of L - delta is ~1e-13, since
+ * L <= 64 * 53 ln 2 < 2400), i.e. exp(-x) > u exp(delta/128): u sits
+ * 3.9e-4 relative below exp(-x), far past the one-ulp error of libm's
+ * exp. The reject side is symmetric; there u >= 2^-53 also keeps
+ * exp(-x) normal or far below u. The estimate's bits may differ
+ * between ISAs — only its bound matters. With delta = 0.05 the band
+ * that still needs acceptUphill() is 2 delta / 64 of ln u wide,
+ * about a tenth of one table bracket.
+ */
+inline constexpr double kDecideMargin = 0.05;
+
+/**
+ * The reference decision for a lane the AVX2/AVX-512 compare left
+ * open: acceptUphill(), counted in @p exact. A NaN dE (only
+ * non-finite coefficients make one) is not uphill and decides as
+ * decideLanes() clamps it, at x = 0: accepted below the first
+ * bracket's lower bound.
+ */
+static inline bool
+acceptOpenLane(const double *table, double beta, double d, double u,
+               std::uint64_t &exact)
+{
+    if (!(d > 0.0))
+        return u < table[1];
+    ++exact;
+    return acceptUphill(table, beta * d, u);
+}
+
+/**
+ * L(u) = k (-64 ln 2) + Q(f) for u = (1 + f) 2^k, f in [0, 1): Q is
+ * the degree-4 minimax polynomial of -64 ln(1 + f), coefficients
+ * from f^0 up. k and f are exact, so the error is Q's, at most
+ * 0.0039 (the AcceptRule tests check it against a long double log
+ * over a dense mantissa grid and at every binade's ends), plus
+ * ~1e-12 of rounding — under kDecideMargin / 2 = 0.025 by 6x.
+ */
+inline constexpr double kLogPoly[5] = {-0.00388570201118, -63.7786074841,
+                                       29.9414247898, -14.13705859,
+                                       3.62059313252};
+inline constexpr double kMinus64Ln2 = -64.0 * std::numbers::ln2;
+
+/** The portable L(u) (kLogPoly); the vector fills mirror it. */
+static inline double
+minusLog64(double u)
+{
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(u);
+    const double k = static_cast<double>(static_cast<int>(bits >> 52) - 1023);
+    const double f = std::bit_cast<double>(
+                         (bits & 0x000fffffffffffffull) |
+                         0x3ff0000000000000ull) -
+                     1.0;
+    double q = kLogPoly[4];
+    q = q * f + kLogPoly[3];
+    q = q * f + kLogPoly[2];
+    q = q * f + kLogPoly[1];
+    q = q * f + kLogPoly[0];
+    return u > 0.0 ? k * kMinus64Ln2 + q
+                   : std::numeric_limits<double>::quiet_NaN();
+}
+
+/**
+ * BlockRng refill kernels: u[k] = BlockRng(seed).uniformAt(first +
+ * k) and l[k] = L(u[k]) (kDecideMargin) for k < n. The hash is
+ * integer arithmetic and the >> 11 conversion to double is exact, so
+ * every ISA's fill writes the same uniforms. Each is defined in its
+ * kernel's translation unit; the portable one in sa_batch.cpp, where
+ * a null @p l skips the estimates: the scalar and NEON kernels decide
+ * on the bracket table and never read them.
  */
 using UniformFill = void (*)(std::uint64_t seed, std::uint64_t first,
-                             double *out, std::size_t n);
+                             double *u, double *l, std::size_t n);
 void fillUniformsScalar(std::uint64_t seed, std::uint64_t first,
-                        double *out, std::size_t n);
+                        double *u, double *l, std::size_t n);
 #if defined(HYQSAT_HAVE_AVX2_KERNEL)
 void fillUniformsAvx2(std::uint64_t seed, std::uint64_t first,
-                      double *out, std::size_t n);
+                      double *u, double *l, std::size_t n);
 #endif
 #if defined(HYQSAT_HAVE_AVX512_KERNEL)
 void fillUniformsAvx512(std::uint64_t seed, std::uint64_t first,
-                        double *out, std::size_t n);
+                        double *u, double *l, std::size_t n);
+#endif
+
+/**
+ * Test views of the vector kernels' decide machinery, over whole
+ * vectors (n a multiple of 4 or 8): minusLog64Avx*() stores the
+ * fill's L(u[k]) into l[k] for any u in [0, 1); decideUphillAvx*()
+ * runs the kernel's decide on n real lanes of dE d[k], uniform u[k]
+ * and estimate l[k] at @p beta, setting accept[k] (~0 / 0) and
+ * adding one to exact[k] for each lane it handed to acceptUphill().
+ */
+using LogFill = void (*)(const double *u, double *l, std::size_t n);
+using DecideProbe = void (*)(double beta, const double *d,
+                             const double *u, const double *l,
+                             std::size_t n, std::uint64_t *accept,
+                             std::uint64_t *exact);
+#if defined(HYQSAT_HAVE_AVX2_KERNEL)
+void minusLog64Avx2(const double *u, double *l, std::size_t n);
+void decideUphillAvx2(double beta, const double *d, const double *u,
+                      const double *l, std::size_t n,
+                      std::uint64_t *accept, std::uint64_t *exact);
+#endif
+#if defined(HYQSAT_HAVE_AVX512_KERNEL)
+void minusLog64Avx512(const double *u, double *l, std::size_t n);
+void decideUphillAvx512(double beta, const double *d, const double *u,
+                        const double *l, std::size_t n,
+                        std::uint64_t *accept, std::uint64_t *exact);
 #endif
 
 /** Working state of one lockstep run (buffers owned by the caller). */
@@ -158,6 +268,8 @@ struct BatchCtx
 
     // Outputs.
     double *accepted = nullptr;  ///< per-lane acceptance counts
+    std::uint64_t *exact = nullptr; ///< per-lane decides acceptUphill()
+                                    ///< settled (the compare could not)
     std::uint64_t attempts = 0;  ///< proposals seen (per lane; equal
                                  ///< across lanes by lockstep)
     bool cancelled = false;      ///< stop tripped; greedy skipped
@@ -188,7 +300,8 @@ sweepCancelled(BatchCtx &ctx, int sweep)
  * uphill lane — the rare path pays a few redundant compares so the
  * hot pass-1 loop only has to track ONE "some lane is ambiguous"
  * flag instead of a per-lane bitmask that would cap the lane count
- * at the word width. Returns ~0 if any lane flipped to accept, 0
+ * at the word width — and counts the lanes that were between the
+ * bounds in ctx.exact. Returns ~0 if any lane flipped to accept, 0
  * otherwise.
  */
 static inline std::uint64_t
@@ -202,7 +315,9 @@ resolveAmbiguousLanes(BatchCtx &ctx, const double *u, double beta)
         // in pass 1.
         if (ctx.mask[r] != 0 || !(d > 0.0))
             continue;
-        if (acceptUphill(table, beta * d, u[r])) {
+        const double x = beta * d;
+        ctx.exact[r] += u[r] < table[2 * acceptBracket(x)];
+        if (acceptUphill(table, x, u[r])) {
             ctx.mask[r] = ~0ull;
             ctx.accepted[r] += 1.0;
             flipped = ~0ull;
@@ -259,9 +374,14 @@ decideLanes(BatchCtx &ctx, double beta, bool metropolis)
 
     // Through a lambda: its closure type is local to this TU, and so
     // is the BlockRng::next instantiation (see there).
-    const double *uniforms = ctx.rng->next(
-        static_cast<std::size_t>(lanes),
-        [](auto... a) { fillUniformsScalar(a...); });
+    const double *uniforms =
+        ctx.rng
+            ->next(static_cast<std::size_t>(lanes),
+                   [](std::uint64_t seed, std::uint64_t first, double *u,
+                      double *, std::size_t n) {
+                       fillUniformsScalar(seed, first, u, nullptr, n);
+                   })
+            .u;
     const double *table = acceptTable();
     // Pass 1, genuinely branchless (this loop runs once per proposal
     // for every lane — one mispredicted per-lane branch here costs

@@ -457,6 +457,7 @@ SaSampler::sampleAll(const SaOptions &opts, Rng &rng) const
         total.sweeps += r.stats.sweeps;
         total.flips_attempted += r.stats.flips_attempted;
         total.flips_accepted += r.stats.flips_accepted;
+        total.exact_decides += r.stats.exact_decides;
         cancelled |= r.cancelled;
     }
     std::stable_sort(out.begin(), out.end(),

@@ -120,6 +120,12 @@ struct SaStats
     std::uint64_t flips_accepted = 0;
     std::uint64_t reads = 0;       ///< chains run
     std::uint64_t read_groups = 0; ///< lockstep groups of the extra reads
+    /**
+     * Lockstep Metropolis decides the kernel's fast compare left to
+     * the exact rule (detail::acceptUphill). Depends on the kernel's
+     * ISA, unlike everything else here; 0 for the single-read chain.
+     */
+    std::uint64_t exact_decides = 0;
 };
 
 /** One sample. */

@@ -341,6 +341,7 @@ Session::solve(const sat::LitVec &assumptions)
             result.stats = statsDelta(solver_->stats(), before);
         result.time.cdcl_s = total_timer.seconds();
         metrics_.timer("hybrid.total")->add(result.time.cdcl_s);
+        metrics_.timer("hybrid.cdcl")->add(result.time.cdcl_s);
         return result;
     }
 

@@ -6,7 +6,8 @@
  * by 32-bit offsets (CRef), halving pointer footprint and keeping
  * propagation cache-friendly. Layout per clause:
  *
- *   word 0: [ size : 27 | lbd-cached : 1 | reloced : 1 | learnt : 1 ]
+ *   word 0: [ size : 27 (bits 5-31) | free : 3 (bits 2-4) |
+ *             reloced : 1 (bit 1) | learnt : 1 (bit 0) ]
  *   word 1: float activity (learnt) or original clause index
  *   word 2..: literals
  *

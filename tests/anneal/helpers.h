@@ -8,9 +8,12 @@
 #ifndef HYQSAT_TESTS_ANNEAL_HELPERS_H
 #define HYQSAT_TESTS_ANNEAL_HELPERS_H
 
+#include <cstddef>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "anneal/sa_batch_kernels.h"
 #include "chimera/chimera.h"
 #include "core/frontend.h"
 #include "embed/hyqsat_embedder.h"
@@ -33,6 +36,54 @@ hostTiers()
             tiers.push_back(cand);
     }
     return tiers;
+}
+
+/** Every BlockRng refill kernel this binary has and the host runs. */
+inline std::vector<std::pair<simd::Isa, detail::UniformFill>>
+hostFills()
+{
+    std::vector<std::pair<simd::Isa, detail::UniformFill>> fills{
+        {simd::Isa::Scalar, detail::fillUniformsScalar}};
+    for (const simd::Isa isa : hostTiers()) {
+#if defined(HYQSAT_HAVE_AVX2_KERNEL)
+        if (isa == simd::Isa::Avx2)
+            fills.emplace_back(isa, detail::fillUniformsAvx2);
+#endif
+#if defined(HYQSAT_HAVE_AVX512_KERNEL)
+        if (isa == simd::Isa::Avx512)
+            fills.emplace_back(isa, detail::fillUniformsAvx512);
+#endif
+    }
+    return fills;
+}
+
+/** One vector kernel's gather-free decide machinery. */
+struct VectorDecide
+{
+    simd::Isa isa;
+    std::size_t width; ///< lanes per vector (probe sizes divide by it)
+    detail::LogFill log;
+    detail::DecideProbe decide;
+};
+
+/** The decide machinery of every vector kernel the host runs. */
+inline std::vector<VectorDecide>
+hostVectorDecides()
+{
+    std::vector<VectorDecide> out;
+    for (const simd::Isa isa : hostTiers()) {
+#if defined(HYQSAT_HAVE_AVX2_KERNEL)
+        if (isa == simd::Isa::Avx2)
+            out.push_back({isa, 4, detail::minusLog64Avx2,
+                           detail::decideUphillAvx2});
+#endif
+#if defined(HYQSAT_HAVE_AVX512_KERNEL)
+        if (isa == simd::Isa::Avx512)
+            out.push_back({isa, 8, detail::minusLog64Avx512,
+                           detail::decideUphillAvx512});
+#endif
+    }
+    return out;
 }
 
 /** The first frontend result of a solve of @p cnf on @p graph. */

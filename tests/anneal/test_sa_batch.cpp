@@ -17,6 +17,7 @@
 namespace hyqsat::anneal {
 namespace {
 
+using testing::hostFills;
 using testing::hostTiers;
 
 /** Random test model: fields + ~60% dense couplings. */
@@ -70,25 +71,6 @@ TEST(BlockRng, GoldenUniforms)
     }
 }
 
-/** Every BlockRng refill kernel this binary has and the host runs. */
-std::vector<std::pair<simd::Isa, detail::UniformFill>>
-hostFills()
-{
-    std::vector<std::pair<simd::Isa, detail::UniformFill>> fills{
-        {simd::Isa::Scalar, detail::fillUniformsScalar}};
-    for (const simd::Isa isa : hostTiers()) {
-#if defined(HYQSAT_HAVE_AVX2_KERNEL)
-        if (isa == simd::Isa::Avx2)
-            fills.emplace_back(isa, detail::fillUniformsAvx2);
-#endif
-#if defined(HYQSAT_HAVE_AVX512_KERNEL)
-        if (isa == simd::Isa::Avx512)
-            fills.emplace_back(isa, detail::fillUniformsAvx512);
-#endif
-    }
-    return fills;
-}
-
 TEST(BlockRng, InPlaceDrawsMatchRandomAccessAcrossRefills)
 {
     // The sequential in-place stream is position-for-position the
@@ -99,19 +81,30 @@ TEST(BlockRng, InPlaceDrawsMatchRandomAccessAcrossRefills)
     // and the next draw reads the second one to the end. The 1500
     // and 2600 draws are wider than a block (a lockstep group of
     // more than kBlock lanes): each is served from the wide buffer,
-    // which starts with the unread tail (924 and 1017 words).
+    // which starts with the unread tail (924 and 1017 words). Each
+    // uniform's -64 ln u estimate travels with it: it is the one a
+    // one-word fill at that position stores.
     const BlockRng ra(7);
     for (const auto &[isa, fill] : hostFills()) {
+        const auto estimateAt = [&, fill = fill](std::uint64_t pos) {
+            double u = 0.0, l = 0.0;
+            fill(ra.seed(), pos, &u, &l, 1);
+            return l;
+        };
         for (const std::size_t count : {4u, 8u, 12u}) {
             BlockRng seq(7);
             std::uint64_t pos = 0;
             while (pos < 3 * BlockRng::kBlock + 100) {
                 ASSERT_EQ(seq.cursor(), pos);
-                const double *u = seq.next(count, fill);
-                for (std::size_t i = 0; i < count; ++i)
-                    ASSERT_EQ(u[i], ra.uniformAt(pos + i))
+                const BlockRng::Draw draw = seq.next(count, fill);
+                for (std::size_t i = 0; i < count; ++i) {
+                    ASSERT_EQ(draw.u[i], ra.uniformAt(pos + i))
                         << "isa " << simd::isaName(isa) << " count "
                         << count << " pos " << pos + i;
+                    ASSERT_EQ(draw.l[i], estimateAt(pos + i))
+                        << "isa " << simd::isaName(isa) << " count "
+                        << count << " pos " << pos + i;
+                }
                 pos += count;
             }
         }
@@ -121,10 +114,13 @@ TEST(BlockRng, InPlaceDrawsMatchRandomAccessAcrossRefills)
                                  1023u, 5u, 1019u, 100u, 1500u, 7u,
                                  2600u}) {
             ASSERT_EQ(seq.cursor(), pos);
-            const double *u = seq.next(size, fill);
-            for (std::size_t i = 0; i < size; ++i)
-                ASSERT_EQ(u[i], ra.uniformAt(pos + i))
+            const BlockRng::Draw draw = seq.next(size, fill);
+            for (std::size_t i = 0; i < size; ++i) {
+                ASSERT_EQ(draw.u[i], ra.uniformAt(pos + i))
                     << "isa " << simd::isaName(isa) << " pos " << pos + i;
+                ASSERT_EQ(draw.l[i], estimateAt(pos + i))
+                    << "isa " << simd::isaName(isa) << " pos " << pos + i;
+            }
             pos += size;
         }
     }
@@ -253,6 +249,46 @@ TEST(SaBatch, ScalarAndVectorKernelsAreBitIdentical)
                     }
                 }
             }
+        }
+    }
+}
+
+TEST(SaBatch, NanDeltasDecideAlikeOnEveryKernel)
+{
+    // Fields of 1e308 overflow to +-inf in the lanes where a coupled
+    // spin adds another 1e308, so a block move over two such spins
+    // sums inf - inf = NaN in some lanes beside finite and infinite
+    // deltas in others. The vector kernels must decide a NaN lane as
+    // the scalar reference does (accept below the first bracket's
+    // lower bound), so the spins stay bit-identical across ISAs.
+    std::vector<simd::Isa> tiers = hostTiers();
+    tiers.erase(tiers.begin());
+    if (tiers.empty())
+        GTEST_SKIP() << "host has no vector kernel to compare";
+    qubo::IsingModel m(8);
+    for (int i = 0; i < 8; ++i) {
+        m.addField(i, i < 2 ? 1e308 : 0.1 * i);
+        if (i + 1 < 8)
+            m.addCoupling(i, i + 1, i % 2 == 0 ? 0.5 : -0.3);
+    }
+    m.addCoupling(0, 2, 1e308);
+    m.addCoupling(1, 4, 1e308);
+    const SaCompiled c = compiledWithGroups(m, true);
+    SaOptions opts;
+    opts.sweeps = 64;
+    opts.num_reads = 8;
+    const auto run = [&](simd::Isa isa) {
+        return runLockstep(c, opts, 3, isa);
+    };
+    const auto s = run(simd::Isa::Scalar);
+    for (const simd::Isa isa : tiers) {
+        const auto v = run(isa);
+        ASSERT_EQ(s.size(), v.size());
+        for (std::size_t r = 0; r < s.size(); ++r) {
+            EXPECT_EQ(s[r].spins, v[r].spins)
+                << simd::isaName(isa) << " read " << r;
+            EXPECT_EQ(s[r].stats.flips_accepted, v[r].stats.flips_accepted)
+                << simd::isaName(isa) << " read " << r;
         }
     }
 }

@@ -11,6 +11,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/hybrid_solver.h"
 #include "tests/sat/helpers.h"
@@ -271,6 +272,63 @@ TEST(MetricsIntegration, FrontendLeafTimersNestInsideFrontend)
     }
     EXPECT_LE(leaves, frontend);
     EXPECT_GE(leaves, 0.8 * frontend);
+}
+
+
+TEST(MetricsIntegration, LeafTimersAddUpToTheHybridTotal)
+{
+    // The per-layer ledger of a depth-1 (synchronous) hybrid solve:
+    // frontend, host-side device simulation, backend and CDCL are
+    // disjoint slices of the solve's wall clock, so together they
+    // must account for hybrid.total. A timer gap (time spent in no
+    // leaf, or counted twice) shows up here. Covered: each device
+    // model, multi-read samples, a solve the annealer finishes, a
+    // refutation, and a formula refuted before any search.
+    struct Case
+    {
+        const char *name;
+        const char *sampler;
+        int num_reads;
+        sat::Cnf cnf;
+    };
+    Rng rng(31);
+    std::vector<Case> cases;
+    const auto random3Sat = [&rng](int vars, int clauses) {
+        return sat::testing::randomCnf(vars, clauses, 3, rng);
+    };
+    cases.push_back({"qa", "qa", 1, random3Sat(90, 383)});
+    cases.push_back({"logical", "logical", 1, testFormula(5)});
+    cases.push_back({"sa", "sa", 1, testFormula(7)});
+    cases.push_back({"qa-reads8", "qa", 8, random3Sat(60, 258)});
+    cases.push_back({"unsat", "qa", 1, random3Sat(20, 180)});
+    sat::Cnf root_unsat(1);
+    root_unsat.addClause({sat::mkLit(0, false)});
+    root_unsat.addClause({sat::mkLit(0, true)});
+    cases.push_back({"root-unsat", "qa", 1, root_unsat});
+
+    for (const Case &c : cases) {
+        MetricsRegistry registry;
+        HybridConfig cfg = noiseFreeConfig();
+        cfg.sampler = c.sampler;
+        cfg.num_reads = c.num_reads;
+        cfg.warmup_override = 32;
+        cfg.metrics = &registry;
+        HybridSolver solver(cfg);
+        const HybridResult result = solver.solve(c.cnf);
+        ASSERT_FALSE(result.status.isUndef()) << c.name;
+
+        // Every case but the root refutation runs the whole
+        // pipeline, so each leaf carries real time.
+        EXPECT_EQ(result.qa_samples > 0, c.name != std::string("root-unsat"))
+            << c.name;
+        const double total = registry.timer("hybrid.total")->seconds();
+        double leaves = 0.0;
+        for (const char *leaf : {"pipeline.frontend", "pipeline.host_sample",
+                                 "backend.apply", "hybrid.cdcl"})
+            leaves += registry.timer(leaf)->seconds();
+        ASSERT_GT(total, 0.0) << c.name;
+        EXPECT_NEAR(leaves, total, 0.01 * total) << c.name;
+    }
 }
 
 } // namespace
