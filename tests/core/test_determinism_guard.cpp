@@ -162,6 +162,68 @@ TEST(DeterminismGuard, LogicalDeviceReproducesPinnedResults)
     }
 }
 
+struct SaGolden
+{
+    int status; ///< 1 = SAT, 0 = UNSAT, -1 = UNDEF
+    std::uint64_t iterations;
+    std::uint64_t conflicts;
+    int qa_samples;
+    std::uint64_t model_digest; ///< of the empty model unless SAT
+    std::array<std::uint64_t, 4> strategies; ///< S1..S4
+};
+
+// Captured before the "sa" device became the logical annealer with
+// its noise off and one attempt. Rows: {simulator, dwave2000q} preset
+// x num_reads {1, 4}, two formulas each. The noisy preset's rows pin
+// that "sa" ignores the preset's noise and attempts.
+const SaGolden kSaGolden[] = {
+    {0, 35, 31, 17, 0xcbf29ce484222325ull, {0, 17, 0, 0}},
+    {1, 30, 18, 18, 0x7d099ac2f6125e15ull, {0, 18, 0, 0}},
+    {1, 8, 3, 9, 0x2182f1c897187640ull, {1, 8, 0, 0}},
+    {0, 82, 72, 18, 0xcbf29ce484222325ull, {0, 18, 0, 0}},
+    {1, 48, 37, 17, 0x228f02dd61354287ull, {0, 16, 1, 0}},
+    {1, 20, 7, 18, 0x2edbd13bc5e0cf96ull, {0, 18, 0, 0}},
+    {1, 13, 5, 14, 0x135c147be6ca7f6eull, {0, 14, 0, 0}},
+    {1, 13, 1, 14, 0x790d5e80af038e5cull, {1, 13, 0, 0}},
+};
+
+TEST(DeterminismGuard, SaDeviceReproducesPinnedResults)
+{
+    int row = 0;
+    for (const bool noisy : {false, true}) {
+        for (const int reads : {1, 4}) {
+            for (int round = 0; round < 2; ++round, ++row) {
+                Rng gen(4000 + row);
+                const auto cnf = sat::testing::randomCnf(
+                    40 + 6 * round, 170 + 26 * round, 3, gen);
+                HybridConfig cfg;
+                cfg.annealer =
+                    noisy ? anneal::QuantumAnnealer::Options::dwave2000q()
+                          : anneal::QuantumAnnealer::Options::simulator();
+                cfg.num_reads = reads;
+                cfg.seed = 0x5a5eed + row;
+                cfg.sampler = "sa";
+                HybridSolver solver(cfg);
+                const HybridResult r = solver.solve(cnf);
+                const int status =
+                    r.status.isTrue() ? 1 : (r.status.isFalse() ? 0 : -1);
+                const SaGolden &g = kSaGolden[row];
+                EXPECT_EQ(status, g.status) << "row " << row;
+                EXPECT_EQ(r.stats.iterations, g.iterations)
+                    << "row " << row;
+                EXPECT_EQ(r.stats.conflicts, g.conflicts)
+                    << "row " << row;
+                EXPECT_EQ(r.qa_samples, g.qa_samples) << "row " << row;
+                EXPECT_EQ(modelDigest(r.model), g.model_digest)
+                    << "row " << row;
+                for (int s = 1; s <= 4; ++s)
+                    EXPECT_EQ(r.strategy_count[s], g.strategies[s - 1])
+                        << "row " << row << " strategy " << s;
+            }
+        }
+    }
+}
+
 TEST(DeterminismGuard, RepeatedSolvesAreBitForBitIdentical)
 {
     Rng gen(1234);
