@@ -13,10 +13,14 @@
 #define HYQSAT_BENCH_COMMON_H
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "core/hybrid_solver.h"
+#include "core/knobs.h"
 #include "gen/benchmarks.h"
 
 namespace hyqsat::bench {
@@ -47,17 +51,29 @@ instancesFor(const gen::Benchmark &benchmark)
 
 /**
  * Backend selection for the whole bench suite: HYQSAT_SAMPLER names
- * the device model ("qa", "logical" or "sa") and
- * HYQSAT_PIPELINE_DEPTH sets the in-flight depth (>= 2 = the async
- * pipeline). Unset keeps the classic blocking loop on "qa".
+ * the device model (qa|logical|sa) and HYQSAT_PIPELINE_DEPTH sets the
+ * in-flight depth (>= 2 = the async pipeline), each applied through
+ * its knob table row (--sampler, --depth). Unset keeps the classic
+ * blocking loop on "qa"; a value the row rejects is printed and the
+ * process exits 2 before any solve, as the CLIs do.
  */
 inline void
 applySamplerEnv(core::HybridConfig &cfg)
 {
-    if (const char *name = std::getenv("HYQSAT_SAMPLER"))
-        cfg.sampler = name;
-    if (const char *depth = std::getenv("HYQSAT_PIPELINE_DEPTH"))
-        cfg.pipeline_depth = std::max(1, std::atoi(depth));
+    const std::pair<const char *, std::string_view> rows[] = {
+        {"HYQSAT_SAMPLER", "sampler"}, {"HYQSAT_PIPELINE_DEPTH", "depth"}};
+    for (const auto &[env, flag] : rows) {
+        const char *value = std::getenv(env);
+        if (!value)
+            continue;
+        for (const core::Knob &knob : core::knobs()) {
+            if (knob.flag == flag && !knob.set(cfg, value)) {
+                std::fprintf(stderr, "bad %s: %s (expected %s)\n", env,
+                             value, knob.syntax);
+                std::exit(2);
+            }
+        }
+    }
 }
 
 /** The §VI-B noise-free simulator configuration. */

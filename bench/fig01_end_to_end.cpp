@@ -40,7 +40,7 @@ main()
     // Pure QA: Minorminer embedding of the whole formula + 60
     // samples (the paper's Fig. 1 sampling budget).
     {
-        const auto graph = chimera::ChimeraGraph::dwave2000q();
+        const auto graph = topology::Topology::dwave2000q();
         const std::vector<sat::LitVec> clauses(cnf.clauses().begin(),
                                                cnf.clauses().end());
         const auto problem = qubo::encodeClauses(clauses);

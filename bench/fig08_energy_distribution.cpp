@@ -29,7 +29,7 @@ main()
     std::printf("(%d problems per class, 20-45 clauses each)\n",
                 per_class);
 
-    const auto graph = chimera::ChimeraGraph::dwave2000q();
+    const auto graph = topology::Topology::dwave2000q();
     anneal::QuantumAnnealer annealer(
         graph, anneal::QuantumAnnealer::Options::dwave2000q());
 

@@ -38,7 +38,7 @@ main()
     const std::vector<int> sizes{5, 10, 15, 20, 30, 40, 50, 60};
     std::printf("(%d queues per point)\n", num_queues);
 
-    const auto graph = chimera::ChimeraGraph::dwave2000q();
+    const auto graph = topology::Topology::dwave2000q();
 
     // Build BFS clause queues from fresh solver states.
     std::vector<std::vector<sat::LitVec>> queues;

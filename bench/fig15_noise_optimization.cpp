@@ -30,7 +30,7 @@ struct Labelled
 Labelled
 collect(bool adjust, int per_class)
 {
-    const auto graph = chimera::ChimeraGraph::dwave2000q();
+    const auto graph = topology::Topology::dwave2000q();
     auto qa = anneal::QuantumAnnealer::Options::dwave2000q();
     qa.noise.coefficient_sigma = 0.05;
     anneal::QuantumAnnealer annealer(graph, qa);

@@ -94,11 +94,14 @@
  * single-read csr path (reads_scaling, single-threaded on both
  * sides, so the bar is core-count independent); parallel par64
  * throughput >= 2x the single-context par64_t1 run
- * (parallel_scaling — only enforced when the host has >= 4 hardware
- * threads, because the rung needs real cores to scale across).
+ * (parallel_scaling — only enforced when the process may run on >= 4
+ * CPUs, because the rung needs real cores to scale across; the count
+ * is the affinity mask, so a run pinned with taskset only reports).
  *
  *   ./micro_anneal [--smoke]    (HYQSAT_BENCH_TINY=1 also works)
  */
+
+#include <sched.h>
 
 #include <cmath>
 #include <cstdio>
@@ -158,7 +161,7 @@ naiveSampleFresh(const qubo::QuboModel &q, const anneal::SaOptions &opts,
  * (the benchmark suite's GC family size) on @p graph.
  */
 std::shared_ptr<const embed::QueueEmbedResult>
-embeddedColoringQueue(const chimera::ChimeraGraph &graph)
+embeddedColoringQueue(const topology::Topology &graph)
 {
     Rng gen(0x6C0102ull);
     const sat::Cnf cnf = gen::flatColoringCnf(50, 120, 3, gen);
@@ -230,6 +233,20 @@ timePath(int reps, int reads, Fn &&fn)
         static_cast<double>(reads) * reps / out.wall_s;
     out.best_energy = best;
     return out;
+}
+
+/**
+ * CPUs this process may run on: its affinity mask, not the host's
+ * hardware thread count, so a taskset-pinned run sizes its helpers
+ * and its scaling bar by the CPUs it actually gets.
+ */
+unsigned
+usableCpus()
+{
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return static_cast<unsigned>(CPU_COUNT(&set));
+    return std::thread::hardware_concurrency();
 }
 
 } // namespace
@@ -311,8 +328,8 @@ main(int argc, char **argv)
 
     // The embedded model: chains as groups, noisy coefficients, the
     // noisy device's schedule (no greedy finish).
-    const chimera::ChimeraGraph emb_graph =
-        chimera::ChimeraGraph::dwave2000q();
+    const topology::Topology emb_graph =
+        topology::Topology::dwave2000q();
     const auto emb_queue = embeddedColoringQueue(emb_graph);
     if (!emb_queue || emb_queue->problem.numNodes() == 0) {
         std::printf("FAIL: the coloring instance embedded nothing\n");
@@ -352,9 +369,9 @@ main(int argc, char **argv)
     // Parallel rung setup: 64 reads auto-group into 8 lockstep
     // groups; the dedicated pool gives the caller up to 7 helpers
     // (one context per group) without oversubscribing small hosts.
-    const unsigned hw_threads = std::thread::hardware_concurrency();
-    const int par_helpers = std::max(
-        1, std::min(8, static_cast<int>(hw_threads)) - 1);
+    const unsigned cpus = usableCpus();
+    const int par_helpers =
+        std::max(1, std::min(8, static_cast<int>(cpus)) - 1);
     anneal::SaOptions par64_opts = opts;
     par64_opts.num_reads = 64;
     const auto runPar = [&](std::uint64_t base,
@@ -476,7 +493,6 @@ main(int argc, char **argv)
         par64.reads_per_s / par64_t1.reads_per_s;
     const double group_vs_chain =
         embedded8.per_sample_us / embedded1.per_sample_us;
-    const unsigned hw = hw_threads;
 
     std::printf("naive           %9.2f us/sample  %9.0f reads/s "
                 "(best energy %.3f)\n",
@@ -488,7 +504,7 @@ main(int argc, char **argv)
                 csr.best_energy);
     std::printf("reads4          %9.2f us/sample  %9.0f reads/s "
                 "(read 0 + 3 lockstep, %u cores; best energy %.3f)\n",
-                reads4.per_sample_us, reads4.reads_per_s, hw,
+                reads4.per_sample_us, reads4.reads_per_s, cpus,
                 reads4.best_energy);
     std::printf("seq8            %9.2f us/sample  %9.0f reads/s "
                 "(read 0 + 7 lockstep; best energy %.3f)\n",
@@ -510,11 +526,11 @@ main(int argc, char **argv)
                 par64_t1.per_sample_us, par64_t1.reads_per_s,
                 par64_t1.best_energy);
     std::printf("par64           %9.2f us/sample  %9.0f reads/s "
-                "(8 groups, %d contexts of %u hw threads: %.2fx "
+                "(8 groups, %d contexts on %u CPUs: %.2fx "
                 "single-context, bar >= 2x on >= 4 cores; best "
                 "energy %.3f)\n",
                 par64.per_sample_us, par64.reads_per_s,
-                par_helpers + 1, hw, parallel_scaling,
+                par_helpers + 1, cpus, parallel_scaling,
                 par64.best_energy);
     std::printf("embedded1       %9.2f us/sample  %9.0f reads/s "
                 "(single-read chain on %d embedded spins, %zu chains; "
@@ -639,12 +655,12 @@ main(int argc, char **argv)
                     reads_scaling);
         return 1;
     }
-    // The compounding bar needs real cores: on < 4 hardware threads
-    // the pool cannot reach 2x by construction, so only report.
-    if (!smoke && hw >= 4 && parallel_scaling < 2.0) {
+    // The compounding bar needs real cores: on < 4 usable CPUs the
+    // pool cannot reach 2x by construction, so only report.
+    if (!smoke && cpus >= 4 && parallel_scaling < 2.0) {
         std::printf("FAIL: parallel group scheduler %.2fx < 2x the "
-                    "single-context run on %u hardware threads\n",
-                    parallel_scaling, hw);
+                    "single-context run on %u usable CPUs\n",
+                    parallel_scaling, cpus);
         return 1;
     }
     return 0;

@@ -28,7 +28,7 @@ fixtureQueue(int clauses)
 void
 BM_HyQsatEmbed(benchmark::State &state)
 {
-    const auto graph = chimera::ChimeraGraph::dwave2000q();
+    const auto graph = topology::Topology::dwave2000q();
     const auto queue =
         fixtureQueue(static_cast<int>(state.range(0)));
     for (auto _ : state) {
@@ -51,7 +51,7 @@ BENCHMARK(BM_EncodeClauses)->Arg(40)->Arg(150);
 void
 BM_AnnealerSample(benchmark::State &state)
 {
-    const auto graph = chimera::ChimeraGraph::dwave2000q();
+    const auto graph = topology::Topology::dwave2000q();
     const auto queue = fixtureQueue(40);
     embed::HyQsatEmbedder embedder(graph);
     const auto fx = embedder.embedQueue(queue);

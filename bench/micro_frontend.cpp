@@ -160,7 +160,7 @@ main(int argc, char **argv)
 
     Rng gen(0xbe11c0de);
     const sat::Cnf cnf = gen::uniformRandom3Sat(num_vars, num_clauses, gen);
-    const chimera::ChimeraGraph graph(16, 16, 4);
+    const topology::Topology graph(16, 16, 4);
 
     core::FrontendOptions no_cache;
     no_cache.cache_embeddings = false;

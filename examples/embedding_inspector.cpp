@@ -26,7 +26,7 @@ main(int argc, char **argv)
 {
     const int rows = argc > 1 ? std::atoi(argv[1]) : 6;
     const int cols = argc > 2 ? std::atoi(argv[2]) : 6;
-    const chimera::ChimeraGraph graph(rows, cols, 4);
+    const topology::Topology graph(rows, cols, 4);
 
     Rng rng(0xe1);
     const auto cnf = gen::uniformRandom3Sat(18, 40, rng);
@@ -66,11 +66,11 @@ main(int argc, char **argv)
             int used = 0;
             for (int t = 0; t < 4; ++t) {
                 used += owner[graph.qubitId(
-                            row, col, chimera::Shore::Vertical, t)] >=
+                            row, col, topology::Shore::Vertical, t)] >=
                         0;
                 used +=
                     owner[graph.qubitId(
-                        row, col, chimera::Shore::Horizontal, t)] >= 0;
+                        row, col, topology::Shore::Horizontal, t)] >= 0;
             }
             std::printf("%d ", used);
         }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <unordered_map>
 
 #include "util/logging.h"
@@ -37,7 +38,7 @@ struct AnnealCompiled
     /** Flat model + chain groups (noise-free base coefficients). */
     std::shared_ptr<const SaCompiled> sa;
 
-    /** Physical spin -> logical node (embedded flavor only). */
+    /** Physical spin -> logical node (identity on the logical form). */
     std::vector<int> spin_node;
 
     /** Noise replay schedule, in legacy perturb() call order. */
@@ -65,7 +66,7 @@ mix64(std::uint64_t z)
  * recycled by a different graph within the slot's lifetime.
  */
 std::uint64_t
-slotTag(std::uint64_t flavor, const chimera::ChimeraGraph &graph,
+slotTag(std::uint64_t flavor, const topology::Topology &graph,
         double chain_strength)
 {
     std::uint64_t cs = 0;
@@ -122,7 +123,7 @@ QuantumAnnealer::Options::dwave2000q()
     return opts;
 }
 
-QuantumAnnealer::QuantumAnnealer(const chimera::ChimeraGraph &graph,
+QuantumAnnealer::QuantumAnnealer(const topology::Topology &graph,
                                  Options opts)
     : graph_(graph), opts_(opts), rng_(opts.seed)
 {
@@ -137,18 +138,14 @@ QuantumAnnealer::perturb(double value, double range)
            rng_.gaussian(0.0, opts_.noise.coefficient_sigma * range);
 }
 
-std::shared_ptr<const AnnealCompiled>
-QuantumAnnealer::compiledEmbedded(const qubo::EncodedProblem &problem,
-                                  const embed::Embedding &embedding,
-                                  const embed::CompiledSlot *slot)
-{
-    const std::uint64_t tag =
-        slotTag(/*flavor=*/1, graph_, opts_.chain_strength);
-    if (slot) {
-        if (auto hit = slot->get(tag))
-            return std::static_pointer_cast<const AnnealCompiled>(hit);
-    }
+namespace {
 
+/** Compile the embedded physical form of @p problem on @p graph. */
+std::shared_ptr<const AnnealCompiled>
+compileEmbedded(const qubo::EncodedProblem &problem,
+                const embed::Embedding &embedding,
+                const topology::Topology &graph, double chain_strength)
+{
     auto cp = std::make_shared<AnnealCompiled>();
     const int num_nodes = problem.numNodes();
 
@@ -183,7 +180,7 @@ QuantumAnnealer::compiledEmbedded(const qubo::EncodedProblem &problem,
         if (w == 0.0)
             continue;
         const auto coupler =
-            embedding.findCoupler(graph_, key.first(), key.second());
+            embedding.findCoupler(graph, key.first(), key.second());
         if (!coupler) {
             panic("embedding lacks a coupler for edge (%d, %d)",
                   key.first(), key.second());
@@ -199,12 +196,12 @@ QuantumAnnealer::compiledEmbedded(const qubo::EncodedProblem &problem,
         const auto &chain = embedding.chain(n);
         for (std::size_t i = 0; i < chain.size(); ++i) {
             for (std::size_t j = i + 1; j < chain.size(); ++j) {
-                if (graph_.connected(chain[i], chain[j])) {
+                if (graph.connected(chain[i], chain[j])) {
                     const int p = dense.at(chain[i]);
                     const int q = dense.at(chain[j]);
-                    physical.addCoupling(p, q, -opts_.chain_strength);
+                    physical.addCoupling(p, q, -chain_strength);
                     cp->ops.push_back(
-                        {p, q, -opts_.chain_strength, 1.0});
+                        {p, q, -chain_strength, 1.0});
                 }
             }
         }
@@ -225,25 +222,20 @@ QuantumAnnealer::compiledEmbedded(const qubo::EncodedProblem &problem,
     }
     resolveCouplingSlots(built.csr, cp->ops);
     cp->sa = std::make_shared<const SaCompiled>(std::move(built));
-
-    if (slot)
-        slot->set(tag, cp);
     return cp;
 }
 
+/**
+ * Compile the logical form: one spin per node, so the majority vote
+ * reads each spin as its node's bit and counts no breaks.
+ */
 std::shared_ptr<const AnnealCompiled>
-QuantumAnnealer::compiledLogical(const qubo::EncodedProblem &problem,
-                                 const embed::CompiledSlot *slot)
+compileLogical(const qubo::EncodedProblem &problem)
 {
-    const std::uint64_t tag =
-        slotTag(/*flavor=*/2, graph_, opts_.chain_strength);
-    if (slot) {
-        if (auto hit = slot->get(tag))
-            return std::static_pointer_cast<const AnnealCompiled>(hit);
-    }
-
     auto cp = std::make_shared<AnnealCompiled>();
     const qubo::IsingModel logical = quboToIsing(problem.normalized);
+    cp->spin_node.resize(logical.numSpins());
+    std::iota(cp->spin_node.begin(), cp->spin_node.end(), 0);
 
     // The legacy noisy rebuild perturbed every field and EVERY
     // coupling map entry (no zero skip here), so record them all;
@@ -256,7 +248,26 @@ QuantumAnnealer::compiledLogical(const qubo::EncodedProblem &problem,
     SaCompiled built = SaCompiled::build(logical, /*include_zero=*/true);
     resolveCouplingSlots(built.csr, cp->ops);
     cp->sa = std::make_shared<const SaCompiled>(std::move(built));
+    return cp;
+}
 
+} // namespace
+
+std::shared_ptr<const AnnealCompiled>
+QuantumAnnealer::compiled(const qubo::EncodedProblem &problem,
+                          const embed::Embedding *embedding,
+                          const embed::CompiledSlot *slot)
+{
+    const std::uint64_t tag =
+        slotTag(/*flavor=*/embedding ? 1 : 2, graph_, opts_.chain_strength);
+    if (slot) {
+        if (auto hit = slot->get(tag))
+            return std::static_pointer_cast<const AnnealCompiled>(hit);
+    }
+    std::shared_ptr<const AnnealCompiled> cp =
+        embedding ? compileEmbedded(problem, *embedding, graph_,
+                                    opts_.chain_strength)
+                  : compileLogical(problem);
     if (slot)
         slot->set(tag, cp);
     return cp;
@@ -294,14 +305,7 @@ SaSampler
 QuantumAnnealer::programSampler(const qubo::EncodedProblem &problem,
                                 const embed::Embedding &embedding)
 {
-    return programCompiled(*compiledEmbedded(problem, embedding, nullptr));
-}
-
-AnnealSample
-QuantumAnnealer::sample(const qubo::EncodedProblem &problem,
-                        const embed::Embedding &embedding)
-{
-    return sample(problem, embedding, nullptr);
+    return programCompiled(*compiled(problem, &embedding, nullptr));
 }
 
 AnnealSample
@@ -309,19 +313,35 @@ QuantumAnnealer::sample(const qubo::EncodedProblem &problem,
                         const embed::Embedding &embedding,
                         const embed::CompiledSlot *slot)
 {
+    return anneal(problem, &embedding, slot);
+}
+
+AnnealSample
+QuantumAnnealer::sampleLogical(const qubo::EncodedProblem &problem,
+                               const embed::CompiledSlot *slot)
+{
+    return anneal(problem, nullptr, slot);
+}
+
+AnnealSample
+QuantumAnnealer::anneal(const qubo::EncodedProblem &problem,
+                        const embed::Embedding *embedding,
+                        const embed::CompiledSlot *slot)
+{
     run_stats_ = {};
     AnnealSample out;
+    // One anneal-readout cycle per sample, whatever num_reads is.
     out.device_time_us = opts_.timing.sampleTimeUs(1);
     const int num_nodes = problem.numNodes();
     out.node_bits.assign(num_nodes, false);
     if (num_nodes == 0)
         return out;
-    if (embedding.numNodes() != num_nodes)
+    if (embedding && embedding->numNodes() != num_nodes)
         panic("embedding/problem node count mismatch (%d vs %d)",
-              embedding.numNodes(), num_nodes);
+              embedding->numNodes(), num_nodes);
 
-    const auto cp = compiledEmbedded(problem, embedding, slot);
-    // One noise draw per sample() call (before any sampling draws),
+    const auto cp = compiled(problem, embedding, slot);
+    // One noise draw per sample (before any sampling draws),
     // matching the legacy once-per-call model build.
     SaSampler sampler = programCompiled(*cp);
 
@@ -376,70 +396,6 @@ QuantumAnnealer::sample(const qubo::EncodedProblem &problem,
         candidate.weighted_energy =
             problem.objective.energy(candidate.node_bits);
 
-        if (!have_best || candidate.clause_energy < out.clause_energy) {
-            out = candidate;
-            have_best = true;
-        }
-        if (out.clause_energy == 0.0)
-            break;
-    }
-    return out;
-}
-
-AnnealSample
-QuantumAnnealer::sampleLogical(const qubo::EncodedProblem &problem)
-{
-    return sampleLogical(problem, nullptr);
-}
-
-AnnealSample
-QuantumAnnealer::sampleLogical(const qubo::EncodedProblem &problem,
-                               const embed::CompiledSlot *slot)
-{
-    run_stats_ = {};
-    AnnealSample out;
-    out.device_time_us = opts_.timing.sampleTimeUs(1);
-    const int num_nodes = problem.numNodes();
-    out.node_bits.assign(num_nodes, false);
-    if (num_nodes == 0)
-        return out;
-
-    const auto cp = compiledLogical(problem, slot);
-    SaSampler sampler = programCompiled(*cp);
-
-    SaOptions sa;
-    sa.sweeps = opts_.noise.sweeps;
-    sa.beta_end = opts_.noise.beta_final;
-    sa.greedy_finish = opts_.greedy_finish;
-    sa.num_reads = opts_.num_reads;
-    sa.reads_groups = opts_.reads_groups;
-    sa.stop = stop_;
-
-    bool have_best = false;
-    for (int attempt = 0; attempt < std::max(opts_.attempts, 1);
-         ++attempt) {
-        SaResult result = sampler.sample(sa, rng_);
-        addStats(run_stats_, result.stats);
-        if (result.cancelled) {
-            out.cancelled = true;
-            break;
-        }
-        if (opts_.noise.readout_flip_prob > 0.0) {
-            for (auto &s : result.spins)
-                if (rng_.chance(opts_.noise.readout_flip_prob))
-                    s = -s;
-            result.energy = sampler.energy(result.spins);
-        }
-        AnnealSample candidate;
-        candidate.device_time_us = out.device_time_us;
-        candidate.physical_energy = result.energy;
-        candidate.node_bits.assign(num_nodes, false);
-        for (int n = 0; n < num_nodes; ++n)
-            candidate.node_bits[n] = result.spins[n] > 0;
-        candidate.clause_energy =
-            problem.clauseSpaceEnergy(candidate.node_bits);
-        candidate.weighted_energy =
-            problem.objective.energy(candidate.node_bits);
         if (!have_best || candidate.clause_energy < out.clause_energy) {
             out = candidate;
             have_best = true;

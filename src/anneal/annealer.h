@@ -18,10 +18,10 @@
 #include "anneal/noise.h"
 #include "anneal/sa_sampler.h"
 #include "anneal/timing.h"
-#include "chimera/chimera.h"
 #include "embed/compiled_slot.h"
 #include "embed/embedding.h"
 #include "qubo/encoder.h"
+#include "topology/topology.h"
 #include "util/cancel.h"
 #include "util/rng.h"
 
@@ -135,35 +135,28 @@ class QuantumAnnealer
         static Options dwave2000q();
     };
 
-    QuantumAnnealer(const chimera::ChimeraGraph &graph, Options opts);
+    QuantumAnnealer(const topology::Topology &graph, Options opts);
 
     /**
      * Program the embedded problem onto the hardware graph and draw
      * one sample (the HyQSAT flow: one sample per CDCL iteration).
-     */
-    AnnealSample sample(const qubo::EncodedProblem &problem,
-                        const embed::Embedding &embedding);
-
-    /**
-     * Memoizing overload: identical result, but the compiled
-     * sampling form is fetched from (or parked in) @p slot — pass
-     * the CompiledSlot of the cached QueueEmbedResult that owns
-     * @p problem / @p embedding, so repeat samples of a cached
-     * embedding skip the whole model rebuild. @p slot may be null.
+     * When @p slot is given, the compiled sampling form is fetched
+     * from (or parked in) it — pass the CompiledSlot of the cached
+     * QueueEmbedResult that owns @p problem / @p embedding, so repeat
+     * samples of a cached embedding skip the whole model rebuild.
      */
     AnnealSample sample(const qubo::EncodedProblem &problem,
                         const embed::Embedding &embedding,
-                        const embed::CompiledSlot *slot);
+                        const embed::CompiledSlot *slot = nullptr);
 
     /**
-     * Sample the logical problem directly (ideal all-to-all device).
-     * Used by the noise-free simulator path and for calibration.
+     * Sample the logical problem directly (ideal all-to-all device):
+     * the "logical" backend, and with the noise off and one attempt
+     * the "sa" backend. Same body as sample(), over one spin per
+     * node; @p slot as there.
      */
-    AnnealSample sampleLogical(const qubo::EncodedProblem &problem);
-
-    /** Memoizing overload of sampleLogical; see sample(). */
     AnnealSample sampleLogical(const qubo::EncodedProblem &problem,
-                               const embed::CompiledSlot *slot);
+                               const embed::CompiledSlot *slot = nullptr);
 
     /**
      * The sampler sample() anneals for (@p problem, @p embedding):
@@ -200,16 +193,24 @@ class QuantumAnnealer
     /** Gaussian control noise on a programmed coefficient. */
     double perturb(double value, double range);
 
-    /** Compile (or fetch from @p slot) the embedded physical form. */
+    /**
+     * Compile (or fetch from @p slot) the embedded physical form, or
+     * the logical form when @p embedding is null.
+     */
     std::shared_ptr<const AnnealCompiled>
-    compiledEmbedded(const qubo::EncodedProblem &problem,
-                     const embed::Embedding &embedding,
-                     const embed::CompiledSlot *slot);
+    compiled(const qubo::EncodedProblem &problem,
+             const embed::Embedding *embedding,
+             const embed::CompiledSlot *slot);
 
-    /** Compile (or fetch from @p slot) the logical form. */
-    std::shared_ptr<const AnnealCompiled>
-    compiledLogical(const qubo::EncodedProblem &problem,
-                    const embed::CompiledSlot *slot);
+    /**
+     * The one sample body behind sample() and sampleLogical()
+     * (@p embedding null): program the noise, anneal each attempt,
+     * flip readouts, de-embed by majority vote and keep the attempt
+     * with the lowest clause-space energy.
+     */
+    AnnealSample anneal(const qubo::EncodedProblem &problem,
+                        const embed::Embedding *embedding,
+                        const embed::CompiledSlot *slot);
 
     /**
      * Program one sample's device model: a sampler over @p cp with
@@ -220,7 +221,7 @@ class QuantumAnnealer
      */
     SaSampler programCompiled(const AnnealCompiled &cp);
 
-    const chimera::ChimeraGraph &graph_;
+    const topology::Topology &graph_;
     Options opts_;
     Rng rng_;
     SaStats run_stats_;

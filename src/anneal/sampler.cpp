@@ -9,13 +9,6 @@ namespace hyqsat::anneal {
 
 namespace {
 
-/**
- * CompiledSlot tag under which SaDirectSampler memoizes its compiled
- * logical model (distinct from the QuantumAnnealer's tags, which mix
- * graph identity and chain strength).
- */
-constexpr std::uint64_t kSaDirectTag = 0x5ad17ec7c0de0001ull;
-
 /** The slot riding on the request's cached embed result, if any. */
 const embed::CompiledSlot *
 requestSlot(const SampleRequest &request)
@@ -84,10 +77,10 @@ SyncSampler::wait(std::vector<SampleCompletion> &out)
     poll(out);
 }
 
-QaSampler::QaSampler(const chimera::ChimeraGraph &graph,
-                     QuantumAnnealer::Options opts, bool force_logical,
+QaSampler::QaSampler(const topology::Topology &graph,
+                     QuantumAnnealer::Options opts, std::string name,
                      MetricsRegistry *metrics)
-    : annealer_(graph, opts), force_logical_(force_logical),
+    : annealer_(graph, opts), name_(std::move(name)),
       metrics_(AnnealMetrics::resolve(metrics))
 {
 }
@@ -97,58 +90,11 @@ QaSampler::compute(const SampleRequest &request)
 {
     MetricTimer::Scope scope(metrics_.sample_timer);
     const embed::CompiledSlot *slot = requestSlot(request);
-    AnnealSample out;
-    if (force_logical_)
-        out = annealer_.sampleLogical(*request.problem, slot);
-    else
-        out = annealer_.sample(*request.problem, *request.embedding,
-                               slot);
+    AnnealSample out =
+        name_ == "qa"
+            ? annealer_.sample(*request.problem, *request.embedding, slot)
+            : annealer_.sampleLogical(*request.problem, slot);
     metrics_.record(annealer_.lastRunStats());
-    return out;
-}
-
-SaDirectSampler::SaDirectSampler(Options opts, MetricsRegistry *metrics)
-    : opts_(opts), rng_(opts.seed),
-      metrics_(AnnealMetrics::resolve(metrics))
-{
-}
-
-AnnealSample
-SaDirectSampler::compute(const SampleRequest &request)
-{
-    MetricTimer::Scope scope(metrics_.sample_timer);
-    AnnealSample out;
-    out.device_time_us = opts_.timing.sampleTimeUs(1);
-    const qubo::EncodedProblem &problem = *request.problem;
-    const int num_nodes = problem.numNodes();
-    out.node_bits.assign(num_nodes, false);
-    if (num_nodes == 0)
-        return out;
-
-    // include_zero=false reproduces the legacy adjacency exactly
-    // (no coefficient replay happens on this backend).
-    const embed::CompiledSlot *slot = requestSlot(request);
-    std::shared_ptr<const SaCompiled> compiled;
-    if (slot) {
-        compiled = std::static_pointer_cast<const SaCompiled>(
-            slot->get(kSaDirectTag));
-    }
-    if (!compiled) {
-        compiled = std::make_shared<const SaCompiled>(SaCompiled::build(
-            quboToIsing(problem.normalized), /*include_zero=*/false));
-        if (slot)
-            slot->set(kSaDirectTag, compiled);
-    }
-
-    SaSampler sampler(std::move(compiled));
-    const SaResult result = sampler.sample(opts_.sa, rng_);
-    metrics_.record(result.stats);
-    out.physical_energy = result.energy;
-    out.cancelled = result.cancelled;
-    for (int n = 0; n < num_nodes; ++n)
-        out.node_bits[n] = result.spins[n] > 0;
-    out.clause_energy = problem.clauseSpaceEnergy(out.node_bits);
-    out.weighted_energy = problem.objective.energy(out.node_bits);
     return out;
 }
 
@@ -161,37 +107,29 @@ samplerNames()
 }
 
 std::unique_ptr<Sampler>
-makeSampler(const SamplerSpec &spec, const chimera::ChimeraGraph &graph)
+makeSampler(const SamplerSpec &spec, const topology::Topology &graph)
 {
     const std::string &name = spec.name;
-    std::unique_ptr<Sampler> device;
-    if (name == "qa" || name == "logical") {
-        auto qa = std::make_unique<QaSampler>(
-            graph, spec.annealer, /*force_logical=*/name == "logical",
-            spec.metrics);
-        qa->annealer().setStopToken(spec.stop);
-        device = std::move(qa);
-    } else if (name == "sa") {
-        SaDirectSampler::Options opts;
-        opts.sa.sweeps = spec.annealer.noise.sweeps;
-        opts.sa.beta_end = spec.annealer.noise.beta_final;
-        opts.sa.greedy_finish = spec.annealer.greedy_finish;
-        opts.sa.num_reads = spec.annealer.num_reads;
-        opts.sa.reads_groups = spec.annealer.reads_groups;
-        opts.sa.stop = spec.stop;
-        opts.timing = spec.annealer.timing;
-        opts.seed = spec.annealer.seed;
-        device = std::make_unique<SaDirectSampler>(opts, spec.metrics);
-    } else {
+    if (name != "qa" && name != "logical" && name != "sa")
         fatal("unknown sampler backend '%s' (known: qa, logical, sa)",
               name.c_str());
+    QuantumAnnealer::Options opts = spec.annealer;
+    if (name == "sa") {
+        // Plain SA over the logical Ising model, as dwave-neal runs
+        // it: no control noise, no readout error, one anneal.
+        opts.noise.coefficient_sigma = 0.0;
+        opts.noise.readout_flip_prob = 0.0;
+        opts.attempts = 1;
     }
+    auto device = std::make_unique<QaSampler>(graph, opts, name,
+                                              spec.metrics);
+    device->annealer().setStopToken(spec.stop);
     if (spec.pipeline_depth < 2)
         return device;
-    AsyncSampler::Options opts;
-    opts.depth = spec.pipeline_depth;
-    opts.stop = spec.stop;
-    return std::make_unique<AsyncSampler>(std::move(device), opts);
+    AsyncSampler::Options async;
+    async.depth = spec.pipeline_depth;
+    async.stop = spec.stop;
+    return std::make_unique<AsyncSampler>(std::move(device), async);
 }
 
 } // namespace hyqsat::anneal

@@ -33,9 +33,9 @@
 #include <vector>
 
 #include "anneal/annealer.h"
-#include "chimera/chimera.h"
 #include "embed/embedding.h"
 #include "qubo/encoder.h"
+#include "topology/topology.h"
 #include "util/cancel.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -172,22 +172,21 @@ class SyncSampler : public Sampler
 };
 
 /**
- * The QuantumAnnealer device model behind the Sampler interface —
- * the default backend ("qa"). force_logical samples the ideal
- * all-to-all device instead, ignoring the request's embedding
- * ("logical").
+ * The QuantumAnnealer device model behind the Sampler interface, one
+ * class for every backend name. "qa" (the default) samples through
+ * the request's embedding; any other name samples the ideal
+ * all-to-all device and ignores the embedding. makeSampler() builds
+ * "logical" from the given options and "sa" from the same options
+ * with the noise off and one attempt.
  */
 class QaSampler : public SyncSampler
 {
   public:
-    QaSampler(const chimera::ChimeraGraph &graph,
-              QuantumAnnealer::Options opts, bool force_logical = false,
+    QaSampler(const topology::Topology &graph,
+              QuantumAnnealer::Options opts, std::string name = "qa",
               MetricsRegistry *metrics = nullptr);
 
-    const char *name() const override
-    {
-        return force_logical_ ? "logical" : "qa";
-    }
+    const char *name() const override { return name_.c_str(); }
 
     QuantumAnnealer &annealer() { return annealer_; }
 
@@ -196,36 +195,7 @@ class QaSampler : public SyncSampler
 
   private:
     QuantumAnnealer annealer_;
-    bool force_logical_;
-    AnnealMetrics metrics_;
-};
-
-/**
- * Plain simulated annealing over the logical Ising model ("sa"):
- * no topology, no control noise, no chains. The quality ceiling the
- * device emulation is compared against.
- */
-class SaDirectSampler : public SyncSampler
-{
-  public:
-    struct Options
-    {
-        SaOptions sa;
-        TimingModel timing; ///< still reports modeled device time
-        std::uint64_t seed = 0x5eed0f2a;
-    };
-
-    explicit SaDirectSampler(Options opts,
-                             MetricsRegistry *metrics = nullptr);
-
-    const char *name() const override { return "sa"; }
-
-  protected:
-    AnnealSample compute(const SampleRequest &request) override;
-
-  private:
-    Options opts_;
-    Rng rng_;
+    std::string name_;
     AnnealMetrics metrics_;
 };
 
@@ -233,7 +203,8 @@ class SaDirectSampler : public SyncSampler
  * Everything makeSampler() needs to build a backend by name:
  *   "qa"       QuantumAnnealer device model through the embedding
  *   "logical"  ideal all-to-all device (no embedding)
- *   "sa"       plain SA over the logical Ising model
+ *   "sa"       the logical device with its noise off and one attempt:
+ *              plain SA over the logical Ising model
  * Best-of-N is annealer.num_reads on any of them; a pipeline_depth
  * of 2 or more runs the named backend behind an AsyncSampler.
  */
@@ -267,7 +238,7 @@ struct SamplerSpec
  * spec.pipeline_depth >= 2; fatal() on a name samplerNames() lacks.
  */
 std::unique_ptr<Sampler> makeSampler(const SamplerSpec &spec,
-                                     const chimera::ChimeraGraph &graph);
+                                     const topology::Topology &graph);
 
 /** The backend names makeSampler() accepts: qa, logical, sa. */
 const std::vector<std::string> &samplerNames();

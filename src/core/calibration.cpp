@@ -9,7 +9,7 @@ namespace hyqsat::core {
 
 CalibrationResult
 calibrateEnergyClassifier(anneal::QuantumAnnealer &annealer,
-                          const chimera::ChimeraGraph &graph,
+                          const topology::Topology &graph,
                           const CalibrationOptions &opts)
 {
     CalibrationResult result;

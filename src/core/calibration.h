@@ -15,7 +15,7 @@
 
 #include "anneal/annealer.h"
 #include "bayes/intervals.h"
-#include "chimera/chimera.h"
+#include "topology/topology.h"
 #include "util/rng.h"
 
 namespace hyqsat::core {
@@ -62,7 +62,7 @@ struct CalibrationResult
  */
 CalibrationResult
 calibrateEnergyClassifier(anneal::QuantumAnnealer &annealer,
-                          const chimera::ChimeraGraph &graph,
+                          const topology::Topology &graph,
                           const CalibrationOptions &opts = {});
 
 } // namespace hyqsat::core

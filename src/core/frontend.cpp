@@ -7,7 +7,7 @@
 
 namespace hyqsat::core {
 
-Frontend::Frontend(const chimera::ChimeraGraph &graph,
+Frontend::Frontend(const topology::Topology &graph,
                    const FrontendOptions &opts,
                    MetricsRegistry *metrics)
     : graph_(graph), opts_(opts)

@@ -21,11 +21,11 @@
 #include <memory>
 #include <vector>
 
-#include "chimera/chimera.h"
 #include "core/clause_queue.h"
 #include "embed/embed_cache.h"
 #include "embed/hyqsat_embedder.h"
 #include "sat/solver.h"
+#include "topology/topology.h"
 #include "util/rng.h"
 
 namespace hyqsat {
@@ -114,7 +114,7 @@ class Frontend
      *        generation plus clause staging, cache lookup/insert, and
      *        on a miss the encode and the rest of the embed.
      */
-    Frontend(const chimera::ChimeraGraph &graph,
+    Frontend(const topology::Topology &graph,
              const FrontendOptions &opts,
              MetricsRegistry *metrics = nullptr);
 
@@ -134,7 +134,7 @@ class Frontend
                        FrontendWorkspace &ws) const;
 
   private:
-    const chimera::ChimeraGraph &graph_;
+    const topology::Topology &graph_;
     FrontendOptions opts_;
 
     // Null when no registry was given (one branch per record site).

@@ -26,12 +26,12 @@
 
 #include "anneal/annealer.h"
 #include "anneal/sampler.h"
-#include "chimera/chimera.h"
 #include "core/backend.h"
 #include "core/frontend.h"
 #include "sat/cnf.h"
 #include "sat/solver.h"
 #include "simplify/pipeline.h"
+#include "topology/topology.h"
 #include "util/cancel.h"
 #include "util/metrics.h"
 
@@ -72,8 +72,10 @@ struct HybridConfig
     /**
      * Device model by name (anneal::samplerNames()): "qa" samples
      * through the hardware embedding, "logical" the ideal all-to-all
-     * device, "sa" plain SA over the logical Ising model. The §VI-B
-     * noise-free simulator is "qa" with a noise-free model.
+     * device, "sa" that logical device with the noise off and one
+     * attempt, whatever the annealer options say (plain SA over the
+     * logical Ising model). The §VI-B noise-free simulator is "qa"
+     * with a noise-free model.
      */
     std::string sampler = "qa";
 
@@ -252,7 +254,7 @@ class HybridSolver
     const HybridConfig &config() const { return config_; }
 
     /** The hardware topology (built once per solver). */
-    const chimera::ChimeraGraph &graph() const { return *graph_; }
+    const topology::Topology &graph() const { return *graph_; }
 
   private:
     HybridConfig config_;
@@ -260,7 +262,7 @@ class HybridSolver
     // The topology is immutable configuration: building it per solve
     // made bench loops pay the construction on every call. Every
     // session this solver opens shares it.
-    std::shared_ptr<const chimera::ChimeraGraph> graph_;
+    std::shared_ptr<const topology::Topology> graph_;
 };
 
 /**

@@ -81,7 +81,7 @@ litHolds(const std::vector<bool> &model, sat::Lit p)
 
 Session::Session(const HybridConfig &config)
     : Session(config,
-              std::make_shared<const chimera::ChimeraGraph>(
+              std::make_shared<const topology::Topology>(
                   config.topology, config.chimera_rows,
                   config.chimera_cols, config.chimera_shore),
               nullptr)
@@ -89,7 +89,7 @@ Session::Session(const HybridConfig &config)
 }
 
 Session::Session(const HybridConfig &config,
-                 std::shared_ptr<const chimera::ChimeraGraph> graph,
+                 std::shared_ptr<const topology::Topology> graph,
                  const sat::Cnf *one_shot)
     : config_(config), graph_(std::move(graph)),
       formula_(one_shot ? *one_shot : accumulated_)

@@ -123,7 +123,7 @@ class Session
      * leaves exactly the hybrid layer's keys in HybridConfig::metrics.
      */
     Session(const HybridConfig &config,
-            std::shared_ptr<const chimera::ChimeraGraph> graph,
+            std::shared_ptr<const topology::Topology> graph,
             const sat::Cnf *one_shot);
 
     /** Simplify the accumulated formula and rebuild the warm state. */
@@ -150,7 +150,7 @@ class Session
         std::vector<std::pair<sat::Lit, sat::Lit>> &amap);
 
     HybridConfig config_;
-    std::shared_ptr<const chimera::ChimeraGraph> graph_;
+    std::shared_ptr<const topology::Topology> graph_;
     MetricsRegistry metrics_;
 
     /** session.* counters; null in a one-shot session. */

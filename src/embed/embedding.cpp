@@ -7,7 +7,7 @@
 namespace hyqsat::embed {
 
 std::optional<std::pair<int, int>>
-Embedding::findCoupler(const chimera::ChimeraGraph &graph, int u,
+Embedding::findCoupler(const topology::Topology &graph, int u,
                        int v) const
 {
     const auto &cv = chains_[v];
@@ -22,7 +22,7 @@ Embedding::findCoupler(const chimera::ChimeraGraph &graph, int u,
 }
 
 bool
-Embedding::isValid(const chimera::ChimeraGraph &graph,
+Embedding::isValid(const topology::Topology &graph,
                    const std::vector<std::pair<int, int>> &problem_edges,
                    std::string *why) const
 {

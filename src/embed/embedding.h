@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "chimera/chimera.h"
+#include "topology/topology.h"
 
 namespace hyqsat::embed {
 
@@ -52,7 +52,7 @@ class Embedding
      * @return (qubit_in_u, qubit_in_v) or nullopt.
      */
     std::optional<std::pair<int, int>>
-    findCoupler(const chimera::ChimeraGraph &graph, int u, int v) const;
+    findCoupler(const topology::Topology &graph, int u, int v) const;
 
     /**
      * Check the minor-embedding invariants:
@@ -63,7 +63,7 @@ class Embedding
      * @param why when non-null receives a description of the first
      *        violation.
      */
-    bool isValid(const chimera::ChimeraGraph &graph,
+    bool isValid(const topology::Topology &graph,
                  const std::vector<std::pair<int, int>> &problem_edges,
                  std::string *why = nullptr) const;
 

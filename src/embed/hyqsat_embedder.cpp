@@ -11,7 +11,7 @@ namespace hyqsat::embed {
 
 namespace {
 
-using chimera::ChimeraGraph;
+using topology::Topology;
 using sat::Lit;
 using sat::LitVec;
 using sat::Var;
@@ -57,7 +57,7 @@ struct EmbedderScratch::Impl
     std::vector<int> crossings, chain_rows, grown_rows, grown_chain;
 
     void
-    reset(const ChimeraGraph &graph, const std::vector<LitVec> &queue)
+    reset(const Topology &graph, const std::vector<LitVec> &queue)
     {
         for (Var v : placed) {
             const int line = line_of[v];
@@ -105,7 +105,7 @@ namespace {
 class Builder
 {
   public:
-    Builder(const ChimeraGraph &graph, const HyQsatEmbedderOptions &opts,
+    Builder(const Topology &graph, const HyQsatEmbedderOptions &opts,
             EmbedderScratch::Impl &scratch)
         : graph_(graph), opts_(opts), s_(scratch)
     {
@@ -520,14 +520,14 @@ class Builder
         return false;
     }
 
-    const ChimeraGraph &graph_;
+    const Topology &graph_;
     HyQsatEmbedderOptions opts_;
     EmbedderScratch::Impl &s_;
 };
 
 } // namespace
 
-HyQsatEmbedder::HyQsatEmbedder(const chimera::ChimeraGraph &graph,
+HyQsatEmbedder::HyQsatEmbedder(const topology::Topology &graph,
                                const HyQsatEmbedderOptions &opts)
     : graph_(graph), opts_(opts)
 {

@@ -22,11 +22,11 @@
 #include <memory>
 #include <vector>
 
-#include "chimera/chimera.h"
 #include "embed/compiled_slot.h"
 #include "embed/embedding.h"
 #include "qubo/encoder.h"
 #include "sat/types.h"
+#include "topology/topology.h"
 
 namespace hyqsat::embed {
 
@@ -117,7 +117,7 @@ class EmbedderScratch
 class HyQsatEmbedder
 {
   public:
-    explicit HyQsatEmbedder(const chimera::ChimeraGraph &graph,
+    explicit HyQsatEmbedder(const topology::Topology &graph,
                             const HyQsatEmbedderOptions &opts = {});
 
     /**
@@ -136,7 +136,7 @@ class HyQsatEmbedder
                                 EmbedderScratch &scratch);
 
   private:
-    const chimera::ChimeraGraph &graph_;
+    const topology::Topology &graph_;
     HyQsatEmbedderOptions opts_;
 };
 

@@ -21,7 +21,7 @@ struct ChainSearch
     std::vector<int> parent;
 
     void
-    run(const chimera::ChimeraGraph &graph, const std::vector<int> &src,
+    run(const topology::Topology &graph, const std::vector<int> &src,
         const std::vector<double> &qubit_cost)
     {
         const int n = graph.numQubits();
@@ -54,7 +54,7 @@ struct ChainSearch
 class Attempt
 {
   public:
-    Attempt(const chimera::ChimeraGraph &graph,
+    Attempt(const topology::Topology &graph,
             const MinorminerOptions &opts,
             const std::vector<std::vector<int>> &adj, Rng &rng)
         : graph_(graph), opts_(opts), adj_(adj), rng_(rng),
@@ -271,7 +271,7 @@ class Attempt
         }
     }
 
-    const chimera::ChimeraGraph &graph_;
+    const topology::Topology &graph_;
     const MinorminerOptions &opts_;
     const std::vector<std::vector<int>> &adj_;
     Rng &rng_;
@@ -281,7 +281,7 @@ class Attempt
 
 } // namespace
 
-MinorminerEmbedder::MinorminerEmbedder(const chimera::ChimeraGraph &graph,
+MinorminerEmbedder::MinorminerEmbedder(const topology::Topology &graph,
                                        const MinorminerOptions &opts)
     : graph_(graph), opts_(opts)
 {

@@ -22,8 +22,8 @@
 #include <utility>
 #include <vector>
 
-#include "chimera/chimera.h"
 #include "embed/embedding.h"
+#include "topology/topology.h"
 
 namespace hyqsat::embed {
 
@@ -49,7 +49,7 @@ struct MinorminerOptions
 class MinorminerEmbedder
 {
   public:
-    MinorminerEmbedder(const chimera::ChimeraGraph &graph,
+    MinorminerEmbedder(const topology::Topology &graph,
                        const MinorminerOptions &opts = {});
 
     /**
@@ -61,7 +61,7 @@ class MinorminerEmbedder
                       const std::vector<std::pair<int, int>> &edges);
 
   private:
-    const chimera::ChimeraGraph &graph_;
+    const topology::Topology &graph_;
     MinorminerOptions opts_;
 };
 

@@ -14,7 +14,7 @@ namespace {
 
 /** Cell-grid Manhattan distance between two qubits. */
 int
-cellDistance(const chimera::ChimeraGraph &g, int a, int b)
+cellDistance(const topology::Topology &g, int a, int b)
 {
     const auto ca = g.coord(a);
     const auto cb = g.coord(b);
@@ -23,7 +23,7 @@ cellDistance(const chimera::ChimeraGraph &g, int a, int b)
 
 } // namespace
 
-PlaceRouteEmbedder::PlaceRouteEmbedder(const chimera::ChimeraGraph &graph,
+PlaceRouteEmbedder::PlaceRouteEmbedder(const topology::Topology &graph,
                                        const PlaceRouteOptions &opts)
     : graph_(graph), opts_(opts)
 {

@@ -15,8 +15,8 @@
 #include <utility>
 #include <vector>
 
-#include "chimera/chimera.h"
 #include "embed/embedding.h"
+#include "topology/topology.h"
 
 namespace hyqsat::embed {
 
@@ -36,7 +36,7 @@ struct PlaceRouteOptions
 class PlaceRouteEmbedder
 {
   public:
-    PlaceRouteEmbedder(const chimera::ChimeraGraph &graph,
+    PlaceRouteEmbedder(const topology::Topology &graph,
                        const PlaceRouteOptions &opts = {});
 
     /** Embed a problem graph; succeeds only if every edge routes. */
@@ -48,7 +48,7 @@ class PlaceRouteEmbedder
                         const std::vector<std::pair<int, int>> &edges,
                         std::uint64_t seed, double deadline_seconds);
 
-    const chimera::ChimeraGraph &graph_;
+    const topology::Topology &graph_;
     PlaceRouteOptions opts_;
 };
 

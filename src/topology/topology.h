@@ -33,9 +33,7 @@
  *    leave two cells free between consecutive qubits (lineReach()
  *    3), thinning chains further on large grids.
  *
- * The class is a drop-in replacement for the former
- * chimera::ChimeraGraph (that name is now an alias); the plain
- * (rows, cols, shore) constructor still builds a Chimera graph.
+ * The plain (rows, cols, shore) constructor builds a Chimera graph.
  */
 
 #ifndef HYQSAT_TOPOLOGY_TOPOLOGY_H

@@ -14,11 +14,11 @@
 #include <vector>
 
 #include "anneal/sa_batch_kernels.h"
-#include "chimera/chimera.h"
 #include "core/frontend.h"
 #include "embed/hyqsat_embedder.h"
 #include "gen/graph_coloring.h"
 #include "sat/solver.h"
+#include "topology/topology.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -88,7 +88,7 @@ hostVectorDecides()
 
 /** The first frontend result of a solve of @p cnf on @p graph. */
 inline std::shared_ptr<const embed::QueueEmbedResult>
-frontendQueue(const chimera::ChimeraGraph &graph, const sat::Cnf &cnf)
+frontendQueue(const topology::Topology &graph, const sat::Cnf &cnf)
 {
     sat::SolverOptions sopts;
     sopts.instrument_clauses = true;
@@ -108,7 +108,7 @@ frontendQueue(const chimera::ChimeraGraph &graph, const sat::Cnf &cnf)
 
 /** The first frontend result of a graph-coloring solve. */
 inline std::shared_ptr<const embed::QueueEmbedResult>
-frontendProblem(const chimera::ChimeraGraph &graph)
+frontendProblem(const topology::Topology &graph)
 {
     Rng gen(4242);
     return frontendQueue(graph, gen::flatColoringCnf(40, 100, 3, gen));

@@ -68,7 +68,7 @@ class AnnealCancel : public ::testing::Test
         return opts;
     }
 
-    const chimera::ChimeraGraph graph_{16, 16, 4};
+    const topology::Topology graph_{16, 16, 4};
     std::shared_ptr<const embed::QueueEmbedResult> fx_;
 };
 

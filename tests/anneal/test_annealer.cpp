@@ -13,7 +13,7 @@ using sat::LitVec;
 using sat::mkLit;
 
 embed::QueueEmbedResult
-embedFixture(const chimera::ChimeraGraph &g,
+embedFixture(const topology::Topology &g,
              const std::vector<LitVec> &clauses)
 {
     embed::HyQsatEmbedder embedder(g);
@@ -24,7 +24,7 @@ embedFixture(const chimera::ChimeraGraph &g,
 
 TEST(Annealer, NoiseFreeSolvesSingleClause)
 {
-    const chimera::ChimeraGraph g(4, 4, 4);
+    const topology::Topology g(4, 4, 4);
     const auto fx = embedFixture(
         g, {{mkLit(0), mkLit(1), mkLit(2)}});
     QuantumAnnealer::Options opts;
@@ -39,7 +39,7 @@ TEST(Annealer, NoiseFreeSolvesSingleClause)
 
 TEST(Annealer, NoiseFreeSolvesSatisfiableSets)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     Rng rng(3);
     QuantumAnnealer::Options opts;
     opts.noise = NoiseModel::noiseFree();
@@ -62,7 +62,7 @@ TEST(Annealer, NoiseFreeSolvesSatisfiableSets)
 
 TEST(Annealer, UnsatisfiableSetHasPositiveEnergy)
 {
-    const chimera::ChimeraGraph g(4, 4, 4);
+    const topology::Topology g(4, 4, 4);
     const auto fx = embedFixture(
         g, {{mkLit(0)}, {mkLit(0, true)}});
     QuantumAnnealer::Options opts;
@@ -75,7 +75,7 @@ TEST(Annealer, UnsatisfiableSetHasPositiveEnergy)
 
 TEST(Annealer, LogicalSamplingAgreesWithEmbedded)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     Rng rng(5);
     const auto cnf = sat::testing::randomCnf(15, 30, 3, rng);
     if (!sat::bruteForceSolve(cnf).satisfiable)
@@ -94,7 +94,7 @@ TEST(Annealer, LogicalSamplingAgreesWithEmbedded)
 
 TEST(Annealer, ReadoutNoiseRaisesEnergy)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     Rng rng(7);
     const auto cnf = sat::testing::randomCnf(20, 60, 3, rng);
     const std::vector<LitVec> clauses(cnf.clauses().begin(),
@@ -123,7 +123,7 @@ TEST(Annealer, ReadoutNoiseRaisesEnergy)
 
 TEST(Annealer, CoefficientNoisePerturbsResults)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     Rng rng(9);
     const auto cnf = sat::testing::randomCnf(25, 100, 3, rng);
     const std::vector<LitVec> clauses(cnf.clauses().begin(),
@@ -143,7 +143,7 @@ TEST(Annealer, CoefficientNoisePerturbsResults)
 
 TEST(Annealer, DeviceTimeFollowsTimingModel)
 {
-    const chimera::ChimeraGraph g(2, 2, 4);
+    const topology::Topology g(2, 2, 4);
     QuantumAnnealer::Options opts;
     opts.timing.anneal_us = 20;
     opts.timing.readout_us = 110;
@@ -155,7 +155,7 @@ TEST(Annealer, DeviceTimeFollowsTimingModel)
 
 TEST(Annealer, EmptyProblemIsTrivial)
 {
-    const chimera::ChimeraGraph g(2, 2, 4);
+    const topology::Topology g(2, 2, 4);
     QuantumAnnealer qa(g, {});
     const qubo::EncodedProblem empty;
     const embed::Embedding no_chains;

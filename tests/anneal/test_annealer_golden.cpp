@@ -51,7 +51,7 @@ fnvBits(const std::vector<bool> &bits)
 
 /** The fixture the golden constants were captured on. */
 embed::QueueEmbedResult
-goldenFixture(const chimera::ChimeraGraph &g)
+goldenFixture(const topology::Topology &g)
 {
     std::vector<LitVec> clauses;
     for (int i = 0; i < 12; ++i) {
@@ -97,7 +97,7 @@ constexpr GoldenFlavor kGoldenFlavors[] = {
 
 TEST(AnnealerGolden, SeedBitsAndRngStreamSurviveRewrites)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     const auto fx = goldenFixture(g);
     for (const GoldenFlavor &flavor : kGoldenFlavors) {
         QuantumAnnealer::Options opts;
@@ -135,7 +135,7 @@ TEST(AnnealerGolden, MemoizedSlotDoesNotChangeTheStream)
     // The CompiledSlot overloads must sample identically to the
     // slot-free path: memoization skips model compilation, never a
     // draw. (Compilation itself consumes no RNG.)
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     const auto fx = goldenFixture(g);
     QuantumAnnealer::Options opts;
     opts.noise = NoiseModel::dwave2000q();

@@ -177,7 +177,7 @@ TEST(LockstepGolden, ChainedModelWithInChainCouplers)
 
 TEST(LockstepGolden, NoisyAnnealerSampleAtSixteenReads)
 {
-    const chimera::ChimeraGraph graph(16, 16, 4);
+    const topology::Topology graph(16, 16, 4);
     const auto fx = frontendProblem(graph);
     ASSERT_TRUE(fx);
     ASSERT_GT(fx->problem.numNodes(), 0);

@@ -9,9 +9,9 @@
 #include "anneal/sa_batch.h"
 #include "anneal/sa_batch_kernels.h"
 #include "anneal/sa_sampler.h"
-#include "chimera/chimera.h"
 #include "embed/hyqsat_embedder.h"
 #include "tests/anneal/helpers.h"
+#include "topology/topology.h"
 #include "util/simd.h"
 
 namespace hyqsat::anneal {
@@ -467,7 +467,7 @@ TEST(SaBatch, GroupMovesMatchWorkPoolSemantics)
 
 TEST(SaBatch, AnnealerReadsBatchSolvesAndCountsReads)
 {
-    const chimera::ChimeraGraph g(4, 4, 4);
+    const topology::Topology g(4, 4, 4);
     embed::HyQsatEmbedder embedder(g);
     const auto fx = embedder.embedQueue(
         {{sat::mkLit(0), sat::mkLit(1), sat::mkLit(2)}});

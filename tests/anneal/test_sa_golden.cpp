@@ -414,7 +414,7 @@ TEST(SaGolden, NumReadsOneIsIdenticalThroughSampleAll)
 
 /** The frontend's first embedded queue of a GC or a CFA instance. */
 std::shared_ptr<const embed::QueueEmbedResult>
-chainQueue(bool cfa, const chimera::ChimeraGraph &graph)
+chainQueue(bool cfa, const topology::Topology &graph)
 {
     if (cfa) {
         Rng gen(0xCFA0ull);
@@ -462,8 +462,8 @@ constexpr ChainRow kChainRows[] = {
 void
 checkChainRows(bool cfa)
 {
-    const chimera::ChimeraGraph graph =
-        chimera::ChimeraGraph::dwave2000q();
+    const topology::Topology graph =
+        topology::Topology::dwave2000q();
     const auto queue = chainQueue(cfa, graph);
     ASSERT_TRUE(queue);
     ASSERT_GT(queue->problem.numNodes(), 0);

@@ -12,7 +12,7 @@ using sat::LitVec;
 using sat::mkLit;
 
 embed::QueueEmbedResult
-embedFixture(const chimera::ChimeraGraph &g,
+embedFixture(const topology::Topology &g,
              const std::vector<LitVec> &clauses)
 {
     embed::HyQsatEmbedder embedder(g);
@@ -20,7 +20,7 @@ embedFixture(const chimera::ChimeraGraph &g,
 }
 
 SampleRequest
-requestFixture(const chimera::ChimeraGraph &g, std::uint64_t seed = 21)
+requestFixture(const topology::Topology &g, std::uint64_t seed = 21)
 {
     Rng rng(seed);
     const auto cnf = sat::testing::randomCnf(15, 32, 3, rng);
@@ -46,7 +46,7 @@ noiseFreeOptions()
 
 TEST(Sampler, QaSamplerMatchesDirectAnnealerBitForBit)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     const auto request = requestFixture(g);
 
     QuantumAnnealer direct(g, noiseFreeOptions());
@@ -65,12 +65,11 @@ TEST(Sampler, QaSamplerMatchesDirectAnnealerBitForBit)
 
 TEST(Sampler, QaSamplerHonorsLogicalRequests)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     const auto request = requestFixture(g);
 
     QuantumAnnealer direct(g, noiseFreeOptions());
-    QaSampler via_interface(g, noiseFreeOptions(),
-                            /*force_logical=*/true);
+    QaSampler via_interface(g, noiseFreeOptions(), "logical");
     const auto a = direct.sampleLogical(*request.problem);
     const auto b = via_interface.sampleNow(request);
     EXPECT_EQ(a.node_bits, b.node_bits);
@@ -79,7 +78,7 @@ TEST(Sampler, QaSamplerHonorsLogicalRequests)
 
 TEST(Sampler, SyncSamplerTicketsAndInFlight)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     const auto request = requestFixture(g);
     QaSampler sampler(g, noiseFreeOptions());
 
@@ -102,14 +101,16 @@ TEST(Sampler, SyncSamplerTicketsAndInFlight)
 
 TEST(Sampler, SaDirectSamplerDeterministicPerSeed)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     const auto request = requestFixture(g);
 
-    SaDirectSampler::Options opts;
-    opts.seed = 99;
-    SaDirectSampler a(opts), b(opts);
-    const auto sa = a.sampleNow(request);
-    const auto sb = b.sampleNow(request);
+    SamplerSpec spec;
+    spec.name = "sa";
+    spec.annealer.seed = 99;
+    const auto a = makeSampler(spec, g);
+    const auto b = makeSampler(spec, g);
+    const auto sa = a->sampleNow(request);
+    const auto sb = b->sampleNow(request);
     EXPECT_EQ(sa.node_bits, sb.node_bits);
     EXPECT_DOUBLE_EQ(sa.clause_energy, sb.clause_energy);
     EXPECT_EQ(static_cast<int>(sa.node_bits.size()),
@@ -120,7 +121,7 @@ TEST(Sampler, SaDirectSamplerDeterministicPerSeed)
 
 TEST(Sampler, AsyncSamplerDeliversEverySubmissionInOrder)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     const auto request = requestFixture(g);
 
     AsyncSampler::Options opts;
@@ -146,7 +147,7 @@ TEST(Sampler, AsyncSamplerMatchesSyncStream)
 {
     // One worker draining a FIFO against one synchronous sampler:
     // identical request sequences must produce identical samples.
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     const auto request = requestFixture(g);
 
     QaSampler sync(g, noiseFreeOptions());
@@ -163,7 +164,7 @@ TEST(Sampler, AsyncSamplerMatchesSyncStream)
 
 TEST(Sampler, AsyncSamplerAbandonsPendingJobsOnDestruction)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     const auto request = requestFixture(g);
     {
         AsyncSampler async(
@@ -177,7 +178,7 @@ TEST(Sampler, AsyncSamplerAbandonsPendingJobsOnDestruction)
 
 TEST(Sampler, FactoryBuildsEveryNamedBackend)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     const auto request = requestFixture(g);
 
     EXPECT_EQ(samplerNames(),
@@ -208,7 +209,7 @@ TEST(Sampler, FactoryComposesAsyncWrappers)
 {
     // A plain backend name plus pipeline_depth >= 2 composes the async
     // wrapper; the wrapper's capacity is the requested depth.
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     SamplerSpec spec;
     spec.name = "sa";
     spec.pipeline_depth = 4;
@@ -226,7 +227,7 @@ TEST(Sampler, FactoryRejectsUnknownAndNestedNames)
 {
     // The async pipeline is pipeline_depth, never a name, so the
     // retired wrapper spellings are unknown names like any other.
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     for (const char *name :
          {"qpu-over-carrier-pigeon", "", "sync", "batch", "async"}) {
         SamplerSpec bad;

@@ -10,7 +10,7 @@ namespace {
 /** Fixture: solver + frontend result for a small formula. */
 struct Fixture
 {
-    chimera::ChimeraGraph graph{16, 16, 4};
+    topology::Topology graph{16, 16, 4};
     sat::Cnf cnf;
     sat::Solver solver;
     FrontendResult frontend;

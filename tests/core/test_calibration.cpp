@@ -7,7 +7,7 @@ namespace {
 
 TEST(Calibration, FitsClassifierFromDeviceSamples)
 {
-    const auto graph = chimera::ChimeraGraph::dwave2000q();
+    const auto graph = topology::Topology::dwave2000q();
     anneal::QuantumAnnealer::Options opts;
     opts.noise = anneal::NoiseModel::dwave2000q();
     opts.greedy_finish = true;
@@ -31,7 +31,7 @@ TEST(Calibration, NoiseFreeSeparatesWell)
 {
     // With a noise-free annealer, satisfiable problems sample at
     // zero and unsatisfiable ones strictly above: accuracy is high.
-    const auto graph = chimera::ChimeraGraph::dwave2000q();
+    const auto graph = topology::Topology::dwave2000q();
     anneal::QuantumAnnealer::Options opts;
     opts.noise = anneal::NoiseModel::noiseFree();
     opts.greedy_finish = true;
@@ -47,7 +47,7 @@ TEST(Calibration, NoiseFreeSeparatesWell)
 
 TEST(Calibration, WeightedEnergyAxisSupported)
 {
-    const auto graph = chimera::ChimeraGraph::dwave2000q();
+    const auto graph = topology::Topology::dwave2000q();
     anneal::QuantumAnnealer::Options opts;
     opts.noise = anneal::NoiseModel::dwave2000q();
     opts.greedy_finish = true;
@@ -63,7 +63,7 @@ TEST(Calibration, WeightedEnergyAxisSupported)
 
 TEST(Calibration, DeterministicPerSeed)
 {
-    const auto graph = chimera::ChimeraGraph::dwave2000q();
+    const auto graph = topology::Topology::dwave2000q();
     CalibrationOptions copts;
     copts.problems_per_class = 10;
 

@@ -8,7 +8,7 @@ namespace {
 
 TEST(Frontend, ProducesValidEmbeddingForUnsolvedFormula)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     Rng gen(1);
     const auto cnf = sat::testing::randomCnf(40, 170, 3, gen);
     sat::Solver solver;
@@ -27,7 +27,7 @@ TEST(Frontend, ProducesValidEmbeddingForUnsolvedFormula)
 
 TEST(Frontend, EmbeddedClausesArePrefixOfQueue)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     Rng gen(3);
     const auto cnf = sat::testing::randomCnf(80, 340, 3, gen);
     sat::Solver solver;
@@ -44,7 +44,7 @@ TEST(Frontend, EmbeddedClausesArePrefixOfQueue)
 
 TEST(Frontend, CoversAllWhenFormulaIsSmall)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     Rng gen(5);
     const auto cnf = sat::testing::randomCnf(15, 25, 3, gen);
     sat::Solver solver;
@@ -57,7 +57,7 @@ TEST(Frontend, CoversAllWhenFormulaIsSmall)
 
 TEST(Frontend, DoesNotCoverAllWhenCapacityExceeded)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     Rng gen(7);
     const auto cnf = sat::testing::randomCnf(200, 860, 3, gen);
     sat::Solver solver;
@@ -70,7 +70,7 @@ TEST(Frontend, DoesNotCoverAllWhenCapacityExceeded)
 
 TEST(Frontend, EmptyResultOnSatisfiedFormula)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     sat::Cnf cnf(2);
     cnf.addClause(sat::mkLit(0));
     cnf.addClause(sat::mkLit(1));
@@ -85,7 +85,7 @@ TEST(Frontend, EmptyResultOnSatisfiedFormula)
 
 TEST(Frontend, ReportsTimeSpent)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     Rng gen(10);
     const auto cnf = sat::testing::randomCnf(60, 250, 3, gen);
     sat::Solver solver;
@@ -99,7 +99,7 @@ TEST(Frontend, ReportsTimeSpent)
 
 TEST(Frontend, RespectsQueueCapacityOption)
 {
-    const auto g = chimera::ChimeraGraph::dwave2000q();
+    const auto g = topology::Topology::dwave2000q();
     Rng gen(12);
     const auto cnf = sat::testing::randomCnf(60, 250, 3, gen);
     sat::Solver solver;

@@ -47,7 +47,7 @@ expectSameResult(const FrontendResult &a, const FrontendResult &b)
 
 TEST(FrontendFastPath, WorkspaceMatchesOneShot)
 {
-    const chimera::ChimeraGraph graph(16, 16, 4);
+    const topology::Topology graph(16, 16, 4);
     const Frontend frontend(graph, {});
     FrontendWorkspace ws;
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
@@ -65,7 +65,7 @@ TEST(FrontendFastPath, WorkspaceMatchesOneShot)
 
 TEST(FrontendFastPath, TrackingSolverMatchesScanSolver)
 {
-    const chimera::ChimeraGraph graph(16, 16, 4);
+    const topology::Topology graph(16, 16, 4);
     const Frontend frontend(graph, {});
     Rng gen(4);
     const auto cnf = sat::testing::randomCnf(40, 170, 3, gen);
@@ -81,7 +81,7 @@ TEST(FrontendFastPath, TrackingSolverMatchesScanSolver)
 
 TEST(FrontendFastPath, RepeatedRunsHitTheCache)
 {
-    const chimera::ChimeraGraph graph(16, 16, 4);
+    const topology::Topology graph(16, 16, 4);
     MetricsRegistry metrics;
     const Frontend frontend(graph, {}, &metrics);
     Rng gen(5);
@@ -110,7 +110,7 @@ TEST(FrontendFastPath, RepeatedRunsHitTheCache)
 
 TEST(FrontendFastPath, BypassKnobDisablesTheCache)
 {
-    const chimera::ChimeraGraph graph(16, 16, 4);
+    const topology::Topology graph(16, 16, 4);
     MetricsRegistry metrics;
     FrontendOptions opts;
     opts.cache_embeddings = false;
@@ -140,7 +140,7 @@ TEST(FrontendFastPath, BypassKnobDisablesTheCache)
 
 TEST(FrontendFastPath, CapacityOneEvictsOnAlternation)
 {
-    const chimera::ChimeraGraph graph(16, 16, 4);
+    const topology::Topology graph(16, 16, 4);
     MetricsRegistry metrics;
     FrontendOptions opts;
     opts.cache_capacity = 1;
@@ -168,7 +168,7 @@ TEST(FrontendFastPath, CapacityOneEvictsOnAlternation)
 
 TEST(FrontendFastPath, EmptyQueueCountsAsMissAndYieldsEmptyProblem)
 {
-    const chimera::ChimeraGraph graph(16, 16, 4);
+    const topology::Topology graph(16, 16, 4);
     MetricsRegistry metrics;
     const Frontend frontend(graph, {}, &metrics);
     sat::Cnf cnf(1);
@@ -186,7 +186,7 @@ TEST(FrontendFastPath, EmptyQueueCountsAsMissAndYieldsEmptyProblem)
 
 TEST(FrontendFastPath, UnsatPathCountersFollowTheSolverMode)
 {
-    const chimera::ChimeraGraph graph(16, 16, 4);
+    const topology::Topology graph(16, 16, 4);
     MetricsRegistry metrics;
     const Frontend frontend(graph, {}, &metrics);
     Rng gen(12);

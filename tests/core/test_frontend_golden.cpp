@@ -140,7 +140,7 @@ isTautology(const sat::LitVec &clause)
  * and digest every result.
  */
 Observed
-runCase(const sat::Cnf &cnf, const chimera::ChimeraGraph &graph,
+runCase(const sat::Cnf &cnf, const topology::Topology &graph,
         std::uint64_t seed, int stride, int max_runs)
 {
     sat::SolverOptions sopts;
@@ -183,7 +183,7 @@ TEST(FrontendGolden, GraphColoring)
     Rng gen(101);
     const auto cnf = gen::flatColoringCnf(50, 120, 3, gen);
     const auto seen =
-        runCase(cnf, chimera::ChimeraGraph(16, 16, 4), 7, 1, 24);
+        runCase(cnf, topology::Topology(16, 16, 4), 7, 1, 24);
     EXPECT_EQ(seen.runs, 24);
     EXPECT_EQ(seen.digest, 0x68258f106e148f92ull);
 }
@@ -194,7 +194,7 @@ TEST(FrontendGolden, CircuitFaultAnalysis)
     const gen::Circuit c = gen::randomCircuit(10, 40, 4, gen);
     const auto cnf = sat::toThreeSat(gen::faultMiter(c, -1, false));
     const auto seen =
-        runCase(cnf, chimera::ChimeraGraph(16, 16, 4), 11, 1, 24);
+        runCase(cnf, topology::Topology(16, 16, 4), 11, 1, 24);
     EXPECT_EQ(seen.runs, 21); // the solve ends first
     EXPECT_EQ(seen.digest, 0xaec177c518274213ull);
 }
@@ -206,7 +206,7 @@ TEST(FrontendGolden, UniformQueueBeyondCapacity)
     Rng gen(303);
     const auto cnf = gen::uniformRandom3Sat(400, 1700, gen);
     const auto seen =
-        runCase(cnf, chimera::ChimeraGraph(16, 16, 4), 13, 1, 6);
+        runCase(cnf, topology::Topology(16, 16, 4), 13, 1, 6);
     EXPECT_EQ(seen.runs, 6);
     EXPECT_GT(seen.prefix_runs, 0);
     EXPECT_GT(seen.full_queues, 0);
@@ -220,7 +220,7 @@ TEST(FrontendGolden, QueueWithTautology)
     cnf.addClause({sat::mkLit(3), sat::mkLit(3, true), sat::mkLit(5)});
     cnf.addClause({sat::mkLit(7, true), sat::mkLit(9), sat::mkLit(7)});
     const auto seen =
-        runCase(cnf, chimera::ChimeraGraph(16, 16, 4), 17, 1, 4);
+        runCase(cnf, topology::Topology(16, 16, 4), 17, 1, 4);
     EXPECT_EQ(seen.runs, 4);
     EXPECT_GT(seen.tautology_runs, 0);
     EXPECT_EQ(seen.digest, 0xf5470b015a18a0d9ull);
@@ -233,7 +233,7 @@ TEST(FrontendGolden, PegasusOddCouplers)
     Rng gen(505);
     const auto cnf = gen::flatColoringCnf(60, 150, 3, gen);
     const auto seen = runCase(
-        cnf, chimera::ChimeraGraph::pegasus(8, 8, 4), 19, 2, 12);
+        cnf, topology::Topology::pegasus(8, 8, 4), 19, 2, 12);
     EXPECT_EQ(seen.runs, 12);
     EXPECT_EQ(seen.digest, 0x6403e94f4bde1168ull);
 }

@@ -84,7 +84,7 @@ class ManualSampler : public anneal::Sampler
 /** A solver loaded with a small instrumented 3-SAT instance. */
 struct Fixture
 {
-    chimera::ChimeraGraph graph{16, 16, 4};
+    topology::Topology graph{16, 16, 4};
     FrontendOptions fe_opts;
     Frontend frontend{graph, fe_opts};
     Rng rng{0xfee1};

@@ -43,7 +43,7 @@ class EmbedderSweep : public ::testing::TestWithParam<SweepParam>
     run()
     {
         const auto &p = GetParam();
-        graph_ = std::make_unique<chimera::ChimeraGraph>(
+        graph_ = std::make_unique<topology::Topology>(
             p.rows, p.cols, p.shore);
         Rng rng(p.seed);
         const auto cnf = sat::testing::randomCnf(
@@ -54,7 +54,7 @@ class EmbedderSweep : public ::testing::TestWithParam<SweepParam>
         return embedder.embedQueue(queue);
     }
 
-    std::unique_ptr<chimera::ChimeraGraph> graph_;
+    std::unique_ptr<topology::Topology> graph_;
 };
 
 TEST_P(EmbedderSweep, PrefixEmbeddingIsValid)

@@ -1,17 +1,17 @@
 #include <gtest/gtest.h>
 
-#include "chimera/chimera.h"
 #include "embed/embedding.h"
+#include "topology/topology.h"
 
 namespace hyqsat::embed {
 namespace {
 
-using chimera::ChimeraGraph;
-using chimera::Shore;
+using topology::Topology;
+using topology::Shore;
 
 TEST(Embedding, EmptyChainInvalid)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     Embedding e(1);
     std::string why;
     EXPECT_FALSE(e.isValid(g, {}, &why));
@@ -20,7 +20,7 @@ TEST(Embedding, EmptyChainInvalid)
 
 TEST(Embedding, SingleQubitChainsValid)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     Embedding e(2);
     e.chain(0).push_back(0);
     e.chain(1).push_back(1);
@@ -29,7 +29,7 @@ TEST(Embedding, SingleQubitChainsValid)
 
 TEST(Embedding, OverlappingChainsInvalid)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     Embedding e(2);
     e.chain(0).push_back(3);
     e.chain(1).push_back(3);
@@ -40,7 +40,7 @@ TEST(Embedding, OverlappingChainsInvalid)
 
 TEST(Embedding, DisconnectedChainInvalid)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     Embedding e(1);
     // Two vertical qubits in the same cell are not coupled.
     e.chain(0).push_back(g.qubitId(0, 0, Shore::Vertical, 0));
@@ -52,7 +52,7 @@ TEST(Embedding, DisconnectedChainInvalid)
 
 TEST(Embedding, ConnectedTwoQubitChainValid)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     Embedding e(1);
     e.chain(0).push_back(g.qubitId(0, 0, Shore::Vertical, 0));
     e.chain(0).push_back(g.qubitId(0, 0, Shore::Horizontal, 0));
@@ -61,7 +61,7 @@ TEST(Embedding, ConnectedTwoQubitChainValid)
 
 TEST(Embedding, MissingEdgeCouplerInvalid)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     Embedding e(2);
     // Two vertical qubits in different cells of different columns:
     // no coupler.
@@ -74,7 +74,7 @@ TEST(Embedding, MissingEdgeCouplerInvalid)
 
 TEST(Embedding, EdgeCouplerFoundAcrossChains)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     Embedding e(2);
     const int vq = g.qubitId(0, 0, Shore::Vertical, 0);
     const int hq = g.qubitId(0, 0, Shore::Horizontal, 2);
@@ -89,7 +89,7 @@ TEST(Embedding, EdgeCouplerFoundAcrossChains)
 
 TEST(Embedding, QubitOutOfRangeInvalid)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     Embedding e(1);
     e.chain(0).push_back(g.numQubits());
     EXPECT_FALSE(e.isValid(g, {}));

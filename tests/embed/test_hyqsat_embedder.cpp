@@ -6,13 +6,13 @@
 namespace hyqsat::embed {
 namespace {
 
-using chimera::ChimeraGraph;
+using topology::Topology;
 using sat::LitVec;
 using sat::mkLit;
 
 TEST(HyQsatEmbedder, SingleClauseEmbedsAndValidates)
 {
-    const ChimeraGraph g(4, 4, 4);
+    const Topology g(4, 4, 4);
     HyQsatEmbedder embedder(g);
     const std::vector<LitVec> queue{{mkLit(0), mkLit(1), mkLit(2)}};
     const auto r = embedder.embedQueue(queue);
@@ -25,7 +25,7 @@ TEST(HyQsatEmbedder, SingleClauseEmbedsAndValidates)
 
 TEST(HyQsatEmbedder, TwoLiteralClause)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     HyQsatEmbedder embedder(g);
     const std::vector<LitVec> queue{{mkLit(0), mkLit(1, true)}};
     const auto r = embedder.embedQueue(queue);
@@ -36,7 +36,7 @@ TEST(HyQsatEmbedder, TwoLiteralClause)
 
 TEST(HyQsatEmbedder, UnitClauseUsesOneChain)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     HyQsatEmbedder embedder(g);
     const std::vector<LitVec> queue{{mkLit(5)}};
     const auto r = embedder.embedQueue(queue);
@@ -47,7 +47,7 @@ TEST(HyQsatEmbedder, UnitClauseUsesOneChain)
 
 TEST(HyQsatEmbedder, TautologyConsumesNoHardware)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     HyQsatEmbedder embedder(g);
     const std::vector<LitVec> tautologies(
         50, LitVec{mkLit(0), mkLit(0, true), mkLit(1)});
@@ -59,7 +59,7 @@ TEST(HyQsatEmbedder, TautologyConsumesNoHardware)
 
 TEST(HyQsatEmbedder, SharedVariableClausesValidate)
 {
-    const ChimeraGraph g(4, 4, 4);
+    const Topology g(4, 4, 4);
     HyQsatEmbedder embedder(g);
     // The paper's Fig. 6 queue shape: clauses chained on x0.
     const std::vector<LitVec> queue{
@@ -77,7 +77,7 @@ TEST(HyQsatEmbedder, PrefixSemanticsOnOverflow)
 {
     // A tiny chip cannot host many distinct variables; the embedder
     // must embed a strict prefix and stay valid.
-    const ChimeraGraph g(2, 2, 2); // 4 vertical lines only
+    const Topology g(2, 2, 2); // 4 vertical lines only
     HyQsatEmbedder embedder(g);
     std::vector<LitVec> queue;
     for (int i = 0; i < 10; ++i)
@@ -98,8 +98,8 @@ TEST(HyQsatEmbedder, LargerChipEmbedsMoreClauses)
     const std::vector<LitVec> queue(queue_cnf.clauses().begin(),
                                     queue_cnf.clauses().end());
 
-    const ChimeraGraph small(4, 4, 4);
-    const ChimeraGraph large(16, 16, 4);
+    const Topology small(4, 4, 4);
+    const Topology large(16, 16, 4);
     const auto rs = HyQsatEmbedder(small).embedQueue(queue);
     const auto rl = HyQsatEmbedder(large).embedQueue(queue);
     EXPECT_GE(rl.embedded_clauses, rs.embedded_clauses);
@@ -113,7 +113,7 @@ TEST(HyQsatEmbedder, LargerChipEmbedsMoreClauses)
 
 TEST(HyQsatEmbedder, RandomQueuesAlwaysValidOn2000q)
 {
-    const auto g = ChimeraGraph::dwave2000q();
+    const auto g = Topology::dwave2000q();
     Rng rng(21);
     for (int round = 0; round < 5; ++round) {
         const auto cnf =
@@ -131,7 +131,7 @@ TEST(HyQsatEmbedder, RandomQueuesAlwaysValidOn2000q)
 
 TEST(HyQsatEmbedder, EmbeddingIsFast)
 {
-    const auto g = ChimeraGraph::dwave2000q();
+    const auto g = Topology::dwave2000q();
     Rng rng(23);
     const auto cnf = sat::testing::randomCnf(64, 250, 3, rng);
     const std::vector<LitVec> queue(cnf.clauses().begin(),
@@ -145,7 +145,7 @@ TEST(HyQsatEmbedder, EmbeddingIsFast)
 
 TEST(HyQsatEmbedder, ReuseSegmentsImprovesOrMatchesCapacity)
 {
-    const ChimeraGraph g(8, 8, 4);
+    const Topology g(8, 8, 4);
     Rng rng(29);
     const auto cnf = sat::testing::randomCnf(40, 150, 3, rng);
     const std::vector<LitVec> queue(cnf.clauses().begin(),
@@ -166,14 +166,14 @@ TEST(HyQsatEmbedder, ReuseSegmentsImprovesOrMatchesCapacity)
 
 TEST(HyQsatEmbedder, AuxChainsLiveOnHorizontalLines)
 {
-    const ChimeraGraph g(4, 4, 4);
+    const Topology g(4, 4, 4);
     HyQsatEmbedder embedder(g);
     const std::vector<LitVec> queue{{mkLit(0), mkLit(1), mkLit(2)}};
     const auto r = embedder.embedQueue(queue);
     const int aux = r.problem.clause_aux[0];
     ASSERT_GE(aux, 0);
     for (int q : r.embedding.chain(aux)) {
-        EXPECT_EQ(g.coord(q).shore, chimera::Shore::Horizontal);
+        EXPECT_EQ(g.coord(q).shore, topology::Shore::Horizontal);
     }
 }
 
@@ -216,11 +216,11 @@ TEST(HyQsatEmbedder, OddCouplersNeverWorseOnPegasus)
     for (const std::uint64_t seed :
          {2202ull, 138ull, 2306ull, 2167ull, 7ull, 77ull, 777ull}) {
         const auto queue = congestedQueue(seed);
-        for (const ChimeraGraph &g :
-             {ChimeraGraph::pegasus(3, 3, 2),
-              ChimeraGraph::pegasus(4, 4, 2),
-              ChimeraGraph::pegasus(6, 6, 4),
-              ChimeraGraph::zephyr(4, 4, 2)}) {
+        for (const Topology &g :
+             {Topology::pegasus(3, 3, 2),
+              Topology::pegasus(4, 4, 2),
+              Topology::pegasus(6, 6, 4),
+              Topology::zephyr(4, 4, 2)}) {
             const auto r_on = HyQsatEmbedder(g, on).embedQueue(queue);
             const auto r_off = HyQsatEmbedder(g, off).embedQueue(queue);
             std::string why;
@@ -251,7 +251,7 @@ TEST(HyQsatEmbedder, OddCouplerPathShortensKnownCongestedChains)
     on.odd_couplers = true;
     HyQsatEmbedderOptions off;
     off.odd_couplers = false;
-    const ChimeraGraph g = ChimeraGraph::pegasus(3, 3, 2);
+    const Topology g = Topology::pegasus(3, 3, 2);
     const auto r_on = HyQsatEmbedder(g, on).embedQueue(queue);
     const auto r_off = HyQsatEmbedder(g, off).embedQueue(queue);
     EXPECT_EQ(r_on.embedded_clauses, r_off.embedded_clauses);
@@ -271,7 +271,7 @@ TEST(HyQsatEmbedder, OddCouplerOptionInertOnChimera)
     off.odd_couplers = false;
     for (const std::uint64_t seed : {2202ull, 138ull, 9ull}) {
         const auto queue = congestedQueue(seed);
-        const ChimeraGraph g(3, 3, 2);
+        const Topology g(3, 3, 2);
         const auto r_on = HyQsatEmbedder(g, on).embedQueue(queue);
         const auto r_off = HyQsatEmbedder(g, off).embedQueue(queue);
         EXPECT_EQ(r_on.embedded_clauses, r_off.embedded_clauses);
@@ -282,7 +282,7 @@ TEST(HyQsatEmbedder, OddCouplerOptionInertOnChimera)
 
 TEST(HyQsatEmbedder, RepeatedIdenticalClausesReuseCouplings)
 {
-    const ChimeraGraph g(4, 4, 4);
+    const Topology g(4, 4, 4);
     HyQsatEmbedder embedder(g);
     const std::vector<LitVec> queue{
         {mkLit(0), mkLit(1), mkLit(2)},

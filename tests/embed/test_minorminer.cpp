@@ -7,12 +7,12 @@
 namespace hyqsat::embed {
 namespace {
 
-using chimera::ChimeraGraph;
+using topology::Topology;
 using sat::mkLit;
 
 TEST(Minorminer, EmbedsATriangle)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     MinorminerEmbedder embedder(g);
     const auto r = embedder.embed(3, {{0, 1}, {1, 2}, {0, 2}});
     ASSERT_TRUE(r.success);
@@ -25,7 +25,7 @@ TEST(Minorminer, EmbedsATriangle)
 TEST(Minorminer, EmbedsK5WithChains)
 {
     // K5 is not a subgraph of Chimera: chains are mandatory.
-    const ChimeraGraph g(3, 3, 4);
+    const Topology g(3, 3, 4);
     MinorminerEmbedder embedder(g);
     std::vector<std::pair<int, int>> edges;
     for (int i = 0; i < 5; ++i)
@@ -41,7 +41,7 @@ TEST(Minorminer, EmbedsK5WithChains)
 TEST(Minorminer, FailsWhenProblemTooLarge)
 {
     // 40-node complete graph cannot fit a single Chimera cell pair.
-    const ChimeraGraph g(1, 1, 4);
+    const Topology g(1, 1, 4);
     MinorminerOptions opts;
     opts.max_passes = 4;
     MinorminerEmbedder embedder(g, opts);
@@ -55,7 +55,7 @@ TEST(Minorminer, FailsWhenProblemTooLarge)
 
 TEST(Minorminer, EmbedsEncodedThreeSatProblems)
 {
-    const ChimeraGraph g(8, 8, 4);
+    const Topology g(8, 8, 4);
     Rng rng(11);
     for (int round = 0; round < 3; ++round) {
         const auto cnf = sat::testing::randomCnf(12, 20, 3, rng);
@@ -72,7 +72,7 @@ TEST(Minorminer, EmbedsEncodedThreeSatProblems)
 
 TEST(Minorminer, IsolatedNodesGetChains)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     MinorminerEmbedder embedder(g);
     const auto r = embedder.embed(4, {});
     ASSERT_TRUE(r.success);
@@ -83,7 +83,7 @@ TEST(Minorminer, IsolatedNodesGetChains)
 
 TEST(Minorminer, DeterministicPerSeed)
 {
-    const ChimeraGraph g(4, 4, 4);
+    const Topology g(4, 4, 4);
     const std::vector<std::pair<int, int>> edges{
         {0, 1}, {1, 2}, {2, 3}, {3, 0}};
     MinorminerOptions opts;
@@ -100,7 +100,7 @@ TEST(Minorminer, SlowerThanHyQsatScheme)
 {
     // Not a strict timing assertion (CI noise), just sanity: the
     // iterative scheme takes measurable time on a real problem.
-    const auto g = ChimeraGraph::dwave2000q();
+    const auto g = Topology::dwave2000q();
     Rng rng(13);
     const auto cnf = sat::testing::randomCnf(30, 60, 3, rng);
     const auto ep = qubo::encodeClauses(cnf.clauses());

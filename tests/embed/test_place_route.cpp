@@ -7,11 +7,11 @@
 namespace hyqsat::embed {
 namespace {
 
-using chimera::ChimeraGraph;
+using topology::Topology;
 
 TEST(PlaceRoute, EmbedsATriangle)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     PlaceRouteEmbedder embedder(g);
     const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}, {0, 2}};
     const auto r = embedder.embed(3, edges);
@@ -22,7 +22,7 @@ TEST(PlaceRoute, EmbedsATriangle)
 
 TEST(PlaceRoute, EmbedsAPathGraph)
 {
-    const ChimeraGraph g(3, 3, 4);
+    const Topology g(3, 3, 4);
     PlaceRouteEmbedder embedder(g);
     std::vector<std::pair<int, int>> edges;
     for (int i = 0; i + 1 < 8; ++i)
@@ -35,7 +35,7 @@ TEST(PlaceRoute, EmbedsAPathGraph)
 
 TEST(PlaceRoute, EmbedsEncodedThreeSat)
 {
-    const ChimeraGraph g(8, 8, 4);
+    const Topology g(8, 8, 4);
     Rng rng(17);
     const auto cnf = sat::testing::randomCnf(10, 15, 3, rng);
     const auto ep = qubo::encodeClauses(cnf.clauses());
@@ -48,7 +48,7 @@ TEST(PlaceRoute, EmbedsEncodedThreeSat)
 
 TEST(PlaceRoute, FailsGracefullyWhenFull)
 {
-    const ChimeraGraph g(1, 1, 2); // 4 qubits
+    const Topology g(1, 1, 2); // 4 qubits
     PlaceRouteEmbedder embedder(g);
     std::vector<std::pair<int, int>> edges;
     for (int i = 0; i < 6; ++i)
@@ -60,7 +60,7 @@ TEST(PlaceRoute, FailsGracefullyWhenFull)
 
 TEST(PlaceRoute, IsolatedNodesPlaced)
 {
-    const ChimeraGraph g(2, 2, 4);
+    const Topology g(2, 2, 4);
     PlaceRouteEmbedder embedder(g);
     const auto r = embedder.embed(5, {});
     ASSERT_TRUE(r.success);
@@ -69,7 +69,7 @@ TEST(PlaceRoute, IsolatedNodesPlaced)
 
 TEST(PlaceRoute, DeterministicPerSeed)
 {
-    const ChimeraGraph g(4, 4, 4);
+    const Topology g(4, 4, 4);
     const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
     PlaceRouteOptions opts;
     opts.seed = 5;
@@ -84,7 +84,7 @@ TEST(PlaceRoute, LowerCapacityThanMinorminerStyleExpectation)
 {
     // P&R saturates earlier on dense problems: a K8 on a 2x2 chip
     // should fail while remaining well-formed.
-    const ChimeraGraph g(2, 2, 2);
+    const Topology g(2, 2, 2);
     PlaceRouteEmbedder embedder(g);
     std::vector<std::pair<int, int>> edges;
     for (int i = 0; i < 8; ++i)

@@ -29,7 +29,7 @@ TEST(Topology, KindNamesRoundTrip)
 
 TEST(Topology, ChimeraMatchesLegacyExpectations)
 {
-    // The back-compat constructor is the old ChimeraGraph: K_{4,4}
+    // The plain constructor builds a Chimera graph: K_{4,4}
     // cells chained cell by cell. Counts for a 16x16, shore-4 fabric:
     // 16*16*8 qubits; couplers = cells*16 intra + chains.
     const Topology g(16, 16, 4);
