@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "core/hybrid_solver.h"
 #include "core/knobs.h"
@@ -51,27 +50,22 @@ instancesFor(const gen::Benchmark &benchmark)
 
 /**
  * Backend selection for the whole bench suite: HYQSAT_SAMPLER names
- * the device model (qa|logical|sa) and HYQSAT_PIPELINE_DEPTH sets the
- * in-flight depth (>= 2 = the async pipeline), each applied through
- * its knob table row (--sampler, --depth). Unset keeps the classic
- * blocking loop on "qa"; a value the row rejects is printed and the
- * process exits 2 before any solve, as the CLIs do.
+ * the device model (qa|logical|sa), applied through the --sampler
+ * knob row. Unset keeps "qa"; a value the row rejects is printed and
+ * the process exits 2 before any solve, as the CLIs do.
  */
 inline void
 applySamplerEnv(core::HybridConfig &cfg)
 {
-    const std::pair<const char *, std::string_view> rows[] = {
-        {"HYQSAT_SAMPLER", "sampler"}, {"HYQSAT_PIPELINE_DEPTH", "depth"}};
-    for (const auto &[env, flag] : rows) {
-        const char *value = std::getenv(env);
-        if (!value)
-            continue;
-        for (const core::Knob &knob : core::knobs()) {
-            if (knob.flag == flag && !knob.set(cfg, value)) {
-                std::fprintf(stderr, "bad %s: %s (expected %s)\n", env,
-                             value, knob.syntax);
-                std::exit(2);
-            }
+    const char *value = std::getenv("HYQSAT_SAMPLER");
+    if (!value)
+        return;
+    for (const core::Knob &knob : core::knobs()) {
+        if (std::string_view(knob.flag) == "sampler" &&
+            !knob.set(cfg, value)) {
+            std::fprintf(stderr, "bad HYQSAT_SAMPLER: %s (expected %s)\n",
+                         value, knob.syntax);
+            std::exit(2);
         }
     }
 }

@@ -63,7 +63,7 @@ main()
              Table::num(embed_s + qa_us * 1e-6, 2) + " s"});
     }
 
-    // HyQSAT, classic blocking loop (depth-1 synchronous sampler).
+    // HyQSAT: one blocking sample per warm-up iteration.
     {
         core::HybridSolver hybrid(bench::noisyConfig());
         const auto result = hybrid.solve(cnf);
@@ -72,13 +72,13 @@ main()
             (result.time.qa_device_s + result.time.backend_s +
              result.time.cdcl_s) *
             1e6;
-        table.addRow({"HyQSAT (simulated 2000Q, sync)",
+        table.addRow({"HyQSAT (simulated 2000Q)",
                       Table::num(embed_us, 1) + " us",
                       Table::num(rest_us, 1) + " us",
                       Table::num(result.time.endToEnd() * 1e6, 1) +
                           " us"});
-        std::printf("HyQSAT sync: %s, %d QA samples, mean embedding "
-                    "%0.1f us/iteration, blocking QA %0.1f us\n",
+        std::printf("HyQSAT: %s, %d QA samples, mean embedding "
+                    "%0.1f us/iteration, QA device %0.1f us\n",
                     result.status.isTrue()    ? "SAT"
                     : result.status.isFalse() ? "UNSAT"
                                               : "UNDEF",
@@ -86,48 +86,10 @@ main()
                     result.qa_samples
                         ? embed_us / result.qa_samples
                         : 0.0,
-                    result.time.qa_blocking_s * 1e6);
-    }
-
-    // HyQSAT, async pipeline: the sample is in flight while CDCL
-    // keeps iterating, so only the non-overlapped device remainder
-    // is charged to the modeled end-to-end time.
-    {
-        auto cfg = bench::noisyConfig();
-        cfg.pipeline_depth = 2;
-        core::HybridSolver hybrid(cfg);
-        const auto result = hybrid.solve(cnf);
-        const double embed_us = result.time.frontend_s * 1e6;
-        const double rest_us =
-            (result.time.qa_blocking_s + result.time.backend_s +
-             result.time.cdcl_s) *
-            1e6;
-        table.addRow({"HyQSAT (async pipeline, depth 2)",
-                      Table::num(embed_us, 1) + " us",
-                      Table::num(rest_us, 1) + " us",
-                      Table::num(result.time.endToEndPipelined() * 1e6,
-                                 1) +
-                          " us"});
-        std::printf("HyQSAT async: %s, %d applied / %d submitted / "
-                    "%d stale samples, %d stalls, device %0.1f us "
-                    "(%0.1f us blocking after overlap)\n",
-                    result.status.isTrue()    ? "SAT"
-                    : result.status.isFalse() ? "UNSAT"
-                                              : "UNDEF",
-                    result.qa_samples, result.qa_submitted,
-                    result.qa_stale, result.time.stalls,
-                    result.time.qa_device_s * 1e6,
-                    result.time.qa_blocking_s * 1e6);
+                    result.time.qa_device_s * 1e6);
     }
 
     table.print();
-    std::printf("\nNote: the async row charges only the device time "
-                "not hidden behind concurrent CDCL work. When CDCL "
-                "outpaces the simulated sampler (fast instances, or "
-                "a single-core host where the SA worker timeslices "
-                "with the search), samples arrive late and are "
-                "reported as submitted-but-unapplied rather than "
-                "blocking the loop.\n");
     std::printf("\nPaper (Fig. 1): CDCL ~8000us, QA-only ~10s "
                 "embedding + 8380us sampling, HyQSAT ~4000us with "
                 "<16us embedding. Shape to check: QA-only embedding "

@@ -2,11 +2,8 @@
  * @file
  * Reproduces Figure 11: where HyQSAT's end-to-end time goes -
  * frontend (queue + encode + embed), QA device time, backend
- * interpretation, and the remaining CDCL search. The breakdown now
- * also distinguishes overlapped from blocking QA time: "QA blk %" is
- * the device time the search actually waited for, and the in-flight
- * and stall columns expose the pipeline behavior (HYQSAT_SAMPLER /
- * HYQSAT_PIPELINE_DEPTH select the backend).
+ * interpretation, and the remaining CDCL search (HYQSAT_SAMPLER
+ * selects the backend).
  */
 
 #include <cstdio>
@@ -26,9 +23,8 @@ main()
         std::printf("(reduced instance counts)\n");
 
     Table table;
-    table.setHeader({"Bench", "Frontend %", "QA %", "QA blk %",
-                     "Backend %", "CDCL %", "Inflight ms", "Stalls",
-                     "Total ms"});
+    table.setHeader({"Bench", "Frontend %", "QA %", "Backend %",
+                     "CDCL %", "Total ms"});
 
     OnlineStats warmup_share;
     for (const auto &benchmark : gen::BenchmarkSuite::all()) {
@@ -40,9 +36,6 @@ main()
             const auto result = hybrid.solve(cnf);
             sum.frontend_s += result.time.frontend_s;
             sum.qa_device_s += result.time.qa_device_s;
-            sum.qa_blocking_s += result.time.qa_blocking_s;
-            sum.qa_inflight_s += result.time.qa_inflight_s;
-            sum.stalls += result.time.stalls;
             sum.backend_s += result.time.backend_s;
             sum.cdcl_s += result.time.cdcl_s;
         }
@@ -52,11 +45,8 @@ main()
         table.addRow({benchmark.id,
                       Table::num(100 * sum.frontend_s / total, 1),
                       Table::num(100 * sum.qa_device_s / total, 1),
-                      Table::num(100 * sum.qa_blocking_s / total, 1),
                       Table::num(100 * sum.backend_s / total, 1),
                       Table::num(100 * sum.cdcl_s / total, 1),
-                      Table::num(sum.qa_inflight_s * 1e3, 2),
-                      Table::num(sum.stalls, 0),
                       Table::num(total * 1e3, 2)});
         warmup_share.add(100 *
                          (sum.frontend_s + sum.qa_device_s +

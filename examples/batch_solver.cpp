@@ -2,7 +2,7 @@
  * @file
  * Example: the batch DIMACS service front door. Streams many CNF
  * instances through portfolio workers on a thread pool and writes a
- * structured report — the CLI face of portfolio::BatchRunner.
+ * structured report — the CLI face of service::BatchRunner.
  *
  *   ./build/examples/batch_solver [files...] [--dir D] [--manifest F|-]
  *       [--workers N] [--jobs N] [--timeout-s X] [--conflicts N]
@@ -40,7 +40,8 @@
 #include <vector>
 
 #include "core/knobs.h"
-#include "portfolio/batch_runner.h"
+#include "service/batch_runner.h"
+#include "service/report.h"
 #include "service/signals.h"
 #include "util/metrics.h"
 
@@ -53,7 +54,7 @@ main(int argc, char **argv)
     // --dir or a --manifest. They are read once the whole command
     // line has parsed, so a bad flag exits before any file is read.
     std::vector<std::pair<std::string, std::string>> sources;
-    portfolio::BatchOptions opts;
+    service::BatchOptions opts;
     opts.portfolio.base.annealer =
         anneal::QuantumAnnealer::Options::simulator();
     std::string json_path, csv_path, metrics_path, trace_path;
@@ -120,10 +121,10 @@ main(int argc, char **argv)
         if (kind.empty()) {
             paths.push_back(std::move(src));
         } else if (kind == "--dir") {
-            for (auto &p : portfolio::BatchRunner::collectCnfFiles(src))
+            for (auto &p : service::collectCnfFiles(src))
                 paths.push_back(std::move(p));
         } else if (src == "-") {
-            for (auto &p : portfolio::BatchRunner::readManifest(std::cin))
+            for (auto &p : service::readManifest(std::cin))
                 paths.push_back(std::move(p));
         } else {
             std::ifstream in(src);
@@ -132,7 +133,7 @@ main(int argc, char **argv)
                              src.c_str());
                 return 2;
             }
-            for (auto &p : portfolio::BatchRunner::readManifest(in))
+            for (auto &p : service::readManifest(in))
                 paths.push_back(std::move(p));
         }
     }
@@ -170,8 +171,8 @@ main(int argc, char **argv)
     service::installStopSignalHandlers(stop);
     opts.external_stop = &stop;
 
-    portfolio::BatchRunner runner(opts);
-    const portfolio::BatchReport report = runner.run(paths);
+    service::BatchRunner runner(opts);
+    const service::BatchReport report = runner.run(paths);
 
     if (stop.stopRequested() && !quiet)
         std::fprintf(stderr,
@@ -196,13 +197,13 @@ main(int argc, char **argv)
 
     if (!json_path.empty()) {
         std::ofstream out(json_path);
-        portfolio::BatchRunner::writeJson(report, out);
+        service::writeJsonReport(report, out);
         if (!quiet)
             std::printf("wrote %s\n", json_path.c_str());
     }
     if (!csv_path.empty()) {
         std::ofstream out(csv_path);
-        portfolio::BatchRunner::writeCsv(report, out);
+        service::writeCsvReport(report, out);
         if (!quiet)
             std::printf("wrote %s\n", csv_path.c_str());
     }

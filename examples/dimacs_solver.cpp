@@ -23,7 +23,7 @@
  * --conflicts by conflict count; either prints "s UNKNOWN" when it
  * fires. --metrics dumps the run's metrics registry as JSON
  * ("hyqsat.metrics/1" schema); --trace streams JSONL events
- * (restarts, pipeline stalls, backend outcomes) as they happen.
+ * (restarts, backend outcomes) as they happen.
  * --no-frontend-cache disables the frontend's (embedding, encoding)
  * memoization (ablation knob; results are bit-identical either way)
  * and --incremental-tracking switches the solver to incremental
@@ -217,22 +217,18 @@ main(int argc, char **argv)
         config.solver.conflict_budget = conflict_budget;
         core::HybridSolver solver(config);
         result = solver.solve(cnf);
-        std::printf("c sampler=%s depth=%d num_reads=%d "
-                    "reads_groups=%d topology=%s simplify=%s\n",
-                    config.sampler.c_str(), config.pipeline_depth,
-                    config.num_reads, config.reads_groups,
+        std::printf("c sampler=%s num_reads=%d reads_groups=%d "
+                    "topology=%s simplify=%s\n",
+                    config.sampler.c_str(), config.num_reads,
+                    config.reads_groups,
                     topology::kindName(config.topology),
                     simplify::strengthName(strength));
         std::printf("c %d QA samples applied over %d warm-up "
-                    "iterations (%d submitted, %d stale, %d stalls)\n",
+                    "iterations (%d submitted)\n",
                     result.qa_samples, result.warmup_iterations,
-                    result.qa_submitted, result.qa_stale,
-                    result.time.stalls);
-        std::printf("c QA device %.1f us total, %.1f us blocking, "
-                    "%.1f us in flight\n",
-                    result.time.qa_device_s * 1e6,
-                    result.time.qa_blocking_s * 1e6,
-                    result.time.qa_inflight_s * 1e6);
+                    result.qa_submitted);
+        std::printf("c QA device %.1f us total\n",
+                    result.time.qa_device_s * 1e6);
     }
 
     finish_watchdog();

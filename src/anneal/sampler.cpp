@@ -1,9 +1,7 @@
 #include "anneal/sampler.h"
 
-#include "anneal/async_sampler.h"
 #include "embed/hyqsat_embedder.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace hyqsat::anneal {
 
@@ -33,50 +31,6 @@ AnnealMetrics::resolve(MetricsRegistry *registry)
     return m;
 }
 
-AnnealSample
-Sampler::sampleNow(SampleRequest request)
-{
-    const std::uint64_t ticket = submit(std::move(request));
-    std::vector<SampleCompletion> done;
-    for (;;) {
-        wait(done);
-        for (auto &c : done) {
-            if (c.ticket == ticket)
-                return std::move(c.sample);
-        }
-        if (done.empty() && inFlight() == 0)
-            panic("sampleNow: ticket %llu never completed",
-                  static_cast<unsigned long long>(ticket));
-        done.clear();
-    }
-}
-
-std::uint64_t
-SyncSampler::submit(SampleRequest request)
-{
-    Timer timer;
-    SampleCompletion completion;
-    completion.ticket = next_ticket_++;
-    completion.sample = compute(request);
-    completion.host_seconds = timer.seconds();
-    done_.push_back(std::move(completion));
-    return done_.back().ticket;
-}
-
-void
-SyncSampler::poll(std::vector<SampleCompletion> &out)
-{
-    for (auto &c : done_)
-        out.push_back(std::move(c));
-    done_.clear();
-}
-
-void
-SyncSampler::wait(std::vector<SampleCompletion> &out)
-{
-    poll(out);
-}
-
 QaSampler::QaSampler(const topology::Topology &graph,
                      QuantumAnnealer::Options opts, std::string name,
                      MetricsRegistry *metrics)
@@ -86,7 +40,7 @@ QaSampler::QaSampler(const topology::Topology &graph,
 }
 
 AnnealSample
-QaSampler::compute(const SampleRequest &request)
+QaSampler::sample(const SampleRequest &request)
 {
     MetricTimer::Scope scope(metrics_.sample_timer);
     const embed::CompiledSlot *slot = requestSlot(request);
@@ -124,12 +78,7 @@ makeSampler(const SamplerSpec &spec, const topology::Topology &graph)
     auto device = std::make_unique<QaSampler>(graph, opts, name,
                                               spec.metrics);
     device->annealer().setStopToken(spec.stop);
-    if (spec.pipeline_depth < 2)
-        return device;
-    AsyncSampler::Options async;
-    async.depth = spec.pipeline_depth;
-    async.stop = spec.stop;
-    return std::make_unique<AsyncSampler>(std::move(device), async);
+    return device;
 }
 
 } // namespace hyqsat::anneal

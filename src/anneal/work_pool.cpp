@@ -1,22 +1,47 @@
 #include "anneal/work_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 namespace hyqsat::anneal {
 
 namespace {
 
+/** CPUs this process may run on (its affinity mask). */
+int
+usableCpus()
+{
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return CPU_COUNT(&set);
+    return static_cast<int>(std::thread::hardware_concurrency());
+}
+
 int
 defaultThreads()
 {
-    if (const char *env = std::getenv("HYQSAT_POOL_THREADS"))
-        return std::clamp(std::atoi(env), 1, 64);
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    // Leave one core for the submitting thread; runIndexed callers
-    // participate anyway, so a small pool only bounds parallelism,
-    // never correctness.
-    return std::clamp(hw - 1, 1, 16);
+    if (const char *env = std::getenv("HYQSAT_POOL_THREADS")) {
+        const std::string_view text(env);
+        int threads = 0;
+        const auto res = std::from_chars(
+            text.data(), text.data() + text.size(), threads);
+        if (res.ec == std::errc() &&
+            res.ptr == text.data() + text.size() && threads >= 1 &&
+            threads <= 64)
+            return threads;
+        std::fprintf(stderr,
+                     "HYQSAT_POOL_THREADS=%s ignored: not a whole "
+                     "number in [1, 64]\n",
+                     env);
+    }
+    // Leave one CPU for the caller: runIndexed callers participate,
+    // so a small pool only bounds parallelism, never correctness.
+    return std::clamp(usableCpus() - 1, 0, 16);
 }
 
 } // namespace
@@ -132,31 +157,10 @@ WorkPool::runIndexed(int n, const std::function<void(int)> &fn)
 }
 
 void
-WorkPool::post(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        tasks_.push_back(std::move(task));
-    }
-    work_cv_.notify_one();
-}
-
-void
 WorkPool::workerLoop()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        // Priority: posted strand tasks first (they are latency
-        // sensitive — an async pipeline is waiting), then open
-        // fan-outs.
-        if (!tasks_.empty()) {
-            auto task = std::move(tasks_.front());
-            tasks_.pop_front();
-            lock.unlock();
-            task();
-            lock.lock();
-            continue;
-        }
         // Select under the continuously-held lock, then run: runOne
         // unlocks while calling fn, which may grow/shrink batches_,
         // so no deque iterator may be live across it.
@@ -174,7 +178,7 @@ WorkPool::workerLoop()
         if (shutdown_)
             return;
         work_cv_.wait(lock, [this] {
-            if (shutdown_ || !tasks_.empty())
+            if (shutdown_)
                 return true;
             for (Batch *b : batches_)
                 if (!b->cancelled && b->next < b->total)

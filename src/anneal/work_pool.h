@@ -1,25 +1,20 @@
 /**
  * @file
  * Small shared thread pool for host-side sampling parallelism: the
- * multi-read lockstep groups and the AsyncSampler's pipeline strand
- * both draw from one process-wide set of threads instead of spawning
- * their own.
+ * multi-read lockstep groups draw from one process-wide set of
+ * threads instead of spawning their own.
  *
- * Two primitives:
+ * runIndexed(n, fn) runs fn(0..n-1), caller-participating. The
+ * caller claims indices alongside the pool threads and only returns
+ * once every index has finished, so nested use (a multi-read chain
+ * whose lockstep part fans out groups) can never deadlock, and with
+ * zero free pool threads the call degrades to a serial loop on the
+ * caller.
  *
- *  - runIndexed(n, fn): run fn(0..n-1), caller-participating. The
- *    caller claims indices alongside the pool threads and only
- *    returns once every index has finished, so nested use (an async
- *    strand whose annealer fans out lockstep groups) can never
- *    deadlock — with zero free pool threads the call degrades to a
- *    serial loop on the caller.
- *
- *  - post(fn): fire-and-forget task for serial strands (the
- *    AsyncSampler's FIFO drain). Never blocks the caller.
- *
- * Pool size: min(16, hardware_concurrency - 1), at least 1;
- * HYQSAT_POOL_THREADS overrides (clamped to >= 1: posted strand
- * tasks need at least one thread to run on).
+ * Pool size: one helper per CPU in the process's affinity mask but
+ * one (the caller is the last), at most 16; a 1-CPU mask gets no
+ * helpers. HYQSAT_POOL_THREADS overrides it with a whole number in
+ * [1, 64]; any other value is reported once on stderr and ignored.
  */
 
 #ifndef HYQSAT_ANNEAL_WORK_POOL_H
@@ -57,9 +52,6 @@ class WorkPool
      */
     void runIndexed(int n, const std::function<void(int)> &fn);
 
-    /** Enqueue a detached task; runs on some pool thread. */
-    void post(std::function<void()> task);
-
     int numThreads() const { return static_cast<int>(threads_.size()); }
 
   private:
@@ -86,7 +78,6 @@ class WorkPool
     std::condition_variable work_cv_; ///< wakes pool threads
     std::condition_variable done_cv_; ///< wakes runIndexed callers
     std::deque<Batch *> batches_;     ///< open fan-outs (not owned)
-    std::deque<std::function<void()>> tasks_; ///< posted strand tasks
     bool shutdown_ = false;
     std::vector<std::thread> threads_;
 };

@@ -80,13 +80,6 @@ struct HybridConfig
     std::string sampler = "qa";
 
     /**
-     * Max in-flight samples. 1 = the classic blocking loop; >= 2
-     * wraps the named backend in an AsyncSampler worker thread so
-     * device latency overlaps with CDCL search.
-     */
-    int pipeline_depth = 1;
-
-    /**
      * Annealing reads per device sample and the parallel lockstep
      * groups the extra reads split into (0 = auto). The sampler spec
      * copies both into the annealer options, which document them.
@@ -113,11 +106,11 @@ struct HybridConfig
 
     /**
      * Cooperative stop token observed at every CDCL decision /
-     * conflict boundary, once per SA sweep inside every sampler
-     * backend (a sample it cuts short is dropped, never applied)
-     * and at the sampler's blocking wait points. A racing portfolio
-     * shares one token across workers; solve() returns l_Undef
-     * shortly after it trips. Never written here.
+     * conflict boundary, at every warm-up iteration and once per SA
+     * sweep inside every sampler backend (a sample it cuts short is
+     * dropped, never applied). A racing portfolio shares one token
+     * across workers; solve() returns l_Undef shortly after it
+     * trips. Never written here.
      */
     const StopToken *stop = nullptr;
 
@@ -161,34 +154,11 @@ struct TimeBreakdown
     double qa_host_s = 0.0;    ///< SA simulation cost (excluded from
                                ///< the modeled end-to-end time)
 
-    /** Wall-clock seconds samples spent in flight (sum; Fig. 11). */
-    double qa_inflight_s = 0.0;
-
-    /**
-     * Modeled device time NOT hidden behind concurrent CDCL work.
-     * Equals qa_device_s for the blocking depth-1 loop; with the
-     * async pipeline only the non-overlapped remainder is charged.
-     */
-    double qa_blocking_s = 0.0;
-
-    /** Iterations that found the sampling pipeline full. */
-    int stalls = 0;
-
     /** Modeled end-to-end time: host work + device time (serial). */
     double
     endToEnd() const
     {
         return frontend_s + qa_device_s + backend_s + cdcl_s;
-    }
-
-    /**
-     * Modeled end-to-end time when in-flight device latency overlaps
-     * with search: only the blocking device remainder is charged.
-     */
-    double
-    endToEndPipelined() const
-    {
-        return frontend_s + qa_blocking_s + backend_s + cdcl_s;
     }
 };
 
@@ -202,8 +172,7 @@ struct HybridResult
 
     int warmup_iterations = 0; ///< QA-assisted iterations executed
     int qa_samples = 0;    ///< samples applied by the backend
-    int qa_submitted = 0;  ///< jobs handed to the sampler
-    int qa_stale = 0;      ///< completions discarded as stale
+    int qa_submitted = 0;  ///< samples requested from the sampler
     int chain_breaks = 0;  ///< accumulated over all samples
 
     /** Times each feedback strategy fired (index 1..4). */
@@ -227,7 +196,7 @@ class HybridSolver
      * and solves it once with no assumptions. Safe to call
      * repeatedly (and on different formulas): every call opens a
      * fresh session, so a second solve() reproduces the first bit
-     * for bit — no pipeline/epoch state leaks across calls
+     * for bit — no pipeline/RNG state leaks across calls
      * (regression-tested). The registry in HybridConfig::metrics
      * receives the same keys a session does, minus the session.*
      * counters.

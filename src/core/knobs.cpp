@@ -38,10 +38,6 @@ constexpr Knob kKnobs[] = {
          c.sampler = std::string(v);
          return true;
      }},
-    {"depth", "N", nullptr, false,
-     [](HybridConfig &c, std::string_view v) {
-         return setCount(v, 1, c.pipeline_depth);
-     }},
     {"num-reads", "N", nullptr, false,
      [](HybridConfig &c, std::string_view v) {
          return setCount(v, 1, c.num_reads);

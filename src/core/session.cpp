@@ -36,23 +36,17 @@ pipelineDelta(const PipelineStats &after, const PipelineStats &before)
 {
     PipelineStats d;
     d.submitted = after.submitted - before.submitted;
-    d.harvested = after.harvested - before.harvested;
-    d.stale_discarded = after.stale_discarded - before.stale_discarded;
     d.cancelled = after.cancelled - before.cancelled;
-    d.stalls = after.stalls - before.stalls;
     d.frontend_s = after.frontend_s - before.frontend_s;
     d.host_sample_s = after.host_sample_s - before.host_sample_s;
     d.device_s = after.device_s - before.device_s;
-    d.inflight_s = after.inflight_s - before.inflight_s;
-    d.blocking_s = after.blocking_s - before.blocking_s;
     d.chain_breaks = after.chain_breaks - before.chain_breaks;
     return d;
 }
 
 /**
  * Sampler backend spec derived from a hybrid configuration: the
- * backend name and pipeline depth, the read counts and stop-token
- * plumbing.
+ * backend name, the read counts and stop-token plumbing.
  */
 anneal::SamplerSpec
 hybridSamplerSpec(const HybridConfig &config)
@@ -62,7 +56,6 @@ hybridSamplerSpec(const HybridConfig &config)
     spec.annealer = config.annealer;
     spec.annealer.num_reads = config.num_reads;
     spec.annealer.reads_groups = config.reads_groups;
-    spec.pipeline_depth = config.pipeline_depth;
     spec.stop = config.stop;
     return spec;
 }
@@ -185,9 +178,9 @@ Session::recompile()
     formula_unsat_ = false;
     final_conflict_.clear();
 
-    // Tear the old warm state down first: solver_'s hooks reference
-    // pipeline_, which references frontend/sampler/rng. A formula
-    // the simplifier refutes leaves no solver behind.
+    // Tear the old warm state down first: pipeline_ references
+    // frontend/sampler/rng. A formula the simplifier refutes leaves
+    // no solver behind.
     solver_.reset();
     pipeline_.reset();
 
@@ -226,21 +219,9 @@ Session::recompile()
     // The clause queue's activity basis only changes when conflicts
     // arise (SIV-A: "the top-30 clauses are dynamically updated when
     // conflict arises"), so the pipeline caches the frontend pass
-    // across conflict-free decision stretches and tags every
-    // submission with its conflict epoch; completions from an older
-    // epoch are stale and discarded.
+    // across conflict-free decision stretches.
     pipeline_ = std::make_unique<SamplePipeline>(
         *frontend_, *sampler_, rng_, &metrics_);
-    if (pipeline_->asynchronous()) {
-        // Completion-notification point: reconcile in-flight samples
-        // at every conflict so stale work is retired (and pipeline
-        // slots freed) before the next decision. The synchronous
-        // pipeline never has work in flight between hooks.
-        SamplePipeline *pipeline = pipeline_.get();
-        solver_->setConflictHook([pipeline](sat::Solver &s) {
-            pipeline->notifyConflict(s.stats().conflicts);
-        });
-    }
 }
 
 const sat::Cnf &
@@ -391,27 +372,25 @@ Session::solve(const sat::LitVec &assumptions)
             return;
         warmup_counter->add();
 
-        ready_.clear();
-        pipeline_->step(s, s.stats().conflicts, ready_);
-        for (ReadySample &rs : ready_) {
-            const BackendOutcome outcome =
-                backend_->apply(s, *rs.frontend, rs.sample, work());
-            if (!outcome.solved)
-                continue;
-            // Strategy 1 proves the *formula* satisfiable; under
-            // assumptions the sample only ends this call if it also
-            // honors them (they are constraints the annealer never
-            // saw). A near-miss still helped as polarity guidance.
-            bool honors = true;
-            for (const auto &pr : amap)
-                honors = honors && litHolds(outcome.model, pr.first);
-            if (!honors)
-                continue;
-            qa_solved = true;
-            qa_model = outcome.model;
-            s.requestStop();
-            break;
+        const std::optional<ReadySample> rs =
+            pipeline_->step(s, s.stats().conflicts);
+        if (!rs)
+            return;
+        BackendOutcome outcome =
+            backend_->apply(s, *rs->frontend, rs->sample, work());
+        if (!outcome.solved)
+            return;
+        // Strategy 1 proves the *formula* satisfiable; under
+        // assumptions the sample only ends this call if it also
+        // honors them (they are constraints the annealer never saw).
+        // A near-miss still helped as polarity guidance.
+        for (const auto &pr : amap) {
+            if (!litHolds(outcome.model, pr.first))
+                return;
         }
+        qa_solved = true;
+        qa_model = std::move(outcome.model);
+        s.requestStop();
     });
 
     const sat::lbool status = solver_->solveWithAssumptions(mapped);
@@ -421,14 +400,10 @@ Session::solve(const sat::LitVec &assumptions)
     const PipelineStats ps =
         pipelineDelta(pipeline_->stats(), ps_before);
     result.qa_submitted = ps.submitted;
-    result.qa_stale = ps.stale_discarded;
     result.chain_breaks = ps.chain_breaks;
     result.time.frontend_s = ps.frontend_s;
     result.time.qa_device_s = ps.device_s;
     result.time.qa_host_s = ps.host_sample_s;
-    result.time.qa_inflight_s = ps.inflight_s;
-    result.time.qa_blocking_s = ps.blocking_s;
-    result.time.stalls = ps.stalls;
     result.warmup_iterations =
         static_cast<int>(warmup_counter->value() - warmup_before);
     result.qa_samples = static_cast<int>(
@@ -484,11 +459,9 @@ Session::solve(const sat::LitVec &assumptions)
     }
 
     const double total = total_timer.seconds();
-    const double sim_cost =
-        pipeline_->asynchronous() ? 0.0 : result.time.qa_host_s;
     result.time.cdcl_s =
         std::max(0.0, total - result.time.frontend_s -
-                          result.time.backend_s - sim_cost);
+                          result.time.backend_s - result.time.qa_host_s);
     metrics_.timer("hybrid.total")->add(total);
     metrics_.timer("hybrid.cdcl")->add(result.time.cdcl_s);
     return result;

@@ -179,15 +179,14 @@ class Session
 
     // Warm hybrid state, rebuilt only by recompile(). Declaration
     // order is destruction-safety order: pipeline_ references
-    // frontend_, sampler_ and rng_, solver_ hooks reference
-    // pipeline_ — members below are torn down before the ones above.
+    // frontend_, sampler_ and rng_ — members below are torn down
+    // before the ones above.
     Rng rng_{0};
     std::unique_ptr<Frontend> frontend_;
     std::unique_ptr<Backend> backend_;
     std::unique_ptr<anneal::Sampler> sampler_;
     std::unique_ptr<SamplePipeline> pipeline_;
     std::unique_ptr<sat::Solver> solver_;
-    std::vector<ReadySample> ready_;
 
     sat::LitVec final_conflict_; ///< original-space failed core
     int recompiles_ = 0;

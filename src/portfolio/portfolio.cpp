@@ -41,7 +41,7 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
     for (int i = 0; i < n; ++i) {
         WorkerConfig w;
         w.hybrid = base;
-        switch (i % 10) {
+        switch (i % 9) {
         case 0:
             // Slot 0 IS the base config: a 1-worker portfolio must
             // reproduce the single solver bit for bit.
@@ -60,37 +60,31 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
             w.hybrid.sampler = "sa";
             break;
         case 3:
-            // Async pipeline: overlaps device latency with search.
-            w.label = "async";
-            w.hybrid.pipeline_depth =
-                std::max(base.pipeline_depth, 2);
-            break;
-        case 4:
             // Best-of-N inside every sample: at least four lockstep
             // reads per anneal, the lowest-energy read wins.
             w.label = "batch";
             w.hybrid.num_reads = std::max(base.num_reads, 4);
             break;
-        case 5:
+        case 4:
             // CHB branching / faster restarts on the CDCL side,
             // over a lightly preprocessed formula.
             w.label = "kissat";
             w.hybrid.solver = sat::SolverOptions::kissatStyle();
             w.hybrid.simplify_strength = simplify::Strength::Light;
             break;
-        case 6:
+        case 5:
             // Ideal all-to-all device: no embedding losses.
             w.label = "logical";
             w.hybrid.sampler = "logical";
             break;
-        case 7:
+        case 6:
             // Greedy clause-queue head instead of the paper's random
             // top-30 pick (§IV-A): a different slice of the formula
             // reaches the annealer.
             w.label = "greedy-queue";
             w.hybrid.frontend.queue.top_k = 1;
             break;
-        case 8:
+        case 7:
             // Full inprocessing (BVE, equivalence substitution,
             // probing, vivification) before the hybrid loop: this
             // worker searches a smaller formula and more of its
@@ -98,7 +92,7 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
             w.label = "presolve";
             w.hybrid.simplify_strength = simplify::Strength::Full;
             break;
-        case 9:
+        case 8:
             // Parallel lockstep reads: 16 decorrelated reads per
             // device sample, the extra ones through the SIMD batch
             // kernel fanned across the WorkPool in auto-sized groups
@@ -116,8 +110,8 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
             w.hybrid.annealer.seed =
                 mixSeed(base.annealer.seed, salt);
         }
-        if (i >= 10)
-            w.label += "#" + std::to_string(i / 10);
+        if (i >= 9)
+            w.label += "#" + std::to_string(i / 9);
         slate.push_back(std::move(w));
     }
     return slate;

@@ -2,16 +2,17 @@
  * @file
  * Portfolio racing above the hybrid loop: N HybridSolver workers on
  * threads over the same formula, each with a diversified
- * configuration (sampler backend, pipeline depth, seeds, branching,
- * warm-up window, clause-queue shape), first decisive answer wins.
+ * configuration (sampler backend, reads per sample, seeds,
+ * branching, warm-up window, clause-queue shape), first decisive
+ * answer wins.
  *
  * Losers are cancelled cooperatively through one shared StopToken
  * threaded into every cancellation point grown for this layer: the
  * CDCL decision/conflict boundaries (src/sat), the hybrid iteration
- * hook (src/core), the SA sweep loop and the async sampler's
- * blocking wait (src/anneal). Optional clause sharing routes short learnt clauses
- * and first-UIP polarity hints through a bounded ClauseExchange with
- * the solver's root-level import path.
+ * hook (src/core) and the SA sweep loop (src/anneal). Optional
+ * clause sharing routes short learnt clauses and first-UIP polarity
+ * hints through a bounded ClauseExchange with the solver's
+ * root-level import path.
  *
  * Classical precedent: ManySAT/Plingeling-style portfolios, where
  * racing diverse configurations is the cheapest robust speedup on
@@ -146,13 +147,12 @@ class PortfolioSolver
     PortfolioResult solve(const sat::Cnf &formula);
 
     /**
-     * The diversification table: slot 0 is the base config
-     * unchanged (so a 1-worker portfolio is exactly the single
-     * solver); later slots vary sampler backend, pipeline depth,
-     * branching, warm-up, clause-queue head selection,
-     * inprocessing strength and parallel lockstep reads (the
-     * dedicated reads-batch slot), each with decorrelated seeds.
-     * Cycles with fresh seeds past the table.
+     * The nine-slot diversification table: slot 0 is the base
+     * config unchanged (so a 1-worker portfolio is exactly the
+     * single solver); later slots vary sampler backend, reads per
+     * sample, branching, warm-up, clause-queue head selection and
+     * inprocessing strength, each with decorrelated seeds. Cycles
+     * with fresh seeds past the table (slot i is row i % 9).
      */
     static std::vector<WorkerConfig>
     diversify(const core::HybridConfig &base, int n);

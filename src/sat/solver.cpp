@@ -914,13 +914,6 @@ Solver::search(std::int64_t max_conflicts)
             chb_alpha_ = std::max(opts_.chb_alpha_min,
                                   chb_alpha_ - opts_.chb_alpha_decay);
 
-            // The clause-activity basis just changed: notify the
-            // hybrid layer so it can reconcile in-flight samples
-            // against the rebuilt queue without waiting for the
-            // next decision.
-            if (conflict_hook_)
-                conflict_hook_(*this);
-
             if (--learntsize_adjust_cnt_ <= 0) {
                 learntsize_adjust_confl_ *= 1.5;
                 learntsize_adjust_cnt_ =

@@ -165,23 +165,6 @@ class Solver
     void setIterationHook(IterationHook hook) { hook_ = std::move(hook); }
 
     /**
-     * Hook invoked right after each conflict is analyzed and the
-     * learnt clause recorded (the clause-activity epoch boundary).
-     * Gives asynchronous sampling pipelines a completion-
-     * notification point: in-flight samples built from the
-     * pre-conflict clause queue can be reconciled (harvested or
-     * marked stale) without waiting for the next decision. The hook
-     * must not mutate the trail; phase hints, priority bumps and
-     * requestStop() are allowed.
-     */
-    using ConflictHook = std::function<void(Solver &)>;
-    void
-    setConflictHook(ConflictHook hook)
-    {
-        conflict_hook_ = std::move(hook);
-    }
-
-    /**
      * Hook invoked for every clause learned from a conflict
      * (including units), with the learnt literals in asserting-first
      * order. Gives a portfolio layer an export tap for clause
@@ -467,7 +450,6 @@ class Solver
     SolverStats metrics_base_; ///< last published SolverStats values
 
     IterationHook hook_;
-    ConflictHook conflict_hook_;
     LearntExportHook export_hook_;
     RootHook root_hook_;
 

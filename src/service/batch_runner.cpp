@@ -1,13 +1,4 @@
-/**
- * @file
- * portfolio::BatchRunner implementation — compiled into the service
- * library (not hyqsat_portfolio) because it is a client of
- * service::JobScheduler; keeping it here avoids a dependency cycle
- * between the two libraries while the public header stays in
- * src/portfolio/ for source compatibility.
- */
-
-#include "portfolio/batch_runner.h"
+#include "service/batch_runner.h"
 
 #include <algorithm>
 
@@ -15,41 +6,11 @@
 #include "util/metrics.h"
 #include "util/timer.h"
 
-namespace hyqsat::portfolio {
+namespace hyqsat::service {
 
 BatchRunner::BatchRunner(BatchOptions opts) : opts_(std::move(opts))
 {
     opts_.concurrency = std::max(opts_.concurrency, 1);
-}
-
-std::vector<std::string>
-BatchRunner::collectCnfFiles(const std::string &dir)
-{
-    return service::collectCnfFiles(dir);
-}
-
-std::vector<std::string>
-BatchRunner::readManifest(std::istream &in)
-{
-    return service::readManifest(in);
-}
-
-std::size_t
-BatchRunner::estimateMemoryMb(const sat::Cnf &cnf, int num_workers)
-{
-    return service::estimateMemoryMb(cnf, num_workers);
-}
-
-void
-BatchRunner::writeJson(const BatchReport &report, std::ostream &out)
-{
-    service::writeJsonReport(report, out);
-}
-
-void
-BatchRunner::writeCsv(const BatchReport &report, std::ostream &out)
-{
-    service::writeCsvReport(report, out);
 }
 
 BatchReport
@@ -59,7 +20,7 @@ BatchRunner::run(const std::vector<std::string> &paths)
     BatchReport report;
     report.records.resize(paths.size());
 
-    service::SchedulerOptions sopts;
+    SchedulerOptions sopts;
     sopts.portfolio = opts_.portfolio;
     sopts.workers = std::min<int>(
         opts_.concurrency,
@@ -67,7 +28,7 @@ BatchRunner::run(const std::vector<std::string> &paths)
     sopts.default_timeout_s = opts_.instance_timeout_s;
     sopts.memory_budget_mb = opts_.memory_budget_mb;
     sopts.external_stop = opts_.external_stop;
-    sopts.external_stop_policy = service::DrainPolicy::CancelPending;
+    sopts.external_stop_policy = DrainPolicy::CancelPending;
     sopts.metrics = opts_.metrics;
     sopts.max_retained_records = 0; // the batch keeps every record
     // Park the workers until every path is queued: cancellation (a
@@ -75,14 +36,14 @@ BatchRunner::run(const std::vector<std::string> &paths)
     // whole batch instead of racing the first few solves.
     sopts.start_paused = true;
 
-    service::JobScheduler scheduler(sopts);
-    std::vector<service::JobId> ids;
+    JobScheduler scheduler(sopts);
+    std::vector<JobId> ids;
     ids.reserve(paths.size());
     for (const std::string &path : paths) {
-        service::JobSpec spec;
+        JobSpec spec;
         spec.tenant = "batch";
         spec.path = path;
-        const service::Submission sub =
+        const Submission sub =
             scheduler.submit(std::move(spec));
         // A rejected submit (drain already started) keeps id 0; its
         // record stays default and reports UNKNOWN below.
@@ -102,15 +63,15 @@ BatchRunner::run(const std::vector<std::string> &paths)
         }
         report.records[i] = std::move(rec);
     }
-    scheduler.shutdown(service::DrainPolicy::FinishQueued);
+    scheduler.shutdown(DrainPolicy::FinishQueued);
 
     report.wall_s = wall.seconds();
     for (InstanceRecord &rec : report.records) {
         if (rec.status.empty())
             rec.status = "UNKNOWN"; // cancelled before it was picked up
-        service::tallyRecord(report, rec);
+        tallyRecord(report, rec);
     }
     return report;
 }
 
-} // namespace hyqsat::portfolio
+} // namespace hyqsat::service

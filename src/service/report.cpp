@@ -114,7 +114,6 @@ writeJsonReport(const BatchReport &report, std::ostream &out)
             << ", \"qa_samples\": " << r.qa_samples
             << ", \"time\": {\"frontend_s\": " << jsonNumber(r.frontend_s)
             << ", \"qa_device_s\": " << jsonNumber(r.qa_device_s)
-            << ", \"qa_blocking_s\": " << jsonNumber(r.qa_blocking_s)
             << ", \"backend_s\": " << jsonNumber(r.backend_s)
             << ", \"cdcl_s\": " << jsonNumber(r.cdcl_s) << "}";
         out << ", \"metrics\": {";
@@ -135,7 +134,7 @@ writeCsvReport(const BatchReport &report, std::ostream &out)
     out << "name,path,status,winner,simplify,topology,"
            "reads_groups,wall_s,vars,clauses,"
            "iterations,conflicts,restarts,propagations,qa_samples,"
-           "frontend_s,qa_device_s,qa_blocking_s,backend_s,cdcl_s\n";
+           "frontend_s,qa_device_s,backend_s,cdcl_s\n";
     for (const InstanceRecord &r : report.records) {
         out << r.name << ',' << r.path << ',' << r.status << ','
             << r.winner << ',' << r.simplify << ','
@@ -145,7 +144,6 @@ writeCsvReport(const BatchReport &report, std::ostream &out)
             << r.propagations << ',' << r.qa_samples << ','
             << jsonNumber(r.frontend_s) << ','
             << jsonNumber(r.qa_device_s) << ','
-            << jsonNumber(r.qa_blocking_s) << ','
             << jsonNumber(r.backend_s) << ','
             << jsonNumber(r.cdcl_s) << "\n";
     }

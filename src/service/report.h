@@ -69,7 +69,6 @@ struct InstanceRecord
     /** Winner's host/device time breakdown (zeros if no winner). */
     double frontend_s = 0.0;
     double qa_device_s = 0.0;
-    double qa_blocking_s = 0.0;
     double backend_s = 0.0;
     double cdcl_s = 0.0;
 

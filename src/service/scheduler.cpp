@@ -88,7 +88,7 @@ JobScheduler::submit(JobSpec spec)
 
     Tenant &tenant = tenants_[job->spec.tenant];
     tenant.priority = job->spec.priority;
-    tenant.queue.push(std::to_string(job->id));
+    tenant.queue.push_back(job->id);
     jobs_.emplace(job->id, job);
     ++queued_;
     if (opts_.metrics) {
@@ -207,9 +207,7 @@ JobScheduler::drainLocked(DrainPolicy policy)
     // in-flight jobs get their stop tokens tripped and finish on
     // their own threads.
     for (auto &[name, tenant] : tenants_) {
-        std::string id_str;
-        while (tenant.queue.pop(id_str)) {
-            const JobId id = std::stoull(id_str);
+        for (const JobId id : tenant.queue) {
             const auto it = jobs_.find(id);
             if (it == jobs_.end())
                 continue;
@@ -226,6 +224,7 @@ JobScheduler::drainLocked(DrainPolicy policy)
                 metricInc(tenantCounter(job.spec.tenant, "cancelled"));
             }
         }
+        tenant.queue.clear();
     }
     if (opts_.metrics)
         opts_.metrics->gauge("service.queue_depth")
@@ -285,7 +284,7 @@ JobScheduler::nextJobLocked()
     // round-robin (least recently served first) among equals.
     Tenant *best = nullptr;
     for (auto &[name, tenant] : tenants_) {
-        if (tenant.queue.size() == 0)
+        if (tenant.queue.empty())
             continue;
         if (!best || tenant.priority > best->priority ||
             (tenant.priority == best->priority &&
@@ -294,12 +293,11 @@ JobScheduler::nextJobLocked()
     }
     if (!best)
         return nullptr;
-    std::string id_str;
-    if (!best->queue.pop(id_str))
-        return nullptr;
+    const JobId id = best->queue.front();
+    best->queue.pop_front();
     best->last_served = ++serve_clock_;
 
-    const auto it = jobs_.find(std::stoull(id_str));
+    const auto it = jobs_.find(id);
     if (it == jobs_.end())
         return nullptr;
     const std::shared_ptr<Job> job = it->second;
@@ -424,7 +422,6 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
         rec.qa_samples = w.qa_samples;
         rec.frontend_s = w.time.frontend_s;
         rec.qa_device_s = w.time.qa_device_s;
-        rec.qa_blocking_s = w.time.qa_blocking_s;
         rec.backend_s = w.time.backend_s;
         rec.cdcl_s = w.time.cdcl_s;
     }

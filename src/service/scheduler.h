@@ -10,9 +10,9 @@
  * budgets. Graceful drain rides the StopToken machinery: stop
  * accepting, then finish or cancel in-flight work by policy.
  *
- * Lifted out of portfolio::BatchRunner (which is now a thin client)
- * so the one-shot batch CLI and the long-running daemon share one
- * scheduling, budgeting and reporting core.
+ * The one-shot batch CLI (through service::BatchRunner, a thin
+ * client) and the long-running daemon share this one scheduling,
+ * budgeting and reporting core.
  *
  * Metrics (when a registry is attached): global and per-tenant
  * service.submitted / accepted / rejected / completed / cancelled
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "portfolio/portfolio.h"
-#include "portfolio/work_queue.h"
 #include "service/job.h"
 #include "service/report.h"
 #include "util/cancel.h"
@@ -181,12 +180,12 @@ class JobScheduler
         InstanceRecord record;
     };
 
-    /** One tenant's slice: a FIFO WorkQueue plus its priority. */
+    /** One tenant's slice: a FIFO of job ids plus its priority. */
     struct Tenant
     {
         int priority = 0;
         std::uint64_t last_served = 0; ///< round-robin clock
-        portfolio::WorkQueue queue;    ///< job ids, FIFO
+        std::deque<JobId> queue;       ///< guarded by mutex_
     };
 
     void workerLoop();

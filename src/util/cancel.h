@@ -2,9 +2,9 @@
  * @file
  * Cooperative cancellation primitive shared by every layer that can
  * block or loop for a long time: the CDCL search (decision and
- * conflict boundaries), the hybrid loop's sampling pipeline, the SA
- * sweep loop inside every sampler backend, the async sampler's wait
- * points and the portfolio racing layer.
+ * conflict boundaries), the hybrid loop's warm-up iterations, the SA
+ * sweep loop inside every sampler backend and the portfolio racing
+ * layer.
  *
  * A StopToken is a single atomic flag. Owners call requestStop();
  * observers poll stopRequested() at their natural loop boundaries —

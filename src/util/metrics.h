@@ -149,7 +149,7 @@ class LatencyHistogram
  * wall-clock offset since the sink opened, and a flat payload of
  * numeric and string fields. Thread-safe (writers serialize on an
  * internal mutex); intended for low-rate structural events (restarts,
- * pipeline stalls, portfolio outcomes), not per-propagation logging.
+ * backend outcomes, portfolio outcomes), not per-propagation logging.
  */
 class TraceSink
 {

@@ -4,7 +4,7 @@
  * that never trips changes nothing, a pre-tripped token ends every
  * read before its first sweep, and a token tripped from another
  * thread cuts a multi-second sample short through SaSampler, the
- * lockstep kernels, QuantumAnnealer and AsyncSampler destruction.
+ * lockstep kernels and QuantumAnnealer.
  */
 
 #include <gtest/gtest.h>
@@ -215,7 +215,7 @@ TEST_F(AnnealCancel, EverySyncBackendGetsTheToken)
             fx_, &fx_->problem);
         request.embedding = std::shared_ptr<const embed::Embedding>(
             fx_, &fx_->embedding);
-        EXPECT_TRUE(sampler->sampleNow(std::move(request)).cancelled)
+        EXPECT_TRUE(sampler->sample(request).cancelled)
             << name;
     }
 }
@@ -372,39 +372,6 @@ TEST_F(AnnealCancel, TripMidSampleCutsAnnealerShort)
               static_cast<std::uint64_t>(sweeps));
     EXPECT_EQ(qa.lastRunStats().reads, 1u) << "no further attempts";
     EXPECT_LT(elapsed, kCutBoundS);
-}
-
-TEST_F(AnnealCancel, TrippedAsyncSamplerDestructsWithoutWaitingForJob)
-{
-    const auto timeRun = [&](int sweeps) {
-        QuantumAnnealer probe(graph_, annealerOptions(sweeps));
-        Timer t;
-        (void)probe.sample(fx_->problem, fx_->embedding);
-        return t.seconds();
-    };
-    StopToken stop;
-    SamplerSpec spec;
-    spec.pipeline_depth = 2;
-    spec.annealer = annealerOptions(sweepsLasting(kFullSampleS, timeRun));
-    spec.stop = &stop;
-    auto sampler = makeSampler(spec, graph_);
-
-    SampleRequest request;
-    request.problem = std::shared_ptr<const qubo::EncodedProblem>(
-        fx_, &fx_->problem);
-    request.embedding =
-        std::shared_ptr<const embed::Embedding>(fx_, &fx_->embedding);
-    request.embedded = fx_;
-    sampler->submit(std::move(request));
-
-    // The job is running on the strand when the token trips; the
-    // inner annealer ends it within one sweep, so destruction (which
-    // joins the strand) returns long before the full sample.
-    std::this_thread::sleep_for(kTripDelay);
-    Timer timer;
-    stop.requestStop();
-    sampler.reset();
-    EXPECT_LT(timer.seconds(), kCutBoundS);
 }
 
 } // namespace

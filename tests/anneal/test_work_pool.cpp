@@ -2,17 +2,14 @@
  * @file
  * Tests for the shared caller-participating thread pool: runIndexed
  * must call fn(i) exactly once per index (including from nested
- * fan-outs, which is how a batch worker's multi-read annealer runs),
- * degenerate sizes must behave, and post() must execute detached
- * strand tasks.
+ * fan-outs, which is how a batch worker's multi-read annealer runs)
+ * and degenerate sizes must behave.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -127,50 +124,6 @@ TEST(WorkPool, CallerThrowUnwindsCleanlyAndPoolStaysUsable)
         for (auto &h : hits)
             EXPECT_EQ(h.load(), 1) << "round " << round;
     }
-}
-
-TEST(WorkPool, PostRunsDetachedTasks)
-{
-    WorkPool pool(1);
-    std::mutex mu;
-    std::condition_variable cv;
-    int ran = 0;
-    for (int k = 0; k < 5; ++k) {
-        pool.post([&] {
-            std::lock_guard<std::mutex> lock(mu);
-            ++ran;
-            cv.notify_all();
-        });
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    const bool ok = cv.wait_for(lock, std::chrono::seconds(30),
-                                [&] { return ran == 5; });
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(ran, 5);
-}
-
-TEST(WorkPool, PostedTasksRunWhileFanOutIsOpen)
-{
-    // A posted strand task must not starve behind a long fan-out:
-    // the async drain depends on posts getting a thread promptly.
-    WorkPool pool(2);
-    std::mutex mu;
-    std::condition_variable cv;
-    bool posted_ran = false;
-    pool.runIndexed(4, [&](int i) {
-        if (i == 0) {
-            pool.post([&] {
-                std::lock_guard<std::mutex> lock(mu);
-                posted_ran = true;
-                cv.notify_all();
-            });
-            std::unique_lock<std::mutex> lock(mu);
-            cv.wait_for(lock, std::chrono::seconds(30),
-                        [&] { return posted_ran; });
-        }
-    });
-    std::lock_guard<std::mutex> lock(mu);
-    EXPECT_TRUE(posted_ran);
 }
 
 } // namespace

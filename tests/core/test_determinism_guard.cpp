@@ -1,6 +1,6 @@
 /**
  * @file
- * Determinism guard: the default synchronous depth-1 sampler path
+ * Determinism guard: the blocking one-sample-per-iteration path
  * must reproduce the pre-refactor (seed) solver bit for bit on a
  * fixed-seed suite. The golden table below was captured from the
  * blocking per-iteration loop before the pluggable sampler interface
@@ -78,7 +78,6 @@ TEST(DeterminismGuard, SyncSamplerReproducesSeedNoiseFreeResults)
         cfg.annealer.attempts = 2;
         cfg.seed = 0xd5eed + round;
         cfg.sampler = "qa";
-        cfg.pipeline_depth = 1;
         HybridSolver solver(cfg);
         expectMatchesGolden(solver.solve(cnf),
                             kNoiseFreeGolden[round], "noise-free",
@@ -97,7 +96,6 @@ TEST(DeterminismGuard, SyncSamplerReproducesSeedNoisyResults)
         cfg.annealer.attempts = 1;
         cfg.seed = 0xabc + round;
         cfg.sampler = "qa";
-        cfg.pipeline_depth = 1;
         HybridSolver solver(cfg);
         expectMatchesGolden(solver.solve(cnf), kNoisyGolden[round],
                             "noisy", round);

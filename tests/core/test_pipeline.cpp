@@ -15,70 +15,29 @@ namespace hyqsat::core {
 namespace {
 
 /**
- * Test double: completions are released only when the test says so,
- * which makes in-flight / stale / stall behavior fully controllable.
+ * Test double: every sample is the all-zero assignment, optionally
+ * marked as cut short by the stop token, and records what it was
+ * asked.
  */
-class ManualSampler : public anneal::Sampler
+class FakeSampler : public anneal::Sampler
 {
   public:
-    explicit ManualSampler(int capacity) : capacity_(capacity) {}
+    const char *name() const override { return "fake"; }
 
-    const char *name() const override { return "manual"; }
-    int capacity() const override { return capacity_; }
-
-    std::uint64_t
-    submit(anneal::SampleRequest request) override
+    anneal::AnnealSample
+    sample(const anneal::SampleRequest &request) override
     {
-        pending_.push_back({next_ticket_++, std::move(request)});
-        return pending_.back().first;
+        ++calls;
+        anneal::AnnealSample s;
+        s.node_bits.assign(request.problem->numNodes(), false);
+        s.device_time_us = 130.0;
+        s.cancelled = cancel_next;
+        cancel_next = false;
+        return s;
     }
 
-    void
-    poll(std::vector<anneal::SampleCompletion> &out) override
-    {
-        for (auto &c : released_)
-            out.push_back(std::move(c));
-        released_.clear();
-    }
-
-    void
-    wait(std::vector<anneal::SampleCompletion> &out) override
-    {
-        poll(out);
-    }
-
-    int
-    inFlight() const override
-    {
-        return static_cast<int>(pending_.size() + released_.size());
-    }
-
-    /**
-     * Complete the oldest pending job with a zero-energy sample,
-     * optionally marked as cut short by the stop token.
-     */
-    void
-    releaseOne(bool cancelled = false)
-    {
-        ASSERT_FALSE(pending_.empty());
-        auto [ticket, request] = std::move(pending_.front());
-        pending_.erase(pending_.begin());
-        anneal::SampleCompletion c;
-        c.ticket = ticket;
-        c.sample.node_bits.assign(request.problem->numNodes(), false);
-        c.sample.device_time_us = 130.0;
-        c.sample.cancelled = cancelled;
-        released_.push_back(std::move(c));
-    }
-
-    int pendingCount() const { return static_cast<int>(pending_.size()); }
-
-  private:
-    int capacity_;
-    std::uint64_t next_ticket_ = 1;
-    std::vector<std::pair<std::uint64_t, anneal::SampleRequest>>
-        pending_;
-    std::vector<anneal::SampleCompletion> released_;
+    int calls = 0;
+    bool cancel_next = false;
 };
 
 /** A solver loaded with a small instrumented 3-SAT instance. */
@@ -102,158 +61,62 @@ struct Fixture
 TEST(SamplePipeline, FreshCompletionIsDelivered)
 {
     Fixture fx;
-    ManualSampler sampler(2);
+    FakeSampler sampler;
     SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
 
-    std::vector<ReadySample> ready;
-    pipeline.step(fx.solver, /*epoch=*/0, ready);
-    EXPECT_TRUE(ready.empty());
-    EXPECT_EQ(pipeline.stats().submitted, 1);
-
-    sampler.releaseOne();
-    pipeline.step(fx.solver, 0, ready);
-    ASSERT_EQ(ready.size(), 1u);
-    ASSERT_NE(ready[0].frontend, nullptr);
-    EXPECT_FALSE(ready[0].frontend->embedded_clauses.empty());
-    EXPECT_EQ(pipeline.stats().harvested, 1);
-    EXPECT_EQ(pipeline.stats().stale_discarded, 0);
-}
-
-TEST(SamplePipeline, StaleCompletionIsDiscarded)
-{
-    Fixture fx;
-    ManualSampler sampler(2);
-    SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
-
-    std::vector<ReadySample> ready;
-    pipeline.step(fx.solver, 0, ready); // submit at epoch 0
-    sampler.releaseOne();
-
-    // A conflict intervened: the job from epoch 0 is stale.
-    pipeline.step(fx.solver, 1, ready);
-    EXPECT_TRUE(ready.empty() || pipeline.stats().stale_discarded == 1);
-    EXPECT_EQ(pipeline.stats().stale_discarded, 1);
-    // The epoch change also forced a fresh frontend pass and a new
-    // submission at epoch 1.
-    EXPECT_EQ(pipeline.stats().submitted, 2);
-
-    sampler.releaseOne();
-    ready.clear();
-    pipeline.step(fx.solver, 1, ready);
-    ASSERT_EQ(ready.size(), 1u);
-}
-
-TEST(SamplePipeline, FullPipelineCountsStalls)
-{
-    Fixture fx;
-    ManualSampler sampler(1);
-    SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
-
-    std::vector<ReadySample> ready;
-    pipeline.step(fx.solver, 0, ready); // fills the single slot
-    pipeline.step(fx.solver, 0, ready); // full -> stall
-    pipeline.step(fx.solver, 0, ready); // still full -> stall
-    EXPECT_EQ(pipeline.stats().submitted, 1);
-    EXPECT_EQ(pipeline.stats().stalls, 2);
-
-    sampler.releaseOne();
-    // step() tries to submit before it harvests, so the harvesting
-    // step still finds the pipeline full; the slot freed by the
-    // harvest is refilled on the next step.
-    pipeline.step(fx.solver, 0, ready);
-    ASSERT_EQ(ready.size(), 1u);
-    EXPECT_EQ(pipeline.stats().submitted, 1);
-    EXPECT_EQ(pipeline.stats().stalls, 3);
-    ready.clear();
-    pipeline.step(fx.solver, 0, ready);
-    EXPECT_EQ(pipeline.stats().submitted, 2);
-    EXPECT_EQ(pipeline.stats().stalls, 3);
-}
-
-TEST(SamplePipeline, ConflictNotificationRetiresStaleWork)
-{
-    Fixture fx;
-    ManualSampler sampler(2);
-    SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
-
-    std::vector<ReadySample> ready;
-    pipeline.step(fx.solver, 0, ready);
-    sampler.releaseOne();
-
-    pipeline.notifyConflict(/*epoch=*/1);
-    EXPECT_EQ(pipeline.stats().harvested, 1);
-    EXPECT_EQ(pipeline.stats().stale_discarded, 1);
-    EXPECT_EQ(sampler.inFlight(), 0);
+    const std::optional<ReadySample> ready =
+        pipeline.step(fx.solver, /*conflicts=*/0);
+    ASSERT_TRUE(ready.has_value());
+    ASSERT_NE(ready->frontend, nullptr);
+    EXPECT_FALSE(ready->frontend->embedded_clauses.empty());
+    EXPECT_EQ(ready->sample.node_bits.size(),
+              static_cast<std::size_t>(
+                  ready->frontend->embedded->problem.numNodes()));
+    EXPECT_EQ(sampler.calls, 1);
+    const PipelineStats stats = pipeline.stats();
+    EXPECT_EQ(stats.submitted, 1);
+    EXPECT_DOUBLE_EQ(stats.device_s, 130e-6);
 }
 
 TEST(SamplePipeline, FrontendCacheReusedWithinEpoch)
 {
     Fixture fx;
-    ManualSampler sampler(8);
+    FakeSampler sampler;
     SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
 
-    std::vector<ReadySample> ready;
-    pipeline.step(fx.solver, 0, ready);
+    const auto first = pipeline.step(fx.solver, 0);
     const double after_first = pipeline.stats().frontend_s;
     EXPECT_GT(after_first, 0.0);
-    pipeline.step(fx.solver, 0, ready);
-    pipeline.step(fx.solver, 0, ready);
-    // Same epoch: no further frontend passes were run.
+    const auto second = pipeline.step(fx.solver, 0);
+    pipeline.step(fx.solver, 0);
+    // Same conflict count: no further frontend passes were run, and
+    // every sample was taken from the one cached result.
     EXPECT_DOUBLE_EQ(pipeline.stats().frontend_s, after_first);
-    // New epoch: one more pass.
-    pipeline.step(fx.solver, 1, ready);
+    ASSERT_TRUE(first && second);
+    EXPECT_EQ(first->frontend, second->frontend);
+    EXPECT_EQ(sampler.calls, 3);
+    // A new conflict count: one more pass.
+    const auto third = pipeline.step(fx.solver, 1);
     EXPECT_GT(pipeline.stats().frontend_s, after_first);
-}
-
-TEST(SamplePipeline, TracksInFlightAndBlockingTime)
-{
-    Fixture fx;
-    ManualSampler sampler(2);
-    SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
-
-    std::vector<ReadySample> ready;
-    pipeline.step(fx.solver, 0, ready);
-    sampler.releaseOne();
-    pipeline.step(fx.solver, 0, ready);
-    ASSERT_EQ(ready.size(), 1u);
-    const auto &stats = pipeline.stats();
-    EXPECT_GT(stats.device_s, 0.0);
-    EXPECT_GE(stats.inflight_s, 0.0);
-    // Blocking time can never exceed modeled device time.
-    EXPECT_LE(stats.blocking_s, stats.device_s + 1e-12);
-}
-
-TEST(SamplePipeline, AsynchronousReflectsSamplerCapacity)
-{
-    Fixture fx;
-    ManualSampler deep(4), shallow(1);
-    SamplePipeline a(fx.frontend, deep, fx.rng);
-    SamplePipeline b(fx.frontend, shallow, fx.rng);
-    EXPECT_TRUE(a.asynchronous());
-    EXPECT_FALSE(b.asynchronous());
+    ASSERT_TRUE(third);
+    EXPECT_NE(third->frontend, first->frontend);
 }
 
 TEST(PipelineCancel, CutShortCompletionIsCountedNotDelivered)
 {
     Fixture fx;
-    ManualSampler sampler(2);
+    FakeSampler sampler;
     SamplePipeline pipeline(fx.frontend, sampler, fx.rng);
 
-    std::vector<ReadySample> ready;
-    pipeline.step(fx.solver, 0, ready);
-    sampler.releaseOne(/*cancelled=*/true);
-    pipeline.step(fx.solver, 0, ready);
-    EXPECT_TRUE(ready.empty());
+    sampler.cancel_next = true;
+    EXPECT_FALSE(pipeline.step(fx.solver, 0).has_value());
     const PipelineStats stats = pipeline.stats();
-    EXPECT_EQ(stats.harvested, 1);
+    EXPECT_EQ(stats.submitted, 1);
     EXPECT_EQ(stats.cancelled, 1);
-    EXPECT_EQ(stats.stale_discarded, 0);
     // No readout happened: nothing is charged as device time.
     EXPECT_EQ(stats.device_s, 0.0);
 
-    sampler.releaseOne();
-    pipeline.step(fx.solver, 0, ready);
-    EXPECT_EQ(ready.size(), 1u);
+    EXPECT_TRUE(pipeline.step(fx.solver, 0).has_value());
     EXPECT_EQ(pipeline.stats().cancelled, 1);
 }
 

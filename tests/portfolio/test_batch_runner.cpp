@@ -11,10 +11,10 @@
 
 #include <unistd.h>
 
-#include "portfolio/batch_runner.h"
+#include "service/batch_runner.h"
 #include "util/metrics.h"
 
-namespace hyqsat::portfolio {
+namespace hyqsat::service {
 namespace {
 
 namespace fs = std::filesystem;
@@ -72,26 +72,6 @@ smallOptions()
     opts.portfolio.num_workers = 2;
     opts.concurrency = 2;
     return opts;
-}
-
-TEST(WorkQueue, FifoOrderAndEmptyPop)
-{
-    WorkQueue q;
-    EXPECT_EQ(q.size(), 0u);
-    std::string out;
-    EXPECT_FALSE(q.pop(out));
-
-    q.push("a");
-    q.push("b");
-    q.push("c");
-    EXPECT_EQ(q.size(), 3u);
-    ASSERT_TRUE(q.pop(out));
-    EXPECT_EQ(out, "a");
-    ASSERT_TRUE(q.pop(out));
-    EXPECT_EQ(out, "b");
-    ASSERT_TRUE(q.pop(out));
-    EXPECT_EQ(out, "c");
-    EXPECT_FALSE(q.pop(out));
 }
 
 TEST(BatchRunner, MixedBatchRecordsInInputOrder)
@@ -227,8 +207,7 @@ TEST(BatchRunner, EstimateMemoryScalesWithWorkers)
     for (int i = 0; i < 97; ++i)
         cnf.addClause({sat::mkLit(i % 100), sat::mkLit((i + 3) % 100),
                        sat::mkLit((i + 7) % 100, true)});
-    EXPECT_GE(BatchRunner::estimateMemoryMb(cnf, 8),
-              BatchRunner::estimateMemoryMb(cnf, 1));
+    EXPECT_GE(estimateMemoryMb(cnf, 8), estimateMemoryMb(cnf, 1));
 }
 
 TEST(BatchRunner, CollectCnfFilesFiltersAndSorts)
@@ -237,7 +216,7 @@ TEST(BatchRunner, CollectCnfFilesFiltersAndSorts)
     dir.write("b.cnf", kSatCnf);
     dir.write("a.dimacs", kSatCnf);
     dir.write("notes.txt", "not a formula");
-    const auto files = BatchRunner::collectCnfFiles(dir.path.string());
+    const auto files = collectCnfFiles(dir.path.string());
     ASSERT_EQ(files.size(), 2u);
     EXPECT_NE(files[0].find("a.dimacs"), std::string::npos);
     EXPECT_NE(files[1].find("b.cnf"), std::string::npos);
@@ -251,7 +230,7 @@ TEST(BatchRunner, ReadManifestSkipsCommentsAndBlanks)
                           "\ttwo.cnf\r\n"
                           "   # indented comment\n"
                           "three.cnf\n");
-    const auto paths = BatchRunner::readManifest(in);
+    const auto paths = readManifest(in);
     ASSERT_EQ(paths.size(), 3u);
     EXPECT_EQ(paths[0], "one.cnf");
     EXPECT_EQ(paths[1], "two.cnf");
@@ -267,7 +246,7 @@ TEST(BatchRunner, JsonAndCsvReportsWellFormed)
     const auto report = runner.run({sat_path, broken_path});
 
     std::ostringstream json;
-    BatchRunner::writeJson(report, json);
+    writeJsonReport(report, json);
     const std::string j = json.str();
     EXPECT_NE(j.find("\"summary\""), std::string::npos);
     EXPECT_NE(j.find("\"status\": \"SAT\""), std::string::npos);
@@ -278,7 +257,7 @@ TEST(BatchRunner, JsonAndCsvReportsWellFormed)
               std::count(j.begin(), j.end(), ']'));
 
     std::ostringstream csv;
-    BatchRunner::writeCsv(report, csv);
+    writeCsvReport(report, csv);
     const std::string c = csv.str();
     // Header + one row per instance.
     EXPECT_EQ(std::count(c.begin(), c.end(), '\n'), 3);
@@ -304,7 +283,7 @@ TEST(BatchRunner, JsonReportGuardsNonFiniteDoubles)
     report.wall_s = std::numeric_limits<double>::quiet_NaN();
 
     std::ostringstream json;
-    BatchRunner::writeJson(report, json);
+    writeJsonReport(report, json);
     const std::string j = json.str();
     EXPECT_EQ(j.find("nan"), std::string::npos);
     EXPECT_EQ(j.find("inf"), std::string::npos);
@@ -315,7 +294,7 @@ TEST(BatchRunner, JsonReportGuardsNonFiniteDoubles)
               std::count(j.begin(), j.end(), ']'));
 
     std::ostringstream csv;
-    BatchRunner::writeCsv(report, csv);
+    writeCsvReport(report, csv);
     EXPECT_EQ(csv.str().find("nan"), std::string::npos);
     EXPECT_EQ(csv.str().find("inf"), std::string::npos);
 }
@@ -342,7 +321,7 @@ TEST(BatchRunner, MetricsRegistryCollectsWholeBatchTotals)
     for (const auto &rec : report.records) {
         EXPECT_FALSE(rec.metrics.empty()) << rec.name;
         std::ostringstream json;
-        BatchRunner::writeJson(report, json);
+        writeJsonReport(report, json);
         EXPECT_NE(json.str().find("\"metrics\": {"),
                   std::string::npos);
     }
@@ -352,4 +331,4 @@ TEST(BatchRunner, MetricsRegistryCollectsWholeBatchTotals)
 }
 
 } // namespace
-} // namespace hyqsat::portfolio
+} // namespace hyqsat::service

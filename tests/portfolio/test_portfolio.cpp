@@ -274,13 +274,12 @@ TEST(PortfolioSolver, SharingStaysSound)
 TEST(PortfolioSolver, DiversifyTableShape)
 {
     const auto base = noiseFreeConfig(0xabcdef);
-    const auto slate = PortfolioSolver::diversify(base, 10);
-    ASSERT_EQ(slate.size(), 10u);
+    const auto slate = PortfolioSolver::diversify(base, 9);
+    ASSERT_EQ(slate.size(), 9u);
 
     // Slot 0 is the base config untouched (the determinism anchor).
     EXPECT_EQ(slate[0].hybrid.seed, base.seed);
     EXPECT_EQ(slate[0].hybrid.sampler, base.sampler);
-    EXPECT_EQ(slate[0].hybrid.pipeline_depth, base.pipeline_depth);
 
     // Labels are unique and later slots carry decorrelated seeds.
     std::set<std::string> labels;
@@ -296,24 +295,24 @@ TEST(PortfolioSolver, DiversifyTableShape)
         samplers.insert(w.hybrid.sampler);
     EXPECT_GE(samplers.size(), 3u);
 
-    // Slot 4 is best-of-N inside every sample: at least four
+    // Slot 3 is best-of-N inside every sample: at least four
     // lockstep reads on the base device.
-    EXPECT_EQ(slate[4].label, "batch");
-    EXPECT_EQ(slate[4].hybrid.sampler, base.sampler);
-    EXPECT_EQ(slate[4].hybrid.num_reads, 4);
+    EXPECT_EQ(slate[3].label, "batch");
+    EXPECT_EQ(slate[3].hybrid.sampler, base.sampler);
+    EXPECT_EQ(slate[3].hybrid.num_reads, 4);
 
-    // Slot 9 is the dedicated parallel-lockstep-reads worker: at
+    // Slot 8 is the dedicated parallel-lockstep-reads worker: at
     // least 16 reads per device sample.
-    EXPECT_EQ(slate[9].label, "reads-batch");
-    EXPECT_GE(slate[9].hybrid.num_reads, 16);
+    EXPECT_EQ(slate[8].label, "reads-batch");
+    EXPECT_GE(slate[8].hybrid.num_reads, 16);
 
     // Past the table the labels cycle with a #N suffix and fresh
     // seeds.
-    const auto wide = PortfolioSolver::diversify(base, 12);
-    ASSERT_EQ(wide.size(), 12u);
-    EXPECT_EQ(wide[10].label, "base#1");
-    EXPECT_EQ(wide[11].label, "cdcl#1");
-    EXPECT_NE(wide[10].hybrid.seed, wide[0].hybrid.seed);
+    const auto wide = PortfolioSolver::diversify(base, 11);
+    ASSERT_EQ(wide.size(), 11u);
+    EXPECT_EQ(wide[9].label, "base#1");
+    EXPECT_EQ(wide[10].label, "cdcl#1");
+    EXPECT_NE(wide[9].hybrid.seed, wide[0].hybrid.seed);
 }
 
 TEST(PortfolioSolver, ExplicitWorkerSlateRespected)

@@ -26,8 +26,8 @@ knobFields(const HybridConfig &c)
     std::ostringstream out;
     out << simplify::strengthName(c.simplify_strength) << ' '
         << topology::kindName(c.topology) << ' ' << c.sampler << ' '
-        << c.pipeline_depth << ' ' << c.num_reads << ' '
-        << c.reads_groups << ' ' << c.annealer.noise.coefficient_sigma
+        << c.num_reads << ' ' << c.reads_groups << ' '
+        << c.annealer.noise.coefficient_sigma
         << ' ' << c.annealer.noise.readout_flip_prob << ' '
         << c.annealer.greedy_finish << ' ' << c.annealer.attempts;
     return out.str();
@@ -74,7 +74,7 @@ constexpr const char *kOpenExpected =
 
 TEST(Knobs, EveryRowSetsTheSameConfigFromCliAndSubmit)
 {
-    ASSERT_EQ(knobs().size(), 7u);
+    ASSERT_EQ(knobs().size(), 6u);
     for (const Knob &knob : knobs()) {
         SCOPED_TRACE(knob.flag);
         const std::string value = knob.syntax ? sampleValue(knob) : "";
@@ -142,12 +142,11 @@ TEST(Knobs, ProtocolUsageListsTheKeyedRows)
 TEST(Knobs, CliRejectsBadValuesInsteadOfClamping)
 {
     const std::vector<std::vector<std::string>> bad = {
-        {"--depth", "abc"},          {"--depth", "0"},
         {"--num-reads", "0"},        {"--num-reads", "2x"},
         {"--reads-groups", "-1"},    {"--reads-groups", "4097"},
         {"--topology", "kite"},      {"--simplify", "max"},
-        {"--depth=-3"},              {"--num-reads"},
-        {"--sampler", "bogus"},      {"--sampler", "async"},
+        {"--num-reads"},             {"--sampler", "bogus"},
+        {"--sampler", "async"},
         {"--sampler", "batch"},      {"--sampler=sync"},
     };
     for (const auto &words : bad) {
@@ -168,7 +167,7 @@ TEST(Knobs, CliRejectsBadValuesInsteadOfClamping)
 
     // Range ends SUBMIT also accepts are fine.
     ASSERT_TRUE(parseWords({"--reads-groups", "4096", "--reads-groups=0",
-                            "--num-reads", "4096", "--depth", "1"},
+                            "--num-reads", "4096"},
                            config, error));
     EXPECT_EQ(config.reads_groups, 0);
     EXPECT_EQ(config.num_reads, 4096);
@@ -220,7 +219,8 @@ TEST(Knobs, ParseNumberTakesWholeWordsInRange)
 TEST(Knobs, NonKnobWordsAreLeftToTheCli)
 {
     for (const char *word :
-         {"--warmup", "--bogus", "file.cnf", "-v", "--noisy=1"}) {
+         {"--warmup", "--bogus", "file.cnf", "-v", "--noisy=1",
+          "--depth"}) {
         HybridConfig config;
         std::string error;
         EXPECT_FALSE(parseWords({word}, config, error)) << word;
