@@ -12,17 +12,34 @@
 #ifndef HYQSAT_BENCH_COMMON_H
 #define HYQSAT_BENCH_COMMON_H
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "core/hybrid_solver.h"
 #include "core/knobs.h"
 #include "gen/benchmarks.h"
 
 namespace hyqsat::bench {
+
+/**
+ * CPUs this process may run on: its affinity mask, not the host's
+ * hardware thread count, so a taskset-pinned run sizes its helpers
+ * and its scaling bars by the CPUs it actually gets.
+ */
+inline unsigned
+usableCpus()
+{
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return static_cast<unsigned>(CPU_COUNT(&set));
+    return std::thread::hardware_concurrency();
+}
 
 /** True when HYQSAT_BENCH_SCALE=full is exported. */
 inline bool

@@ -101,17 +101,15 @@
  *   ./micro_anneal [--smoke]    (HYQSAT_BENCH_TINY=1 also works)
  */
 
-#include <sched.h>
-
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "anneal/annealer.h"
+#include "bench/common.h"
 #include "anneal/sa_batch.h"
 #include "anneal/sa_reference.h"
 #include "anneal/sa_sampler.h"
@@ -235,20 +233,6 @@ timePath(int reps, int reads, Fn &&fn)
     return out;
 }
 
-/**
- * CPUs this process may run on: its affinity mask, not the host's
- * hardware thread count, so a taskset-pinned run sizes its helpers
- * and its scaling bar by the CPUs it actually gets.
- */
-unsigned
-usableCpus()
-{
-    cpu_set_t set;
-    if (sched_getaffinity(0, sizeof(set), &set) == 0)
-        return static_cast<unsigned>(CPU_COUNT(&set));
-    return std::thread::hardware_concurrency();
-}
-
 } // namespace
 
 int
@@ -369,7 +353,7 @@ main(int argc, char **argv)
     // Parallel rung setup: 64 reads auto-group into 8 lockstep
     // groups; the dedicated pool gives the caller up to 7 helpers
     // (one context per group) without oversubscribing small hosts.
-    const unsigned cpus = usableCpus();
+    const unsigned cpus = bench::usableCpus();
     const int par_helpers =
         std::max(1, std::min(8, static_cast<int>(cpus)) - 1);
     anneal::SaOptions par64_opts = opts;

@@ -4,7 +4,9 @@
  * curated hard random 3-SAT set near the phase transition
  * (m/n ~ 4.26, the regime where single-config variance is largest)
  * and reports per-worker-count wall clock, the per-config
- * single-solver baseline, and cooperative-cancellation latency.
+ * single-solver baseline, cooperative-cancellation latency, and the
+ * median race overhead: race wall time minus the winner's own
+ * worker seconds (what the race adds around the winning solve).
  *
  * Acceptance bar (ISSUE 2): 4 diverse workers' total wall clock <=
  * the best single config on the set, never worse than 1.2x the best
@@ -17,12 +19,12 @@
 #include <cstdio>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.h"
 #include "gen/random_sat.h"
 #include "portfolio/portfolio.h"
+#include "util/stats.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -33,8 +35,8 @@ main()
 {
     std::printf("=== Portfolio scaling: diverse-config racing on "
                 "phase-transition random 3-SAT ===\n");
-    const unsigned cores = std::thread::hardware_concurrency();
-    std::printf("hardware threads: %u (racing needs >= 4 cores for "
+    const unsigned cores = bench::usableCpus();
+    std::printf("usable CPUs: %u (racing needs >= 4 cores for "
                 "the wall-clock-vs-best-single bar; below that the "
                 "workers time-slice and the ratio mostly measures "
                 "oversubscription)\n",
@@ -86,7 +88,8 @@ main()
 
     Table table;
     table.setHeader({"workers", "wall_s", "vs best single",
-                     "max instance ratio", "cancel ms (max)"});
+                     "max instance ratio", "cancel ms (max)",
+                     "overhead ms (median)"});
     for (const int workers : {1, 2, 4, 8}) {
         portfolio::PortfolioOptions opts;
         opts.base = base;
@@ -95,11 +98,18 @@ main()
 
         double total = 0.0, worst_ratio = 0.0, worst_cancel_ms = 0.0;
         int undecided = 0;
+        std::vector<double> overhead_ms;
         for (std::size_t i = 0; i < suite.size(); ++i) {
             const auto result = solver.solve(suite[i]);
             total += result.wall_s;
             if (result.status.isUndef())
                 ++undecided;
+            else
+                overhead_ms.push_back(
+                    1e3 * (result.wall_s -
+                           result.workers[static_cast<std::size_t>(
+                                              result.winner)]
+                               .seconds));
             if (best_single_per_instance[i] > 0.0) {
                 worst_ratio = std::max(
                     worst_ratio,
@@ -112,18 +122,21 @@ main()
         table.addRow({std::to_string(workers), Table::num(total, 3),
                       Table::num(total / best_config_total, 2) + "x",
                       Table::num(worst_ratio, 2) + "x",
-                      Table::num(worst_cancel_ms, 2)});
+                      Table::num(worst_cancel_ms, 2),
+                      Table::num(median(overhead_ms), 3)});
         std::printf("BENCH {\"bench\":\"portfolio_scaling\","
                     "\"workers\":%d,\"wall_s\":%.4f,"
                     "\"best_single_total_s\":%.4f,"
                     "\"best_single_config\":\"%s\","
                     "\"max_instance_ratio\":%.3f,"
                     "\"max_cancel_latency_ms\":%.3f,"
+                    "\"median_overhead_ms\":%.4f,"
                     "\"undecided\":%d,\"instances\":%zu,"
                     "\"cores\":%u}\n",
                     workers, total, best_config_total,
                     best_config.c_str(), worst_ratio, worst_cancel_ms,
-                    undecided, suite.size(), cores);
+                    median(overhead_ms), undecided, suite.size(),
+                    cores);
     }
 
     std::printf("\nsingle-config totals over the set:\n");

@@ -10,7 +10,7 @@ namespace hyqsat::core {
 
 HybridSolver::HybridSolver(const HybridConfig &config)
     : config_(config),
-      graph_(std::make_shared<const topology::Topology>(
+      graph_(topology::Topology::shared(
           config.topology, config.chimera_rows, config.chimera_cols,
           config.chimera_shore))
 {

@@ -222,15 +222,16 @@ class HybridSolver
 
     const HybridConfig &config() const { return config_; }
 
-    /** The hardware topology (built once per solver). */
+    /** The hardware topology (one per shape per process). */
     const topology::Topology &graph() const { return *graph_; }
 
   private:
     HybridConfig config_;
 
-    // The topology is immutable configuration: building it per solve
-    // made bench loops pay the construction on every call. Every
-    // session this solver opens shares it.
+    // The topology is immutable configuration: building it per
+    // solver put ~0.2 ms on every portfolio worker's critical path.
+    // Every solver and session of one shape shares
+    // topology::Topology::shared's graph.
     std::shared_ptr<const topology::Topology> graph_;
 };
 

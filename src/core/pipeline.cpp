@@ -6,8 +6,9 @@ namespace hyqsat::core {
 
 SamplePipeline::SamplePipeline(const Frontend &frontend,
                                anneal::Sampler &sampler, Rng &rng,
-                               MetricsRegistry *metrics)
-    : frontend_(frontend), sampler_(sampler), rng_(rng)
+                               MetricsRegistry *metrics,
+                               const StopToken *stop)
+    : frontend_(frontend), sampler_(sampler), rng_(rng), stop_(stop)
 {
     if (!metrics) {
         own_metrics_ = std::make_unique<MetricsRegistry>();
@@ -53,6 +54,11 @@ SamplePipeline::step(const sat::Solver &solver, std::uint64_t conflicts)
     refreshCache(solver, conflicts);
     if (cache_->embedded_clauses.empty())
         return std::nullopt;
+    if (stop_ && stop_->stopRequested()) {
+        // The race is over: no compile, no anneal, no readout.
+        m_cancelled_->add();
+        return std::nullopt;
+    }
 
     // Aliasing shared_ptrs: the request points into the cached
     // frontend result instead of deep-copying problem/embedding.

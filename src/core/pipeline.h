@@ -11,7 +11,10 @@
  * Cancellation: a sample the sampler's stop token cut short
  * (AnnealSample::cancelled) is a partial anneal, not an answer. It
  * is counted as pipeline.cancelled and dropped, so it never reaches
- * the backend.
+ * the backend. A step that finds the stop token already tripped
+ * after its frontend pass skips the compile and the anneal
+ * altogether and counts in pipeline.cancelled too: a losing race
+ * worker returns without starting a sample nobody will read.
  */
 
 #ifndef HYQSAT_CORE_PIPELINE_H
@@ -24,6 +27,7 @@
 #include "anneal/sampler.h"
 #include "core/frontend.h"
 #include "sat/solver.h"
+#include "util/cancel.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -38,7 +42,7 @@ namespace hyqsat::core {
 struct PipelineStats
 {
     int submitted = 0; ///< samples requested from the sampler
-    int cancelled = 0; ///< cut short by the stop token
+    int cancelled = 0; ///< cut short or skipped by the stop token
 
     double frontend_s = 0.0;    ///< queue + encode + embed host time
     double host_sample_s = 0.0; ///< device-simulation host time
@@ -63,15 +67,18 @@ class SamplePipeline
      *        phase timers; nullptr uses a private registry so
      *        stats() is always available (single source of truth
      *        either way).
+     * @param stop token polled between the frontend pass and the
+     *        sample; nullptr = never stop.
      */
     SamplePipeline(const Frontend &frontend, anneal::Sampler &sampler,
-                   Rng &rng, MetricsRegistry *metrics = nullptr);
+                   Rng &rng, MetricsRegistry *metrics = nullptr,
+                   const StopToken *stop = nullptr);
 
     /**
      * One sampling step at a decision iteration: refresh the
      * frontend cache when @p conflicts moved, then take one sample
-     * from it. Returns nothing when no clause embedded or the sample
-     * was cut short.
+     * from it. Returns nothing when no clause embedded, the stop
+     * token tripped before the sample, or the sample was cut short.
      */
     std::optional<ReadySample> step(const sat::Solver &solver,
                                     std::uint64_t conflicts);
@@ -85,6 +92,7 @@ class SamplePipeline
     const Frontend &frontend_;
     anneal::Sampler &sampler_;
     Rng &rng_;
+    const StopToken *stop_;
 
     std::shared_ptr<const FrontendResult> cache_;
     std::uint64_t cache_conflicts_ = ~0ull;

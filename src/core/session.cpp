@@ -74,7 +74,7 @@ litHolds(const std::vector<bool> &model, sat::Lit p)
 
 Session::Session(const HybridConfig &config)
     : Session(config,
-              std::make_shared<const topology::Topology>(
+              topology::Topology::shared(
                   config.topology, config.chimera_rows,
                   config.chimera_cols, config.chimera_shore),
               nullptr)
@@ -221,7 +221,7 @@ Session::recompile()
     // conflict arises"), so the pipeline caches the frontend pass
     // across conflict-free decision stretches.
     pipeline_ = std::make_unique<SamplePipeline>(
-        *frontend_, *sampler_, rng_, &metrics_);
+        *frontend_, *sampler_, rng_, &metrics_, config_.stop);
 }
 
 const sat::Cnf &

@@ -38,7 +38,7 @@ namespace hyqsat::core {
 class Session
 {
   public:
-    /** An incremental session with its own topology. */
+    /** An incremental session on the shared graph of its shape. */
     explicit Session(const HybridConfig &config = {});
     ~Session();
 

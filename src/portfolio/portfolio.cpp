@@ -1,12 +1,14 @@
 #include "portfolio/portfolio.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
+#include "portfolio/race_threads.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -156,6 +158,9 @@ PortfolioSolver::solve(const sat::Cnf &formula)
     int winner = -1;
     Timer win_timer;
     core::HybridResult winner_result;
+    // Race-start offset of each slot's call into its solve; each
+    // slot writes only its own entry, read after the race.
+    std::vector<double> started_s(static_cast<std::size_t>(n), 0.0);
 
     auto runWorker = [&](int i) {
         const Timer worker_timer;
@@ -187,57 +192,81 @@ PortfolioSolver::solve(const sat::Cnf &formula)
             };
         }
 
-        core::HybridSolver solver(cfg);
-        core::HybridResult r = solver.solve(formula);
+        core::HybridResult r;
+        {
+            // Destroyed before this slot reports back: the race
+            // merges the worker registries only from finished solvers.
+            core::HybridSolver solver(cfg);
+            started_s[static_cast<std::size_t>(i)] = wall.seconds();
+            r = solver.solve(formula);
+        }
         const double seconds = worker_timer.seconds();
 
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            WorkerReport &rep =
-                result.workers[static_cast<std::size_t>(i)];
-            rep.label = slate[static_cast<std::size_t>(i)].label;
-            rep.status = r.status;
-            rep.seconds = seconds;
-            rep.iterations = r.stats.iterations;
-            rep.conflicts = r.stats.conflicts;
-            rep.qa_samples = r.qa_samples;
-            rep.exported_clauses = r.stats.exported_clauses;
-            rep.imported_clauses = r.stats.imported_clauses;
-            if (!r.status.isUndef() && winner < 0) {
-                winner = i;
-                winner_result = std::move(r);
-                win_timer.reset();
-                stop.requestStop(); // cancel the losers
-            }
-            --running;
-            if (trace) {
-                trace->event(
-                    "portfolio.worker_done",
-                    {{"seconds", seconds},
-                     {"conflicts",
-                      static_cast<double>(rep.conflicts)},
-                     {"qa_samples",
-                      static_cast<double>(rep.qa_samples)}},
-                    {{"label", rep.label},
-                     {"status", rep.status.isTrue()    ? "SAT"
-                                : rep.status.isFalse() ? "UNSAT"
-                                                       : "UNDEF"}});
-            }
+        std::lock_guard<std::mutex> lock(mutex);
+        WorkerReport &rep = result.workers[static_cast<std::size_t>(i)];
+        rep.label = slate[static_cast<std::size_t>(i)].label;
+        rep.status = r.status;
+        rep.seconds = seconds;
+        rep.iterations = r.stats.iterations;
+        rep.conflicts = r.stats.conflicts;
+        rep.qa_samples = r.qa_samples;
+        rep.exported_clauses = r.stats.exported_clauses;
+        rep.imported_clauses = r.stats.imported_clauses;
+        if (!r.status.isUndef() && winner < 0) {
+            winner = i;
+            winner_result = std::move(r);
+            win_timer.reset();
+            stop.requestStop(); // cancel the losers
         }
-        cv.notify_all();
+        --running;
+        if (trace) {
+            trace->event(
+                "portfolio.worker_done",
+                {{"seconds", seconds},
+                 {"conflicts", static_cast<double>(rep.conflicts)},
+                 {"qa_samples", static_cast<double>(rep.qa_samples)}},
+                {{"label", rep.label},
+                 {"status", rep.status.isTrue()    ? "SAT"
+                            : rep.status.isFalse() ? "UNSAT"
+                                                   : "UNDEF"}});
+        }
+        cv.notify_all(); // wakes the watchdog
     };
 
+    // A token tripped before the race stops it here, before any slot
+    // can decide: the watchdog task below may start after a fast
+    // slot has already won.
+    if (opts_.external_stop && opts_.external_stop->stopRequested()) {
+        result.external_stopped = true;
+        stop.requestStop();
+    }
+
+    // The calling thread runs slot 1, the `cdcl` hedge (slot 0 in a
+    // 1-worker race): it wins most races, and its timed solve then
+    // starts on a thread that is already running instead of one
+    // just woken. Every other slot runs on a parked race thread.
+    const int here = n > 1 ? 1 : 0;
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        if (i != here)
+            tasks.emplace_back([&runWorker, i] { runWorker(i); });
+    }
+
     // Watchdog: turns the wall-clock budget and the caller's
-    // external token into stop requests. Polling (a few ms) keeps it
-    // simple; cancellation latency is dominated by the workers'
+    // external token into stop requests. It sleeps to the deadline;
+    // the external token has no wake-up of its own, so it is polled
+    // every 2 ms. Cancellation latency is dominated by the workers'
     // own cancellation points anyway.
-    std::thread watchdog;
-    if (opts_.timeout_s > 0.0 || opts_.external_stop) {
-        watchdog = std::thread([&] {
+    if (!stop.stopRequested() &&
+        (opts_.timeout_s > 0.0 || opts_.external_stop)) {
+        tasks.emplace_back([&] {
             std::unique_lock<std::mutex> lock(mutex);
             while (running > 0 && winner < 0) {
-                if (opts_.timeout_s > 0.0 &&
-                    wall.seconds() >= opts_.timeout_s) {
+                const double left = opts_.timeout_s > 0.0
+                                        ? opts_.timeout_s - wall.seconds()
+                                        : 1e9;
+                if (left <= 0.0) {
                     result.timed_out = true;
                     stop.requestStop();
                     break;
@@ -248,26 +277,20 @@ PortfolioSolver::solve(const sat::Cnf &formula)
                     stop.requestStop();
                     break;
                 }
-                cv.wait_for(lock, std::chrono::milliseconds(2));
+                cv.wait_for(lock, std::chrono::duration<double>(
+                                      opts_.external_stop
+                                          ? std::min(left, 0.002)
+                                          : left));
             }
         });
     }
 
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        threads.emplace_back(runWorker, i);
-    for (std::thread &t : threads)
-        t.join();
+    // Returns only once every slot has returned (its solver
+    // destroyed) and the watchdog has stopped watching.
+    RaceThreads::shared().run(std::move(tasks), [&] { runWorker(here); });
 
-    // Everything below runs after every worker returned, so the
-    // winner bookkeeping needs no lock — except the watchdog, which
-    // may still hold the mutex for one last poll.
-    if (watchdog.joinable()) {
-        cv.notify_all();
-        watchdog.join();
-    }
-
+    // Everything below runs after every task returned, so the winner
+    // bookkeeping needs no lock.
     result.wall_s = wall.seconds();
     if (winner >= 0) {
         result.cancel_latency_s = win_timer.seconds();
@@ -291,6 +314,8 @@ PortfolioSolver::solve(const sat::Cnf &formula)
             m.merge(*wm);
         m.counter("portfolio.races")->add();
         m.timer("portfolio.wall")->add(result.wall_s);
+        m.timer("portfolio.start_latency")
+            ->add(*std::max_element(started_s.begin(), started_s.end()));
         if (result.winner >= 0) {
             m.counter("portfolio.decided")->add();
             m.counter("portfolio.wins." + result.winner_label)->add();

@@ -1,7 +1,8 @@
 /**
  * @file
- * Portfolio racing above the hybrid loop: N HybridSolver workers on
- * threads over the same formula, each with a diversified
+ * Portfolio racing above the hybrid loop: N HybridSolver workers,
+ * on the caller's thread and parked race threads (race_threads.h),
+ * over the same formula, each with a diversified
  * configuration (sampler backend, reads per sample, seeds,
  * branching, warm-up window, clause-queue shape), first decisive
  * answer wins.
@@ -47,7 +48,7 @@ struct PortfolioOptions
     /** Template configuration diversified across workers. */
     core::HybridConfig base;
 
-    /** Worker threads racing the formula. */
+    /** Workers racing the formula. */
     int num_workers = 4;
 
     /**
@@ -85,8 +86,10 @@ struct PortfolioOptions
      * (no cross-thread contention on the hot handles); after the
      * race the per-worker registries are merged here along with the
      * portfolio-level counters (races, decisions, timeouts, win
-     * counts per label, clause-exchange totals) and the cancel-
-     * latency timer. Worker start/done/winner events stream to this
+     * counts per label, clause-exchange totals) and the wall,
+     * cancel-latency and start-latency timers (start latency: race
+     * start to the last slot's call into its solve). Worker
+     * start/done/winner events stream to this
      * registry's trace sink live. nullptr records nothing.
      */
     MetricsRegistry *metrics = nullptr;
@@ -98,7 +101,7 @@ struct WorkerReport
     std::string label;
     sat::lbool status = sat::l_Undef;
     bool winner = false;
-    double seconds = 0.0; ///< thread wall clock, start to return
+    double seconds = 0.0; ///< slot wall clock, start to return
     std::uint64_t iterations = 0;
     std::uint64_t conflicts = 0;
     int qa_samples = 0;

@@ -349,6 +349,7 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
     MetricsRegistry inst_metrics;
     if (opts_.metrics)
         inst_metrics.setTrace(opts_.metrics->trace());
+    inst_metrics.timer("service.queue_wait")->add(job->accepted.seconds());
 
     const Timer timer;
     const auto parsed =
@@ -356,6 +357,7 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
             ? sat::parseDimacs(std::string_view(spec.dimacs))
             : sat::parseDimacsFile(spec.path);
     if (!parsed) {
+        inst_metrics.timer("service.parse")->add(timer.seconds());
         rec.status = "PARSE_ERROR";
         rec.wall_s = timer.seconds();
         job->record = std::move(rec);
@@ -367,6 +369,7 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
     rec.clauses = cnf.numClauses();
     if (!cnf.isThreeSat())
         cnf = sat::toThreeSat(cnf);
+    inst_metrics.timer("service.parse")->add(timer.seconds());
 
     portfolio::PortfolioOptions popts = opts_.portfolio;
     const double timeout = spec.timeout_s > 0.0

@@ -17,8 +17,10 @@
  * Metrics (when a registry is attached): global and per-tenant
  * service.submitted / accepted / rejected / completed / cancelled
  * counters with the invariant submitted == rejected + completed +
- * cancelled once idle, a service.queue_depth gauge, and a
- * service.solve_latency histogram.
+ * cancelled once idle, a service.queue_depth gauge, a
+ * service.solve_latency histogram, and per job a service.queue_wait
+ * timer (accepted SUBMIT to the job's start) and a service.parse
+ * timer (DIMACS parse plus the 3-SAT conversion).
  */
 
 #ifndef HYQSAT_SERVICE_SCHEDULER_H
@@ -39,6 +41,7 @@
 #include "service/job.h"
 #include "service/report.h"
 #include "util/cancel.h"
+#include "util/timer.h"
 
 namespace hyqsat::service {
 
@@ -48,8 +51,9 @@ struct SchedulerOptions
     /** Portfolio configuration applied per job. */
     portfolio::PortfolioOptions portfolio;
 
-    /** Jobs solved concurrently (pool threads). Each one runs
-     *  portfolio.num_workers solver threads of its own. */
+    /** Jobs solved concurrently (pool threads). Each one races
+     *  portfolio.num_workers solvers: one on the pool thread, the
+     *  rest on portfolio::RaceThreads. */
     int workers = 2;
 
     /**
@@ -178,6 +182,7 @@ class JobScheduler
         std::atomic<bool> cancelled{false}; ///< drain reached this job
         StopToken stop;                     ///< per-job cancellation
         InstanceRecord record;
+        Timer accepted; ///< started when submit() accepted the job
     };
 
     /** One tenant's slice: a FIFO of job ids plus its priority. */

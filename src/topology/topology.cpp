@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "util/logging.h"
 
@@ -42,6 +45,21 @@ parseKind(std::string_view name)
     if (name == "zephyr")
         return Kind::Zephyr;
     return std::nullopt;
+}
+
+std::shared_ptr<const Topology>
+Topology::shared(Kind kind, int rows, int cols, int shore)
+{
+    static std::mutex mutex;
+    static std::map<std::tuple<Kind, int, int, int>,
+                    std::shared_ptr<const Topology>>
+        graphs;
+    std::lock_guard<std::mutex> lock(mutex);
+    std::shared_ptr<const Topology> &graph =
+        graphs[{kind, rows, cols, shore}];
+    if (!graph)
+        graph = std::make_shared<const Topology>(kind, rows, cols, shore);
+    return graph;
 }
 
 Topology::Topology(Kind kind, int rows, int cols, int shore)

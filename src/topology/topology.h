@@ -40,6 +40,7 @@
 #define HYQSAT_TOPOLOGY_TOPOLOGY_H
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -101,6 +102,17 @@ class Topology
 
     /** Graph of the given family. */
     Topology(Kind kind, int rows, int cols, int shore = 4);
+
+    /**
+     * The process's one graph of this shape, built on first use.
+     * Solvers share it instead of building their own (a 16x16
+     * Chimera build costs ~0.2 ms, on every portfolio worker's
+     * critical path). The cache keeps each shape for the process
+     * lifetime; the largest in use is table3's 64x64 (32768 qubits).
+     * Thread-safe; equal arguments return the same pointer.
+     */
+    static std::shared_ptr<const Topology> shared(Kind kind, int rows,
+                                                  int cols, int shore);
 
     /** The D-Wave 2000Q topology: 16x16 cells, shore 4. */
     static Topology dwave2000q() { return {16, 16, 4}; }

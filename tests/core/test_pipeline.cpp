@@ -120,6 +120,26 @@ TEST(PipelineCancel, CutShortCompletionIsCountedNotDelivered)
     EXPECT_EQ(pipeline.stats().cancelled, 1);
 }
 
+TEST(PipelineCancel, TrippedTokenSkipsTheSample)
+{
+    Fixture fx;
+    FakeSampler sampler;
+    StopToken stop;
+    SamplePipeline pipeline(fx.frontend, sampler, fx.rng, nullptr, &stop);
+
+    EXPECT_TRUE(pipeline.step(fx.solver, 0).has_value());
+    stop.requestStop();
+    EXPECT_FALSE(pipeline.step(fx.solver, 0).has_value());
+    EXPECT_FALSE(pipeline.step(fx.solver, 1).has_value());
+    // The sampler was asked once; the two steps after the trip
+    // count as cancelled without a request or device time.
+    EXPECT_EQ(sampler.calls, 1);
+    const PipelineStats stats = pipeline.stats();
+    EXPECT_EQ(stats.submitted, 1);
+    EXPECT_EQ(stats.cancelled, 2);
+    EXPECT_DOUBLE_EQ(stats.device_s, 130e-6);
+}
+
 /**
  * A hybrid config whose every sample anneals for seconds, with @p stop
  * attached: the first sample is still running when a helper thread

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "core/hybrid_solver.h"
 #include "gen/random_sat.h"
 #include "portfolio/portfolio.h"
 #include "sat/brute_force.h"
 #include "tests/sat/helpers.h"
+#include "topology/topology.h"
 #include "util/metrics.h"
 
 namespace hyqsat::portfolio {
@@ -387,6 +392,136 @@ TEST(PortfolioSolver, MetricsTraceStreamsWorkerEvents)
               std::string::npos);
     EXPECT_NE(text.find("\"event\": \"portfolio.race_done\""),
               std::string::npos);
+}
+
+TEST(PortfolioSolver, OneRaceRecordsEveryRaceTimerOnce)
+{
+    Rng gen(34);
+    const auto cnf = sat::testing::randomCnf(30, 124, 3, gen);
+
+    MetricsRegistry registry;
+    PortfolioOptions opts;
+    opts.base = noiseFreeConfig();
+    opts.num_workers = 2;
+    opts.metrics = &registry;
+    const auto result = PortfolioSolver(opts).solve(cnf);
+    ASSERT_GE(result.winner, 0);
+
+    for (const char *name : {"portfolio.wall", "portfolio.start_latency",
+                             "portfolio.cancel_latency"})
+        EXPECT_EQ(registry.timer(name)->count(), 1u) << name;
+    // The last slot enters its solve inside the race.
+    EXPECT_GT(registry.timer("portfolio.start_latency")->seconds(), 0.0);
+    EXPECT_LE(registry.timer("portfolio.start_latency")->seconds(),
+              result.wall_s);
+}
+
+TEST(PortfolioSolver, RacesReuseTheirThreads)
+{
+    Rng gen(35);
+    const auto cnf = sat::testing::randomCnf(40, 170, 3, gen);
+
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    PortfolioOptions opts;
+    opts.share_clauses = false; // keeps the slots' own root hooks
+    opts.workers = PortfolioSolver::diversify(noiseFreeConfig(), 2);
+    for (WorkerConfig &w : opts.workers) {
+        w.hybrid.root_hook = [&](sat::Solver &) {
+            std::lock_guard<std::mutex> lock(mutex);
+            ids.insert(std::this_thread::get_id());
+        };
+    }
+    PortfolioSolver solver(opts);
+    for (int race = 0; race < 20; ++race)
+        ASSERT_FALSE(solver.solve(cnf).status.isUndef()) << race;
+
+    // The caller's thread and one parked race thread, every race.
+    EXPECT_GE(ids.size(), 1u);
+    EXPECT_LE(ids.size(), 2u);
+}
+
+TEST(PortfolioSolver, NineSlotsRaceConcurrently)
+{
+    // Every slot waits in its first root hook until all nine are
+    // inside their solve: a slot queued behind another would never
+    // arrive, and the wait would run out instead.
+    Rng gen(27);
+    const auto cnf = gen::uniformRandom3Sat(450, 1917, gen);
+    constexpr int kSlots = 9;
+
+    std::mutex mutex;
+    std::condition_variable cv;
+    int inside = 0;
+    int most_inside = 0;
+    PortfolioOptions opts;
+    opts.share_clauses = false; // keeps the slots' own root hooks
+    opts.timeout_s = 2.0;
+    opts.workers = PortfolioSolver::diversify(noiseFreeConfig(), kSlots);
+    for (WorkerConfig &w : opts.workers) {
+        w.hybrid.root_hook = [&, first = true](sat::Solver &) mutable {
+            if (!first)
+                return;
+            first = false;
+            std::unique_lock<std::mutex> lock(mutex);
+            ++inside;
+            most_inside = std::max(most_inside, inside);
+            cv.notify_all();
+            cv.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return inside == kSlots; });
+        };
+    }
+    const auto result = PortfolioSolver(opts).solve(cnf);
+    EXPECT_EQ(most_inside, kSlots);
+    if (result.status.isTrue()) {
+        EXPECT_TRUE(cnf.eval(result.model));
+    }
+}
+
+TEST(PortfolioSolver, ConcurrentRacesShareOneGraph)
+{
+    const core::HybridConfig base = noiseFreeConfig();
+    const auto graph = topology::Topology::shared(
+        base.topology, base.chimera_rows, base.chimera_cols,
+        base.chimera_shore);
+
+    constexpr int kRaces = 4;
+    Rng gen(36);
+    std::vector<sat::Cnf> cnfs;
+    for (int i = 0; i < kRaces; ++i)
+        cnfs.push_back(sat::testing::randomCnf(14, 58, 3, gen));
+
+    // Graph uids count every graph built in the process: the probes
+    // bracket the races, so equal neighbours mean none was built.
+    const topology::Topology before(1, 1, 1);
+    std::vector<PortfolioResult> results(kRaces);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kRaces; ++i) {
+        threads.emplace_back([&, i] {
+            PortfolioOptions opts;
+            opts.base = noiseFreeConfig(i);
+            opts.num_workers = 3;
+            results[static_cast<std::size_t>(i)] =
+                PortfolioSolver(opts).solve(cnfs[static_cast<std::size_t>(i)]);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    const topology::Topology after(1, 1, 1);
+    EXPECT_EQ(after.uid(), before.uid() + 1);
+    EXPECT_EQ(topology::Topology::shared(base.topology, base.chimera_rows,
+                                         base.chimera_cols,
+                                         base.chimera_shore),
+              graph);
+
+    for (int i = 0; i < kRaces; ++i) {
+        const PortfolioResult &r = results[static_cast<std::size_t>(i)];
+        ASSERT_FALSE(r.status.isUndef()) << "race " << i;
+        EXPECT_EQ(r.status.isTrue(),
+                  sat::bruteForceSolve(cnfs[static_cast<std::size_t>(i)])
+                      .satisfiable)
+            << "race " << i;
+    }
 }
 
 } // namespace

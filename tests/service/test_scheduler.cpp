@@ -96,6 +96,23 @@ TEST(JobScheduler, SolvesInlineDimacsJobs)
     EXPECT_EQ(scheduler.queueDepth(), 0u);
 }
 
+TEST(JobScheduler, OneSubmitRecordsEveryLedgerTimerOnce)
+{
+    MetricsRegistry metrics;
+    SchedulerOptions opts = smallOptions();
+    opts.metrics = &metrics;
+    JobScheduler scheduler(opts);
+    const Submission sub =
+        scheduler.submit(inlineJob("default", 0, "easy", kSatCnf));
+    ASSERT_TRUE(sub.accepted);
+    EXPECT_EQ(scheduler.wait(sub.id).status, "SAT");
+    scheduler.shutdown(DrainPolicy::FinishQueued);
+
+    for (const char *name : {"service.queue_wait", "service.parse",
+                             "portfolio.start_latency", "portfolio.wall"})
+        EXPECT_EQ(metrics.timer(name)->count(), 1u) << name;
+}
+
 TEST(JobScheduler, SimplifyOverrideEchoedInRecord)
 {
     JobScheduler scheduler(smallOptions());

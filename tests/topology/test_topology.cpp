@@ -27,6 +27,27 @@ TEST(Topology, KindNamesRoundTrip)
     EXPECT_FALSE(parseKind("zephyr2").has_value());
 }
 
+TEST(Topology, SharedGraphIsOnePerShape)
+{
+    const auto chimera = Topology::shared(Kind::Chimera, 4, 4, 4);
+    ASSERT_NE(chimera, nullptr);
+    EXPECT_EQ(Topology::shared(Kind::Chimera, 4, 4, 4), chimera);
+    EXPECT_EQ(chimera->kind(), Kind::Chimera);
+    EXPECT_EQ(chimera->rows(), 4);
+    EXPECT_EQ(chimera->cols(), 4);
+    EXPECT_EQ(chimera->shore(), 4);
+    EXPECT_EQ(chimera->numCouplers(), Topology(4, 4, 4).numCouplers());
+
+    std::set<const Topology *> distinct{chimera.get()};
+    for (const auto &other :
+         {Topology::shared(Kind::Pegasus, 4, 4, 4),
+          Topology::shared(Kind::Chimera, 5, 4, 4),
+          Topology::shared(Kind::Chimera, 4, 5, 4),
+          Topology::shared(Kind::Chimera, 4, 4, 2)})
+        distinct.insert(other.get());
+    EXPECT_EQ(distinct.size(), 5u);
+}
+
 TEST(Topology, ChimeraMatchesLegacyExpectations)
 {
     // The plain constructor builds a Chimera graph: K_{4,4}
