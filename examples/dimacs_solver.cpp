@@ -18,8 +18,8 @@
  * preprocesses here and extends the model afterwards. Any other
  * argument exits 2 with "unknown option".
  *
- * --timeout-s bounds the run by wall clock (a watchdog thread
- * trips the cooperative stop token every layer observes) and
+ * --timeout-s bounds the run by wall clock (a Deadline trips the
+ * cooperative stop token every layer observes) and
  * --conflicts by conflict count; either prints "s UNKNOWN" when it
  * fires. --metrics dumps the run's metrics registry as JSON
  * ("hyqsat.metrics/1" schema); --trace streams JSONL events
@@ -30,16 +30,11 @@
  * satisfied-clause counters instead of O(clauses) scans.
  */
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "core/hybrid_solver.h"
 #include "core/knobs.h"
@@ -178,33 +173,10 @@ main(int argc, char **argv)
         cnf = sat::toThreeSat(cnf);
     }
 
-    // Wall-clock budget: a watchdog thread trips the cooperative
-    // stop token the CDCL loop, hybrid loop and sampler all observe.
+    // Wall-clock budget: the deadline trips the cooperative stop
+    // token the CDCL loop, hybrid loop and sampler all observe.
     StopToken stop;
-    std::mutex watchdog_mutex;
-    std::condition_variable watchdog_cv;
-    bool solve_done = false;
-    std::thread watchdog;
-    if (timeout_s > 0.0) {
-        watchdog = std::thread([&] {
-            std::unique_lock<std::mutex> lock(watchdog_mutex);
-            if (!watchdog_cv.wait_for(
-                    lock, std::chrono::duration<double>(timeout_s),
-                    [&] { return solve_done; })) {
-                stop.requestStop();
-            }
-        });
-    }
-    const auto finish_watchdog = [&] {
-        if (!watchdog.joinable())
-            return;
-        {
-            std::lock_guard<std::mutex> lock(watchdog_mutex);
-            solve_done = true;
-        }
-        watchdog_cv.notify_all();
-        watchdog.join();
-    };
+    const Deadline deadline(stop, timeout_s);
 
     core::HybridResult result;
     if (classic) {
@@ -231,7 +203,6 @@ main(int argc, char **argv)
                     result.time.qa_device_s * 1e6);
     }
 
-    finish_watchdog();
     if (result.status.isUndef()) {
         if (stop.stopRequested())
             std::printf("c stopped: wall-clock timeout (%.1f s)\n",

@@ -166,14 +166,12 @@ main(int argc, char **argv)
     }
     sopts.metrics = &registry;
 
-    // Signals and the SHUTDOWN verb converge on one StopToken; the
-    // scheduler's own watcher sees it too (external_stop) so drain
-    // starts even before the main loop wakes.
+    // Signals and the SHUTDOWN verb converge on one StopToken. Only
+    // the main loop below reads it, so the drain always runs with
+    // the policy the signal (--drain) or SHUTDOWN's argument chose.
     static StopToken stop;
     std::atomic<service::DrainPolicy> policy{signal_policy};
     service::installStopSignalHandlers(stop);
-    sopts.external_stop = &stop;
-    sopts.external_stop_policy = signal_policy;
 
     service::JobScheduler scheduler(sopts);
     // Sessions reuse the portfolio's base solver configuration (so

@@ -1,8 +1,6 @@
 #include "portfolio/portfolio.h"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -132,7 +130,14 @@ PortfolioSolver::solve(const sat::Cnf &formula)
     const int n = static_cast<int>(slate.size());
     result.workers.resize(static_cast<std::size_t>(n));
 
-    StopToken stop;
+    // Token chain: caller's token -> timeout -> race token. A tripped
+    // caller token stops every slot at its first cancellation point
+    // (before any can decide, when it was tripped before the race),
+    // the deadline trips `timeout`, and the first decided slot trips
+    // `stop` to cancel the losers.
+    StopToken timeout(opts_.external_stop);
+    const Deadline deadline(timeout, opts_.timeout_s);
+    StopToken stop(&timeout);
     const bool share = opts_.share_clauses && n > 1;
     ClauseExchange exchange(
         n, ClauseExchange::Options{opts_.share_max_len,
@@ -153,8 +158,6 @@ PortfolioSolver::solve(const sat::Cnf &formula)
     }
 
     std::mutex mutex;
-    std::condition_variable cv;
-    int running = n;
     int winner = -1;
     Timer win_timer;
     core::HybridResult winner_result;
@@ -218,7 +221,6 @@ PortfolioSolver::solve(const sat::Cnf &formula)
             win_timer.reset();
             stop.requestStop(); // cancel the losers
         }
-        --running;
         if (trace) {
             trace->event(
                 "portfolio.worker_done",
@@ -230,16 +232,7 @@ PortfolioSolver::solve(const sat::Cnf &formula)
                             : rep.status.isFalse() ? "UNSAT"
                                                    : "UNDEF"}});
         }
-        cv.notify_all(); // wakes the watchdog
     };
-
-    // A token tripped before the race stops it here, before any slot
-    // can decide: the watchdog task below may start after a fast
-    // slot has already won.
-    if (opts_.external_stop && opts_.external_stop->stopRequested()) {
-        result.external_stopped = true;
-        stop.requestStop();
-    }
 
     // The calling thread runs slot 1, the `cdcl` hedge (slot 0 in a
     // 1-worker race): it wins most races, and its timed solve then
@@ -253,40 +246,8 @@ PortfolioSolver::solve(const sat::Cnf &formula)
             tasks.emplace_back([&runWorker, i] { runWorker(i); });
     }
 
-    // Watchdog: turns the wall-clock budget and the caller's
-    // external token into stop requests. It sleeps to the deadline;
-    // the external token has no wake-up of its own, so it is polled
-    // every 2 ms. Cancellation latency is dominated by the workers'
-    // own cancellation points anyway.
-    if (!stop.stopRequested() &&
-        (opts_.timeout_s > 0.0 || opts_.external_stop)) {
-        tasks.emplace_back([&] {
-            std::unique_lock<std::mutex> lock(mutex);
-            while (running > 0 && winner < 0) {
-                const double left = opts_.timeout_s > 0.0
-                                        ? opts_.timeout_s - wall.seconds()
-                                        : 1e9;
-                if (left <= 0.0) {
-                    result.timed_out = true;
-                    stop.requestStop();
-                    break;
-                }
-                if (opts_.external_stop &&
-                    opts_.external_stop->stopRequested()) {
-                    result.external_stopped = true;
-                    stop.requestStop();
-                    break;
-                }
-                cv.wait_for(lock, std::chrono::duration<double>(
-                                      opts_.external_stop
-                                          ? std::min(left, 0.002)
-                                          : left));
-            }
-        });
-    }
-
     // Returns only once every slot has returned (its solver
-    // destroyed) and the watchdog has stopped watching.
+    // destroyed).
     RaceThreads::shared().run(std::move(tasks), [&] { runWorker(here); });
 
     // Everything below runs after every task returned, so the winner
@@ -305,6 +266,11 @@ PortfolioSolver::solve(const sat::Cnf &formula)
                 panic("portfolio winner's model failed verification");
         }
         result.winner_result = std::move(winner_result);
+    } else if (opts_.external_stop &&
+               opts_.external_stop->stopRequested()) {
+        result.external_stopped = true;
+    } else if (timeout.stopRequested()) {
+        result.timed_out = true;
     }
     result.exchange = exchange.stats();
 

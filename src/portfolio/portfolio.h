@@ -64,8 +64,9 @@ struct PortfolioOptions
     std::int64_t conflict_budget = -1;
 
     /**
-     * Caller-side cancellation: observed by the watchdog and
-     * propagated to every worker. nullptr = none.
+     * Caller-side cancellation: the parent of the race's own token,
+     * so a trip reaches every worker at its next cancellation
+     * point. nullptr = none.
      */
     const StopToken *external_stop = nullptr;
 
@@ -128,8 +129,8 @@ struct PortfolioResult
      */
     double cancel_latency_s = 0.0;
 
-    bool timed_out = false;      ///< the timeout watchdog fired
-    bool external_stopped = false; ///< caller's token tripped first
+    bool timed_out = false;        ///< undecided, the timeout fired
+    bool external_stopped = false; ///< undecided, caller's token tripped
 
     std::vector<WorkerReport> workers;
     ExchangeStats exchange;

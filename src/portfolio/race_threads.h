@@ -1,10 +1,10 @@
 /**
  * @file
  * Long-lived threads for portfolio races. A race hands each of its
- * slots (and its watchdog) to a parked thread instead of creating
- * and joining one per slot, so a race pays a condition-variable wake
- * instead of a thread start, and its workers run on threads whose
- * stacks and allocator caches are already warm.
+ * slots to a parked thread instead of creating and joining one per
+ * slot, so a race pays a condition-variable wake instead of a thread
+ * start, and its workers run on threads whose stacks and allocator
+ * caches are already warm.
  *
  * The set grows on demand and never shrinks: a task always gets a
  * thread of its own, so every slot of every concurrent race runs at

@@ -28,7 +28,6 @@ BatchRunner::run(const std::vector<std::string> &paths)
     sopts.default_timeout_s = opts_.instance_timeout_s;
     sopts.memory_budget_mb = opts_.memory_budget_mb;
     sopts.external_stop = opts_.external_stop;
-    sopts.external_stop_policy = DrainPolicy::CancelPending;
     sopts.metrics = opts_.metrics;
     sopts.max_retained_records = 0; // the batch keeps every record
     // Park the workers until every path is queued: cancellation (a

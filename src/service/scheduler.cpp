@@ -1,7 +1,6 @@
 #include "service/scheduler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 
 #include "sat/dimacs.h"
@@ -32,8 +31,6 @@ JobScheduler::JobScheduler(SchedulerOptions opts)
     pool_.reserve(static_cast<std::size_t>(opts_.workers));
     for (int i = 0; i < opts_.workers; ++i)
         pool_.emplace_back([this] { workerLoop(); });
-    if (opts_.external_stop)
-        stop_watcher_ = std::thread([this] { watchExternalStop(); });
 }
 
 JobScheduler::~JobScheduler()
@@ -82,7 +79,7 @@ JobScheduler::submit(JobSpec spec)
         return sub;
     }
 
-    auto job = std::make_shared<Job>();
+    auto job = std::make_shared<Job>(opts_.external_stop);
     job->id = next_id_++;
     job->spec = std::move(spec);
 
@@ -126,6 +123,7 @@ InstanceRecord
 JobScheduler::wait(JobId id)
 {
     std::unique_lock<std::mutex> lock(mutex_);
+    checkExternalStopLocked();
     const auto it = jobs_.find(id);
     if (it == jobs_.end()) {
         InstanceRecord rec;
@@ -141,6 +139,7 @@ void
 JobScheduler::waitIdle()
 {
     std::unique_lock<std::mutex> lock(mutex_);
+    checkExternalStopLocked();
     done_cv_.wait(lock, [&] { return queued_ == 0 && running_ == 0; });
 }
 
@@ -212,7 +211,6 @@ JobScheduler::drainLocked(DrainPolicy policy)
             if (it == jobs_.end())
                 continue;
             Job &job = *it->second;
-            job.cancelled.store(true, std::memory_order_relaxed);
             job.state = JobState::Done;
             job.record.name = job.spec.name;
             job.record.path = job.spec.path;
@@ -230,10 +228,8 @@ JobScheduler::drainLocked(DrainPolicy policy)
         opts_.metrics->gauge("service.queue_depth")
             ->set(static_cast<double>(queued_));
     for (auto &[id, job] : jobs_) {
-        if (job->state == JobState::Running) {
-            job->cancelled.store(true, std::memory_order_relaxed);
+        if (job->state == JobState::Running)
             job->stop.requestStop();
-        }
     }
 }
 
@@ -243,7 +239,7 @@ JobScheduler::checkExternalStopLocked()
     if (draining_ || !opts_.external_stop ||
         !opts_.external_stop->stopRequested())
         return;
-    drainLocked(opts_.external_stop_policy);
+    drainLocked(DrainPolicy::CancelPending);
     work_cv_.notify_all();
     done_cv_.notify_all();
 }
@@ -251,9 +247,6 @@ JobScheduler::checkExternalStopLocked()
 void
 JobScheduler::shutdown(DrainPolicy policy)
 {
-    watcher_quit_.requestStop();
-    if (stop_watcher_.joinable())
-        stop_watcher_.join();
     drain(policy);
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -263,18 +256,6 @@ JobScheduler::shutdown(DrainPolicy policy)
     for (std::thread &t : pool_)
         if (t.joinable())
             t.join();
-}
-
-void
-JobScheduler::watchExternalStop()
-{
-    while (!watcher_quit_.stopRequested()) {
-        if (opts_.external_stop->stopRequested()) {
-            drain(opts_.external_stop_policy);
-            return;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
 }
 
 std::shared_ptr<JobScheduler::Job>
@@ -412,7 +393,7 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
         rec.status = "UNSAT";
     else if (result.timed_out)
         rec.status = "TIMEOUT";
-    else if (job->cancelled.load(std::memory_order_relaxed))
+    else if (job->stop.stopRequested()) // a drain or external_stop
         rec.status = "CANCELLED";
     else
         rec.status = "UNKNOWN";

@@ -26,7 +26,6 @@
 #ifndef HYQSAT_SERVICE_SCHEDULER_H
 #define HYQSAT_SERVICE_SCHEDULER_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -78,14 +77,13 @@ struct SchedulerOptions
     std::size_t memory_budget_mb = 0;
 
     /**
-     * Caller-side stop (e.g. a signal handler's token): when it
-     * trips, the scheduler drains itself with @ref
-     * external_stop_policy. nullptr = none.
+     * Caller-side stop (e.g. a signal handler's token), nullptr =
+     * none. Every job's token is its child, so a trip stops running
+     * solves at once and they end CANCELLED; the queue drains with
+     * CancelPending at the scheduler's next worker pickup, resume(),
+     * wait() or waitIdle().
      */
     const StopToken *external_stop = nullptr;
-
-    /** Drain policy applied when external_stop trips. */
-    DrainPolicy external_stop_policy = DrainPolicy::CancelPending;
 
     /**
      * Finished-job records retained for wait()/state() queries; the
@@ -176,11 +174,12 @@ class JobScheduler
   private:
     struct Job
     {
+        explicit Job(const StopToken *external) : stop(external) {}
+
         JobId id = 0;
         JobSpec spec;
         JobState state = JobState::Queued;
-        std::atomic<bool> cancelled{false}; ///< drain reached this job
-        StopToken stop;                     ///< per-job cancellation
+        StopToken stop; ///< tripped by a drain; child of external_stop
         InstanceRecord record;
         Timer accepted; ///< started when submit() accepted the job
     };
@@ -200,13 +199,11 @@ class JobScheduler
                    MetricsRegistry *job_metrics);
     void recordCompletionLocked(JobId id);
     void drainLocked(DrainPolicy policy);
-    void watchExternalStop();
 
     /**
-     * Drain now (mutex held) if the external token tripped and no
-     * drain has started yet. resume() and worker pickup call this so
-     * a token tripped before the watcher's next poll can never let a
-     * queued job start.
+     * Drain with CancelPending now (mutex held) if the external
+     * token tripped and no drain has started yet, so a tripped token
+     * never lets a queued job start.
      */
     void checkExternalStopLocked();
     Counter *tenantCounter(const std::string &tenant,
@@ -231,8 +228,6 @@ class JobScheduler
     std::deque<JobId> completion_order_;
 
     std::vector<std::thread> pool_;
-    std::thread stop_watcher_;
-    StopToken watcher_quit_;
 
     std::mutex metrics_mutex_; ///< serializes merges into opts_.metrics
 };

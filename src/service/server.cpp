@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -75,6 +74,21 @@ class LineReader
     int fd_;
     std::string buf_;
 };
+
+/** A SUBMIT or ADD body: the lines up to END. False if the client
+ *  vanished first. */
+bool
+readBody(LineReader &reader, std::string &body)
+{
+    std::string line;
+    while (reader.next(line)) {
+        if (line == kEndMarker)
+            return true;
+        body += line;
+        body += '\n';
+    }
+    return false;
+}
 
 } // namespace
 
@@ -171,26 +185,24 @@ Server::stop()
         closeListener();
         return;
     }
-    // Wake the accept loop (it polls running_ every 100 ms anyway).
+    // Wakes the accept loop blocked in accept().
     ::shutdown(listen_fd_, SHUT_RDWR);
     if (accept_thread_.joinable())
         accept_thread_.join();
     closeListener();
 
+    // The accept thread is gone, so the list only shrinks from here;
+    // each connection thread closes its own fd and marks itself done
+    // under the lock, so a done connection's fd is never touched.
     {
         std::lock_guard<std::mutex> lock(conn_mutex_);
-        for (const int fd : conn_fds_)
-            if (fd >= 0)
-                ::shutdown(fd, SHUT_RDWR);
+        for (const Connection &c : conns_)
+            if (!c.done)
+                ::shutdown(c.fd, SHUT_RDWR);
     }
-    for (std::thread &t : conn_threads_)
-        if (t.joinable())
-            t.join();
-    {
-        std::lock_guard<std::mutex> lock(conn_mutex_);
-        conn_threads_.clear();
-        conn_fds_.clear();
-    }
+    for (Connection &c : conns_)
+        c.thread.join();
+    conns_.clear();
     if (!opts_.unix_path.empty())
         ::unlink(opts_.unix_path.c_str());
 }
@@ -198,36 +210,38 @@ Server::stop()
 void
 Server::acceptLoop()
 {
-    while (running_.load(std::memory_order_relaxed)) {
-        pollfd pfd{listen_fd_, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, 100);
-        if (!running_.load(std::memory_order_relaxed))
-            return;
-        if (ready <= 0)
-            continue;
+    for (;;) {
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        if (!running_.load(std::memory_order_relaxed)) {
+            if (fd >= 0)
+                ::close(fd);
+            return;
+        }
         if (fd < 0)
-            continue;
+            continue; // EINTR from a stop signal, or an aborted peer
 
+        // Join the finished connections: their threads have nothing
+        // left but to exit, and each one's stack goes back now.
         std::lock_guard<std::mutex> lock(conn_mutex_);
-        int live = 0;
-        for (const int c : conn_fds_)
-            if (c >= 0)
-                ++live;
-        if (live >= opts_.max_connections) {
+        conns_.remove_if([](Connection &c) {
+            if (c.done)
+                c.thread.join();
+            return c.done;
+        });
+        if (static_cast<int>(conns_.size()) >= opts_.max_connections) {
             // Connection-level backpressure mirrors the scheduler's
             // admission control: an explicit no, not a silent hang.
             sendLine(fd, "ERR busy");
             ::close(fd);
             continue;
         }
-        const std::size_t slot = conn_fds_.size();
-        conn_fds_.push_back(fd);
-        conn_threads_.emplace_back([this, fd, slot] {
-            serveConnection(fd);
-            ::close(fd);
+        Connection &c = conns_.emplace_back();
+        c.fd = fd;
+        c.thread = std::thread([this, &c] {
+            serveConnection(c.fd);
             std::lock_guard<std::mutex> inner(conn_mutex_);
-            conn_fds_[slot] = -1;
+            ::close(c.fd);
+            c.done = true;
         });
     }
 }
@@ -239,49 +253,34 @@ Server::serveConnection(int fd)
     std::string line;
     while (reader.next(line)) {
         const Request req = parseRequest(line);
+        // A SUBMIT or ADD body is read even when the verb then fails
+        // (sessions disabled), so the connection stays in sync. No
+        // temp file round trip: the body parses from memory.
+        std::string body;
+        if ((req.verb == Verb::Submit || req.verb == Verb::Add) &&
+            !readBody(reader, body))
+            return; // client vanished mid-body
+        std::string reply;
         switch (req.verb) {
         case Verb::Submit: {
-            // Body: DIMACS lines straight off the socket into
-            // memory, terminated by END. No temp file round trip.
-            std::string dimacs;
-            bool eof = false;
-            for (;;) {
-                std::string body_line;
-                if (!reader.next(body_line)) {
-                    eof = true;
-                    break;
-                }
-                if (body_line == kEndMarker)
-                    break;
-                dimacs += body_line;
-                dimacs += '\n';
-            }
-            if (eof)
-                return; // client vanished mid-body
             JobSpec spec;
             spec.tenant = req.tenant;
             spec.priority = req.priority;
             spec.name = req.name;
             spec.overrides = req.overrides;
-            spec.dimacs = std::move(dimacs);
-            const Submission sub = scheduler_.submit(std::move(spec));
-            if (!sendLine(fd, formatSubmission(sub)))
-                return;
+            spec.dimacs = std::move(body);
+            reply = formatSubmission(scheduler_.submit(std::move(spec)));
             break;
         }
-        case Verb::Wait: {
-            const InstanceRecord rec = scheduler_.wait(req.id);
-            if (!sendLine(fd, formatResult(req.id, rec)))
-                return;
+        case Verb::Wait:
+            reply = formatResult(req.id, scheduler_.wait(req.id));
             break;
-        }
         case Verb::Status: {
             const JobState state = scheduler_.state(req.id);
             std::string status;
             if (state == JobState::Done)
                 status = scheduler_.wait(req.id).status;
-            if (!sendLine(fd, formatState(req.id, state, status)))
-                return;
+            reply = formatState(req.id, state, status);
             break;
         }
         case Verb::Metrics: {
@@ -289,14 +288,12 @@ Server::serveConnection(int fd)
             snap << "METRICS\n";
             if (metrics_)
                 metrics_->writeText(snap);
-            snap << kEndMarker << "\n";
-            if (!sendAll(fd, snap.str()))
-                return;
+            snap << kEndMarker;
+            reply = snap.str();
             break;
         }
         case Verb::Ping:
-            if (!sendLine(fd, "PONG"))
-                return;
+            reply = "PONG";
             break;
         case Verb::Shutdown:
             sendLine(fd, "OK shutdown");
@@ -304,121 +301,53 @@ Server::serveConnection(int fd)
                 sessions_->drain();
             if (on_shutdown_)
                 on_shutdown_(req.drain_policy);
-            break;
+            continue;
         case Verb::Quit:
             sendLine(fd, "BYE");
             return;
-        case Verb::Open: {
-            if (!sessions_) {
-                if (!sendLine(fd, "ERR sessions disabled"))
-                    return;
-                break;
-            }
-            const OpenResult res =
-                sessions_->open(req.tenant, req.overrides);
-            const std::string reply =
-                res.accepted ? "OK " + std::to_string(res.id)
-                             : "REJECTED " + res.reject_reason;
-            if (!sendLine(fd, reply))
-                return;
-            break;
-        }
-        case Verb::Add: {
-            // Body: clause lines off the socket until END, exactly
-            // like a SUBMIT body. Read it even when sessions are
-            // disabled so the connection stays line-synchronized.
-            std::string dimacs;
-            bool eof = false;
-            for (;;) {
-                std::string body_line;
-                if (!reader.next(body_line)) {
-                    eof = true;
-                    break;
-                }
-                if (body_line == kEndMarker)
-                    break;
-                dimacs += body_line;
-                dimacs += '\n';
-            }
-            if (eof)
-                return;
-            if (!sessions_) {
-                if (!sendLine(fd, "ERR sessions disabled"))
-                    return;
-                break;
-            }
-            const std::string err = sessions_->add(req.id, dimacs);
-            const std::string reply =
-                err.empty() ? "OK " + std::to_string(req.id)
-                            : "ERR " + err;
-            if (!sendLine(fd, reply))
-                return;
-            break;
-        }
-        case Verb::Assume: {
-            if (!sessions_) {
-                if (!sendLine(fd, "ERR sessions disabled"))
-                    return;
-                break;
-            }
-            const std::string err =
-                sessions_->assume(req.id, req.lits);
-            const std::string reply =
-                err.empty() ? "OK " + std::to_string(req.id)
-                            : "ERR " + err;
-            if (!sendLine(fd, reply))
-                return;
-            break;
-        }
-        case Verb::Solve: {
-            if (!sessions_) {
-                if (!sendLine(fd, "ERR sessions disabled"))
-                    return;
-                break;
-            }
-            const std::optional<InstanceRecord> rec =
-                sessions_->solve(req.id);
-            const std::string reply =
-                rec ? formatResult(req.id, *rec)
-                    : "ERR unknown session";
-            if (!sendLine(fd, reply))
-                return;
-            break;
-        }
-        case Verb::Core: {
-            if (!sessions_) {
-                if (!sendLine(fd, "ERR sessions disabled"))
-                    return;
-                break;
-            }
-            const std::optional<std::vector<int>> lits =
-                sessions_->core(req.id);
-            const std::string reply = lits
-                                          ? formatCore(req.id, *lits)
-                                          : "ERR unknown session";
-            if (!sendLine(fd, reply))
-                return;
-            break;
-        }
-        case Verb::Close: {
-            if (!sessions_) {
-                if (!sendLine(fd, "ERR sessions disabled"))
-                    return;
-                break;
-            }
-            const std::string reply =
-                sessions_->close(req.id)
-                    ? "OK " + std::to_string(req.id)
-                    : "ERR unknown session";
-            if (!sendLine(fd, reply))
-                return;
-            break;
-        }
         case Verb::Invalid:
-            if (!sendLine(fd, "ERR " + req.error))
-                return;
+            reply = "ERR " + req.error;
+            break;
+        default:
+            reply = sessionReply(req, body);
             break;
         }
+        if (!sendLine(fd, reply))
+            return;
+    }
+}
+
+std::string
+Server::sessionReply(const Request &req, const std::string &body)
+{
+    if (!sessions_)
+        return "ERR sessions disabled";
+    const std::string ok = "OK " + std::to_string(req.id);
+    switch (req.verb) {
+    case Verb::Open: {
+        const OpenResult res = sessions_->open(req.tenant, req.overrides);
+        return res.accepted ? "OK " + std::to_string(res.id)
+                            : "REJECTED " + res.reject_reason;
+    }
+    case Verb::Add: {
+        const std::string err = sessions_->add(req.id, body);
+        return err.empty() ? ok : "ERR " + err;
+    }
+    case Verb::Assume: {
+        const std::string err = sessions_->assume(req.id, req.lits);
+        return err.empty() ? ok : "ERR " + err;
+    }
+    case Verb::Solve: {
+        const std::optional<InstanceRecord> rec = sessions_->solve(req.id);
+        return rec ? formatResult(req.id, *rec) : "ERR unknown session";
+    }
+    case Verb::Core: {
+        const std::optional<std::vector<int>> lits =
+            sessions_->core(req.id);
+        return lits ? formatCore(req.id, *lits) : "ERR unknown session";
+    }
+    default: // Verb::Close
+        return sessions_->close(req.id) ? ok : "ERR unknown session";
     }
 }
 

@@ -3,13 +3,17 @@
  * Socket front door of the solver service: a line-protocol server
  * (see protocol.h) over a unix-domain socket or loopback TCP,
  * feeding a JobScheduler. One accept thread plus one thread per
- * connection; SUBMIT bodies are parsed straight from the socket
- * buffer into memory — no temp files anywhere on the hot path.
+ * live connection; SUBMIT bodies are parsed straight from the
+ * socket buffer into memory — no temp files anywhere on the hot
+ * path. The accept loop joins every finished connection's thread
+ * before it admits the next one, so a long-lived server holds only
+ * its live connections' threads and stacks.
  *
- * Shutdown discipline: stop() wakes the accept loop, shuts every
- * live connection and joins all threads. The scheduler is NOT owned
- * — the daemon drains it first (so blocked WAITs resolve), then
- * stops the server.
+ * Shutdown discipline: stop() shuts the listener down, which wakes
+ * the accept loop blocked in accept(), then shuts every live
+ * connection and joins all threads. The scheduler is NOT owned —
+ * the daemon drains it first (so blocked WAITs resolve), then stops
+ * the server.
  */
 
 #ifndef HYQSAT_SERVICE_SERVER_H
@@ -17,10 +21,10 @@
 
 #include <atomic>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "service/job.h"
 
@@ -32,6 +36,7 @@ namespace hyqsat::service {
 
 class JobScheduler;
 class SessionManager;
+struct Request;
 
 /** Where to listen. Exactly one of the two should be set. */
 struct ServerOptions
@@ -45,7 +50,7 @@ struct ServerOptions
 
     int backlog = 16;
 
-    /** Cap on simultaneous connections; extras are turned away with
+    /** Cap on live connections; extras are turned away with
      *  `ERR busy` (connection-level backpressure). */
     int max_connections = 64;
 };
@@ -103,9 +108,20 @@ class Server
     }
 
   private:
+    /** One accepted client and the thread serving it. */
+    struct Connection
+    {
+        int fd = -1;
+        bool done = false; ///< fd closed, thread exiting; conn_mutex_
+        std::thread thread;
+    };
+
     void acceptLoop();
     void serveConnection(int fd);
     void closeListener();
+
+    /** The reply to a session verb; @p body is an ADD's clauses. */
+    std::string sessionReply(const Request &req, const std::string &body);
 
     ServerOptions opts_;
     JobScheduler &scheduler_;
@@ -119,8 +135,7 @@ class Server
     std::thread accept_thread_;
 
     std::mutex conn_mutex_;
-    std::vector<int> conn_fds_;
-    std::vector<std::thread> conn_threads_;
+    std::list<Connection> conns_; ///< stable addresses for the threads
 };
 
 } // namespace hyqsat::service

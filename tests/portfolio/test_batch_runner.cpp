@@ -159,10 +159,9 @@ TEST(BatchRunner, ExternalStopLeavesRestUnknown)
 TEST(BatchRunner, PreTrippedStopNeverRunsAJobAcrossRepeats)
 {
     // The scheduler checks the external token synchronously when it
-    // unparks its workers and again at every job pickup, so a token
-    // tripped before the stop watcher's first poll still cancels the
-    // whole batch. Repeated because the race it closes is timing
-    // dependent.
+    // unparks its workers and again at every job pickup, so a
+    // pre-tripped token cancels the whole batch before any job runs.
+    // Repeated because a missed check would show only in some runs.
     StopToken stop;
     stop.requestStop();
     TempDir dir;

@@ -223,6 +223,33 @@ TEST(PortfolioSolver, ExternalStopCancelsRace)
     EXPECT_FALSE(result.timed_out);
 }
 
+TEST(PortfolioSolver, ExternalStopMidRaceCancels)
+{
+    // The caller's token trips from another thread while both slots
+    // are searching: the race token is its child, so every slot sees
+    // the trip at its next cancellation point.
+    Rng gen(27);
+    const auto cnf = gen::uniformRandom3Sat(450, 1917, gen);
+    StopToken stop;
+    PortfolioOptions opts;
+    opts.base = noiseFreeConfig();
+    opts.base.warmup_override = 4;
+    opts.num_workers = 2;
+    opts.external_stop = &stop;
+    PortfolioSolver solver(opts);
+    std::thread tripper([&stop] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        stop.requestStop();
+    });
+    const auto result = solver.solve(cnf);
+    tripper.join();
+    EXPECT_TRUE(result.status.isUndef());
+    EXPECT_EQ(result.winner, -1);
+    EXPECT_TRUE(result.external_stopped);
+    EXPECT_FALSE(result.timed_out);
+    EXPECT_LT(result.wall_s, 30.0);
+}
+
 TEST(PortfolioSolver, TimeoutEnforcedOnHardInstance)
 {
     // Near-threshold instance large enough that deciding it inside

@@ -460,7 +460,6 @@ TEST(JobScheduler, ExternalStopTokenTriggersDrain)
     opts.workers = 1;
     opts.start_paused = true;
     opts.external_stop = &stop;
-    opts.external_stop_policy = DrainPolicy::CancelPending;
     JobScheduler scheduler(opts);
 
     std::vector<Submission> subs;
@@ -469,11 +468,47 @@ TEST(JobScheduler, ExternalStopTokenTriggersDrain)
             inlineJob("t", 0, "job" + std::to_string(i), kSatCnf)));
 
     stop.requestStop();
-    scheduler.waitIdle(); // the watcher drains; nothing ever ran
+    scheduler.waitIdle(); // sees the token and drains; nothing ran
     EXPECT_TRUE(scheduler.draining());
     for (const Submission &sub : subs)
         EXPECT_EQ(scheduler.wait(sub.id).status, "CANCELLED");
     scheduler.shutdown(DrainPolicy::CancelPending);
+}
+
+TEST(JobScheduler, ExternalStopCancelsRunningJob)
+{
+    // The running job's token is a child of the external one, so a
+    // trip stops its race without any drain (state() never drains),
+    // and the job ends CANCELLED like a drained one; the queued job
+    // behind it is cancelled at the worker's next pickup.
+    Rng gen(27);
+    const std::string hard =
+        sat::toDimacsString(gen::uniformRandom3Sat(450, 1917, gen));
+    StopToken stop;
+    MetricsRegistry metrics;
+    SchedulerOptions opts = smallOptions();
+    opts.workers = 1;
+    opts.external_stop = &stop;
+    opts.metrics = &metrics;
+    JobScheduler scheduler(opts);
+
+    const Submission running =
+        scheduler.submit(inlineJob("t", 0, "hard", hard));
+    const Submission queued =
+        scheduler.submit(inlineJob("t", 0, "easy", kSatCnf));
+    ASSERT_TRUE(running.accepted && queued.accepted);
+    while (scheduler.state(running.id) != JobState::Running)
+        std::this_thread::yield();
+    stop.requestStop();
+    while (scheduler.state(queued.id) != JobState::Done)
+        std::this_thread::yield();
+
+    EXPECT_EQ(scheduler.wait(running.id).status, "CANCELLED");
+    EXPECT_EQ(scheduler.wait(queued.id).status, "CANCELLED");
+    EXPECT_TRUE(scheduler.draining());
+    scheduler.shutdown(DrainPolicy::CancelPending);
+    EXPECT_EQ(metrics.counter("service.cancelled")->value(), 2u);
+    EXPECT_EQ(metrics.counter("service.completed")->value(), 0u);
 }
 
 TEST(JobScheduler, RetentionEvictsOldestRecords)

@@ -5,7 +5,8 @@
  * daemon stack — Server + JobScheduler — over a unix-domain socket
  * and over loopback TCP with an ephemeral port. Covers SUBMIT/WAIT
  * round trips, STATUS, METRICS snapshots, PING, error replies for
- * bad verbs, and the SHUTDOWN callback hand-off.
+ * bad verbs, the SHUTDOWN callback hand-off, the connection cap,
+ * and that finished connections give their threads back.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -343,6 +346,97 @@ TEST(ServiceServer, ShutdownVerbInvokesCallback)
               static_cast<int>(DrainPolicy::CancelPending));
 
     scheduler.shutdown(DrainPolicy::CancelPending);
+    server.stop();
+}
+
+/** This process's VmSize in kB (0 when /proc is unreadable). */
+long
+vmSizeKb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string key;
+    while (in >> key) {
+        if (key == "VmSize:") {
+            long kb = 0;
+            in >> kb;
+            return kb;
+        }
+        in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    }
+    return 0;
+}
+
+/** PING, QUIT, then read to the server's close of the connection. */
+void
+pingQuit(const std::string &path)
+{
+    TestClient client;
+    ASSERT_TRUE(client.connectUnix(path));
+    std::string line;
+    ASSERT_TRUE(client.send("PING\nQUIT\n"));
+    ASSERT_TRUE(client.readLine(line));
+    EXPECT_EQ(line, "PONG");
+    ASSERT_TRUE(client.readLine(line));
+    EXPECT_EQ(line, "BYE");
+    EXPECT_FALSE(client.readLine(line)); // the server closed its end
+}
+
+TEST(ServiceServer, SequentialConnectionsDoNotGrowTheServer)
+{
+    // Every finished connection's thread is joined at the next
+    // accept. A thread never joined keeps its stack, about 8 MB of
+    // address space, so 60 of them would far exceed the bound.
+    JobScheduler scheduler(smallOptions());
+    ServerOptions opts;
+    opts.unix_path = tempSocketPath();
+    Server server(opts, scheduler, nullptr);
+    ASSERT_TRUE(server.start());
+
+    for (int i = 0; i < 4; ++i) // warm the allocator and stack caches
+        pingQuit(opts.unix_path);
+    const long before = vmSizeKb();
+    if (before == 0)
+        GTEST_SKIP() << "no /proc/self/status";
+    for (int i = 0; i < 60; ++i)
+        pingQuit(opts.unix_path);
+    const long after = vmSizeKb();
+    EXPECT_LT(after - before, 64 * 1024)
+        << "VmSize " << before << " kB -> " << after << " kB";
+
+    scheduler.shutdown(DrainPolicy::FinishQueued);
+    server.stop();
+}
+
+TEST(ServiceServer, MaxConnectionsTurnsExtrasAway)
+{
+    JobScheduler scheduler(smallOptions());
+    ServerOptions opts;
+    opts.unix_path = tempSocketPath();
+    opts.max_connections = 1;
+    Server server(opts, scheduler, nullptr);
+    ASSERT_TRUE(server.start());
+
+    std::string line;
+    TestClient first;
+    ASSERT_TRUE(first.connectUnix(opts.unix_path));
+    ASSERT_TRUE(first.send("PING\n"));
+    ASSERT_TRUE(first.readLine(line)); // served: it holds the one slot
+    EXPECT_EQ(line, "PONG");
+
+    TestClient second;
+    ASSERT_TRUE(second.connectUnix(opts.unix_path));
+    ASSERT_TRUE(second.readLine(line));
+    EXPECT_EQ(line, "ERR busy");
+    EXPECT_FALSE(second.readLine(line));
+
+    // Once the first client has gone, its slot serves a new one.
+    ASSERT_TRUE(first.send("QUIT\n"));
+    ASSERT_TRUE(first.readLine(line));
+    EXPECT_EQ(line, "BYE");
+    EXPECT_FALSE(first.readLine(line));
+    pingQuit(opts.unix_path);
+
+    scheduler.shutdown(DrainPolicy::FinishQueued);
     server.stop();
 }
 
