@@ -27,7 +27,7 @@
  *           instruction stream over the SoA layout, uniforms come
  *           from the BlockRng bulk fill and the Metropolis accept
  *           test is a compare against each uniform's -64 ln u
- *           estimate (the bracket table on scalar and NEON), on the
+ *           estimate (the bracket table on scalar), on the
  *           widest ISA the host runs;
  *   batch8_scalar  the same lockstep run pinned to the scalar
  *           fallback kernel — by contract bit-identical to batch8,

@@ -10,12 +10,14 @@
  *       [--metrics FILE] [--trace FILE] [--strict] [--quiet]
  *       [knob flags]
  *
- * The knob flags every front door shares set every worker's base
+ * --workers N races the first N slots of the portfolio's five-slot
+ * table (base, cdcl, sa, logical, presolve; slot i is row i % 5) on
+ * every instance; --jobs N solves that many instances at once. The
+ * knob flags every front door shares set every worker's base
  * config; the knob table (core/knobs.h) parses, range-checks and
  * lists them in the usage line. The JSON/CSV reports echo the
  * effective simplify, topology and reads_groups per instance; the
- * portfolio's diversification still varies the base across slots
- * when the slate is auto-built.
+ * slots still vary the base as their table row says.
  *
  * Instances come from positional paths, every *.cnf/*.dimacs under
  * --dir, and/or a manifest (one path per line; "-" = stdin). Exit
@@ -54,7 +56,7 @@ main(int argc, char **argv)
     // --dir or a --manifest. They are read once the whole command
     // line has parsed, so a bad flag exits before any file is read.
     std::vector<std::pair<std::string, std::string>> sources;
-    service::BatchOptions opts;
+    service::SchedulerOptions opts;
     opts.portfolio.base.annealer =
         anneal::QuantumAnnealer::Options::simulator();
     std::string json_path, csv_path, metrics_path, trace_path;
@@ -79,11 +81,11 @@ main(int argc, char **argv)
                                   opts.portfolio.num_workers, 1,
                                   core::kMaxCount);
         } else if (arg("--jobs")) {
-            core::parseNumberFlag(argv, i, error, opts.concurrency, 1,
+            core::parseNumberFlag(argv, i, error, opts.workers, 1,
                                   core::kMaxCount);
         } else if (arg("--timeout-s")) {
             core::parseNumberFlag(argv, i, error,
-                                  opts.instance_timeout_s, 0.0);
+                                  opts.default_timeout_s, 0.0);
         } else if (arg("--conflicts")) {
             core::parseNumberFlag(argv, i, error,
                                   opts.portfolio.conflict_budget, -1);

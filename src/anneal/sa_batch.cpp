@@ -313,10 +313,6 @@ runLockstepGroup(const SaCompiled &compiled, const double *h,
     if (use == simd::Isa::Avx2)
         use = simd::Isa::Scalar;
 #endif
-#if !defined(HYQSAT_HAVE_NEON_KERNEL)
-    if (use == simd::Isa::Neon)
-        use = simd::Isa::Scalar;
-#endif
     switch (use) {
 #if defined(HYQSAT_HAVE_AVX512_KERNEL)
     case simd::Isa::Avx512:
@@ -326,11 +322,6 @@ runLockstepGroup(const SaCompiled &compiled, const double *h,
 #if defined(HYQSAT_HAVE_AVX2_KERNEL)
     case simd::Isa::Avx2:
         runLockstepAvx2(ctx);
-        break;
-#endif
-#if defined(HYQSAT_HAVE_NEON_KERNEL)
-    case simd::Isa::Neon:
-        runLockstepNeon(ctx);
         break;
 #endif
     default:

@@ -18,8 +18,8 @@
  * move and serves each proposal's uniforms in place, each with an
  * estimate of -64 ln u stored at refill. The Metropolis accept test
  * is a compare — against that estimate in the AVX2/AVX-512 kernels,
- * against the precomputed exp(-x) bracket table in the scalar and
- * NEON kernels — with an exact exp() fallback only in the rare
+ * against the precomputed exp(-x) bracket table in the scalar
+ * kernel — with an exact exp() fallback only in the rare
  * ambiguous band the compare cannot settle.
  *
  * Two-level parallel scheduler (PR 10): num_reads is partitioned
@@ -34,7 +34,7 @@
  * Determinism contract (the batched path's own golden, distinct from
  * the frozen scalar sa_reference.h contract): results are a pure
  * function of (base seed, model, groups, options) and are
- * bit-identical across ISAs — the AVX2/AVX-512/NEON kernels mirror
+ * bit-identical across ISAs — the AVX2/AVX-512 kernels mirror
  * the scalar fallback's per-lane operation order exactly and are
  * built without FMA contraction — AND across thread counts: the
  * group partition and per-group seeds never depend on the pool size,

@@ -10,10 +10,10 @@
  * the accept rule, the uniform-consumption rule, the counters — lives
  * here as shared code so the kernels cannot drift apart.
  *
- * Two decide paths implement one rule. The scalar and NEON kernels
- * keep each proposal's per-lane state in BatchCtx rows and decide
- * through decideLanes() below, against the exp(-x) bracket table —
- * the scalar kernel is the reference. The AVX2 and AVX-512 kernels
+ * Two decide paths implement one rule. The scalar kernel, the
+ * reference, keeps each proposal's per-lane state in BatchCtx rows
+ * and decides through decideLanes() below, against the exp(-x)
+ * bracket table. The AVX2 and AVX-512 kernels
  * keep a proposal's dE, uniforms, accept mask, masked update term
  * and accept counters in registers and reach the same decisions
  * without a gather: they compare 64 beta dE against the -64 ln u
@@ -194,8 +194,8 @@ minusLog64(double u)
  * integer arithmetic and the >> 11 conversion to double is exact, so
  * every ISA's fill writes the same uniforms. Each is defined in its
  * kernel's translation unit; the portable one in sa_batch.cpp, where
- * a null @p l skips the estimates: the scalar and NEON kernels decide
- * on the bracket table and never read them.
+ * a null @p l skips the estimates: the scalar kernel decides on
+ * the bracket table and never reads them.
  */
 using UniformFill = void (*)(std::uint64_t seed, std::uint64_t first,
                              double *u, double *l, std::size_t n);
@@ -259,8 +259,8 @@ struct BatchCtx
 
     BlockRng *rng = nullptr; ///< shared Metropolis stream
 
-    // Per-lane rows of the memory-row decide path (scalar and NEON
-    // kernels), all `lanes` wide; the AVX2/AVX-512 kernels keep this
+    // Per-lane rows of the memory-row decide path (the scalar
+    // kernel), all `lanes` wide; the AVX2/AVX-512 kernels keep this
     // state in registers and never touch them.
     double *delta = nullptr;
     double *tmp = nullptr;         ///< masked-update term buffer
@@ -327,7 +327,7 @@ resolveAmbiguousLanes(BatchCtx &ctx, const double *u, double beta)
 }
 
 /**
- * The memory-row decide path of the scalar and NEON kernels.
+ * The memory-row decide path of the scalar kernel.
  * Decide every lane of the proposal whose per-lane dE sits in
  * ctx.delta: fill ctx.mask, bump the per-lane acceptance counters
  * and ctx.attempts, and return whether any lane accepted.
@@ -480,14 +480,6 @@ void runLockstepAvx2(BatchCtx &ctx);
  * lanes is a multiple of 8.
  */
 void runLockstepAvx512(BatchCtx &ctx);
-#endif
-
-#if defined(HYQSAT_HAVE_NEON_KERNEL)
-/**
- * NEON kernel (separate TU): vector arithmetic around the shared
- * decideLanes(), bit-identical to scalar.
- */
-void runLockstepNeon(BatchCtx &ctx);
 #endif
 
 } // namespace hyqsat::anneal::detail

@@ -41,7 +41,7 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
     for (int i = 0; i < n; ++i) {
         WorkerConfig w;
         w.hybrid = base;
-        switch (i % 9) {
+        switch (i % 5) {
         case 0:
             // Slot 0 IS the base config: a 1-worker portfolio must
             // reproduce the single solver bit for bit.
@@ -60,45 +60,17 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
             w.hybrid.sampler = "sa";
             break;
         case 3:
-            // Best-of-N inside every sample: at least four lockstep
-            // reads per anneal, the lowest-energy read wins.
-            w.label = "batch";
-            w.hybrid.num_reads = std::max(base.num_reads, 4);
-            break;
-        case 4:
-            // CHB branching / faster restarts on the CDCL side,
-            // over a lightly preprocessed formula.
-            w.label = "kissat";
-            w.hybrid.solver = sat::SolverOptions::kissatStyle();
-            w.hybrid.simplify_strength = simplify::Strength::Light;
-            break;
-        case 5:
             // Ideal all-to-all device: no embedding losses.
             w.label = "logical";
             w.hybrid.sampler = "logical";
             break;
-        case 6:
-            // Greedy clause-queue head instead of the paper's random
-            // top-30 pick (§IV-A): a different slice of the formula
-            // reaches the annealer.
-            w.label = "greedy-queue";
-            w.hybrid.frontend.queue.top_k = 1;
-            break;
-        case 7:
+        case 4:
             // Full inprocessing (BVE, equivalence substitution,
             // probing, vivification) before the hybrid loop: this
             // worker searches a smaller formula and more of its
             // clause queue embeds per iteration.
             w.label = "presolve";
             w.hybrid.simplify_strength = simplify::Strength::Full;
-            break;
-        case 8:
-            // Parallel lockstep reads: 16 decorrelated reads per
-            // device sample, the extra ones through the SIMD batch
-            // kernel fanned across the WorkPool in auto-sized groups
-            // of 8 lanes.
-            w.label = "reads-batch";
-            w.hybrid.num_reads = std::max(base.num_reads, 16);
             break;
         }
         if (i > 0) {
@@ -110,8 +82,8 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
             w.hybrid.annealer.seed =
                 mixSeed(base.annealer.seed, salt);
         }
-        if (i >= 9)
-            w.label += "#" + std::to_string(i / 9);
+        if (i >= 5)
+            w.label += "#" + std::to_string(i / 5);
         slate.push_back(std::move(w));
     }
     return slate;
@@ -139,9 +111,8 @@ PortfolioSolver::solve(const sat::Cnf &formula)
     const Deadline deadline(timeout, opts_.timeout_s);
     StopToken stop(&timeout);
     const bool share = opts_.share_clauses && n > 1;
-    ClauseExchange exchange(
-        n, ClauseExchange::Options{opts_.share_max_len,
-                                   opts_.share_capacity});
+    const ClauseExchange::Options exchange_opts{};
+    ClauseExchange exchange(n, exchange_opts);
 
     // One private registry per worker: hot-handle writes never cross
     // threads; everything is merged into opts_.metrics after join.
@@ -174,20 +145,19 @@ PortfolioSolver::solve(const sat::Cnf &formula)
         if (opts_.conflict_budget >= 0)
             cfg.solver.conflict_budget = opts_.conflict_budget;
         if (share) {
-            const int max_len = opts_.share_max_len;
+            const int max_len = exchange_opts.max_len;
             cfg.learnt_export = [&exchange, i,
                                  max_len](const sat::LitVec &lits) {
                 if (static_cast<int>(lits.size()) <= max_len)
                     exchange.publish(i, lits);
             };
-            const bool polarity = opts_.share_polarity;
-            cfg.root_hook = [&exchange, i, polarity](sat::Solver &s) {
+            cfg.root_hook = [&exchange, i](sat::Solver &s) {
                 std::vector<sat::LitVec> incoming;
                 exchange.fetch(i, incoming);
                 for (sat::LitVec &c : incoming) {
                     // The first literal is the exporter's asserting
                     // (first-UIP) literal: seed phase saving with it.
-                    if (polarity && !c.empty())
+                    if (!c.empty())
                         s.suggestPhase(c[0].var(), !c[0].sign());
                     if (!s.importClause(std::move(c)))
                         return; // import refuted the formula

@@ -3,9 +3,8 @@
  * Portfolio racing above the hybrid loop: N HybridSolver workers,
  * on the caller's thread and parked race threads (race_threads.h),
  * over the same formula, each with a diversified
- * configuration (sampler backend, reads per sample, seeds,
- * branching, warm-up window, clause-queue shape), first decisive
- * answer wins.
+ * configuration (sampler backend, seeds, warm-up window,
+ * inprocessing strength), first decisive answer wins.
  *
  * Losers are cancelled cooperatively through one shared StopToken
  * threaded into every cancellation point grown for this layer: the
@@ -18,7 +17,7 @@
  * Classical precedent: ManySAT/Plingeling-style portfolios, where
  * racing diverse configurations is the cheapest robust speedup on
  * 3-SAT; the paper's own §IV-A randomness (random top-30 clause-
- * queue head) is one of the diversification axes.
+ * queue head) differs per slot through the slot's seed.
  */
 
 #ifndef HYQSAT_PORTFOLIO_PORTFOLIO_H
@@ -70,17 +69,13 @@ struct PortfolioOptions
      */
     const StopToken *external_stop = nullptr;
 
-    /** Share short learnt clauses + polarity hints across workers. */
+    /**
+     * Share short learnt clauses across workers through a
+     * ClauseExchange with its default options (clauses of at most 2
+     * literals, the ManySAT finding; a 4096-entry ring), and seed
+     * each importer's phases with the exporter's first-UIP literal.
+     */
     bool share_clauses = true;
-
-    /** Max literals of a shared clause (ManySAT shares len <= 2). */
-    int share_max_len = 2;
-
-    /** Exchange ring capacity (oldest dropped on overflow). */
-    int share_capacity = 4096;
-
-    /** Seed exporters' first-UIP polarity into importers' phases. */
-    bool share_polarity = true;
 
     /**
      * Observability: each worker records into a private registry
@@ -151,12 +146,13 @@ class PortfolioSolver
     PortfolioResult solve(const sat::Cnf &formula);
 
     /**
-     * The nine-slot diversification table: slot 0 is the base
-     * config unchanged (so a 1-worker portfolio is exactly the
-     * single solver); later slots vary sampler backend, reads per
-     * sample, branching, warm-up, clause-queue head selection and
-     * inprocessing strength, each with decorrelated seeds. Cycles
-     * with fresh seeds past the table (slot i is row i % 9).
+     * The five-slot diversification table: `base` (the base config
+     * unchanged, so a 1-worker portfolio is exactly the single
+     * solver), `cdcl` (no warm-up), `sa` and `logical` (the other
+     * sampler backends) and `presolve` (full inprocessing), each
+     * after slot 0 with decorrelated seeds. Cycles with fresh seeds
+     * past the table (slot i is row i % 5; from the second cycle on
+     * its label gets a "#<i / 5>" suffix).
      */
     static std::vector<WorkerConfig>
     diversify(const core::HybridConfig &base, int n);

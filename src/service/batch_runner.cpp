@@ -2,15 +2,12 @@
 
 #include <algorithm>
 
-#include "service/scheduler.h"
-#include "util/metrics.h"
 #include "util/timer.h"
 
 namespace hyqsat::service {
 
-BatchRunner::BatchRunner(BatchOptions opts) : opts_(std::move(opts))
+BatchRunner::BatchRunner(SchedulerOptions opts) : opts_(std::move(opts))
 {
-    opts_.concurrency = std::max(opts_.concurrency, 1);
 }
 
 BatchReport
@@ -20,15 +17,10 @@ BatchRunner::run(const std::vector<std::string> &paths)
     BatchReport report;
     report.records.resize(paths.size());
 
-    SchedulerOptions sopts;
-    sopts.portfolio = opts_.portfolio;
-    sopts.workers = std::min<int>(
-        opts_.concurrency,
+    SchedulerOptions sopts = opts_;
+    sopts.workers = std::clamp(
+        opts_.workers, 1,
         static_cast<int>(std::max<std::size_t>(paths.size(), 1)));
-    sopts.default_timeout_s = opts_.instance_timeout_s;
-    sopts.memory_budget_mb = opts_.memory_budget_mb;
-    sopts.external_stop = opts_.external_stop;
-    sopts.metrics = opts_.metrics;
     sopts.max_retained_records = 0; // the batch keeps every record
     // Park the workers until every path is queued: cancellation (a
     // pre-tripped external token) then deterministically cancels the

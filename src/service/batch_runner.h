@@ -16,66 +16,35 @@
 #ifndef HYQSAT_SERVICE_BATCH_RUNNER_H
 #define HYQSAT_SERVICE_BATCH_RUNNER_H
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "portfolio/portfolio.h"
 #include "service/report.h"
-#include "util/cancel.h"
-#include "util/metrics.h"
+#include "service/scheduler.h"
 
 namespace hyqsat::service {
-
-/** Batch-service options. */
-struct BatchOptions
-{
-    /** Portfolio configuration applied per instance. */
-    portfolio::PortfolioOptions portfolio;
-
-    /** Instances solved concurrently (pool threads). Each one runs
-     *  portfolio.num_workers solver threads of its own. */
-    int concurrency = 2;
-
-    /** Per-instance wall-clock budget (seconds); 0 = unlimited.
-     *  Overrides portfolio.timeout_s when set. */
-    double instance_timeout_s = 0.0;
-
-    /**
-     * Per-instance memory budget in MB, enforced as an admission
-     * guard on the parsed formula's estimated footprint (clause
-     * arena + watches + per-worker duplication); 0 = unlimited.
-     * Instances over budget are SKIPPED, not attempted — a soft
-     * budget, but one that can never OOM the service.
-     */
-    std::size_t memory_budget_mb = 0;
-
-    /** Caller-side cancellation for the whole batch (e.g. the
-     *  SIGINT/SIGTERM token): stops accepting queued instances and
-     *  cancels in-flight solves, leaving their records UNKNOWN. */
-    const StopToken *external_stop = nullptr;
-
-    /**
-     * Observability: each instance solves against a private registry
-     * (snapshotted into its InstanceRecord), then merges here — so
-     * the file a CLI dumps holds whole-batch totals. Instance done
-     * events stream to this registry's trace sink. nullptr records
-     * nothing.
-     */
-    MetricsRegistry *metrics = nullptr;
-};
 
 /** The batch service: a one-shot client of JobScheduler. */
 class BatchRunner
 {
   public:
-    explicit BatchRunner(BatchOptions opts);
+    /**
+     * The scheduler options of the batch (SchedulerOptions::workers
+     * instances solved concurrently, default_timeout_s per instance,
+     * external_stop cancelling the rest of the batch, leaving its
+     * records UNKNOWN; metrics holds whole-batch totals). run()
+     * clamps workers to [1, number of paths] and overrides two
+     * fields: max_retained_records = 0, so every record is kept, and
+     * start_paused = true, so the workers start only once every path
+     * is queued.
+     */
+    explicit BatchRunner(SchedulerOptions opts);
 
     /** Solve every path; records come back in input order. */
     BatchReport run(const std::vector<std::string> &paths);
 
   private:
-    BatchOptions opts_;
+    SchedulerOptions opts_;
 };
 
 } // namespace hyqsat::service

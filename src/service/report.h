@@ -58,6 +58,11 @@ struct InstanceRecord
     double wall_s = 0.0;
     int vars = 0;
     int clauses = 0;
+    /**
+     * The winner's CDCL iterations, conflicts and applied QA samples;
+     * when no slot decided (TIMEOUT, CANCELLED, UNKNOWN), the totals
+     * over every raced worker from the job registry instead.
+     */
     std::uint64_t iterations = 0;
     std::uint64_t conflicts = 0;
     int qa_samples = 0;

@@ -408,11 +408,18 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
         rec.qa_device_s = w.time.qa_device_s;
         rec.backend_s = w.time.backend_s;
         rec.cdcl_s = w.time.cdcl_s;
+    } else {
+        // Nobody decided, yet a timeout still did measurable work:
+        // report the all-worker totals.
+        rec.iterations =
+            inst_metrics.counter("solver.iterations")->value();
+        rec.conflicts = inst_metrics.counter("solver.conflicts")->value();
+        rec.qa_samples = static_cast<int>(
+            inst_metrics.counter("backend.samples")->value());
     }
 
     // All-worker totals and the full per-job snapshot come from the
-    // registry even when nobody decided (a timeout still did
-    // measurable work).
+    // registry even when nobody decided.
     rec.restarts = inst_metrics.counter("solver.restarts")->value();
     rec.propagations =
         inst_metrics.counter("solver.propagations")->value();

@@ -223,7 +223,7 @@ MetricsRegistry::writeJson(std::ostream &out) const
 
 namespace {
 
-/** `solver.wins.greedy-queue` -> `hyqsat_solver_wins_greedy_queue`. */
+/** `portfolio.wins.cdcl#1` -> `hyqsat_portfolio_wins_cdcl_1`. */
 std::string
 promName(const std::string &name)
 {

@@ -7,7 +7,7 @@
  * translation units built with the matching -m flags. At run time
  * activeIsa() picks the widest instruction set the CPU supports —
  * overridable with the HYQSAT_SIMD environment variable ("scalar",
- * "avx2", "avx512", "neon") for golden tests and debugging.
+ * "avx2", "avx512") for golden tests and debugging.
  * Requesting an ISA the host cannot execute degrades to Scalar,
  * never crashes.
  *
@@ -25,13 +25,12 @@
 
 namespace hyqsat::simd {
 
-/** Instruction sets the batch kernels are specialized for. */
+/** Instruction sets of the batch kernels, narrowest first. */
 enum class Isa
 {
     Scalar = 0,
     Avx2 = 1,
-    Neon = 2,
-    Avx512 = 3,
+    Avx512 = 2,
 };
 
 /** Canonical lowercase name of an ISA. */
@@ -43,15 +42,13 @@ isaName(Isa isa)
         return "scalar";
     case Isa::Avx2:
         return "avx2";
-    case Isa::Neon:
-        return "neon";
     case Isa::Avx512:
         return "avx512";
     }
     return "scalar";
 }
 
-/** Parse "scalar"/"avx2"/"avx512"/"neon" (exact, lowercase). */
+/** Parse "scalar"/"avx2"/"avx512" (exact, lowercase). */
 inline std::optional<Isa>
 parseIsa(std::string_view name)
 {
@@ -59,8 +56,6 @@ parseIsa(std::string_view name)
         return Isa::Scalar;
     if (name == "avx2")
         return Isa::Avx2;
-    if (name == "neon")
-        return Isa::Neon;
     if (name == "avx512")
         return Isa::Avx512;
     return std::nullopt;
@@ -79,8 +74,6 @@ detectIsa()
     if (__builtin_cpu_supports("avx2"))
         return Isa::Avx2;
     return Isa::Scalar;
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-    return Isa::Neon;
 #else
     return Isa::Scalar;
 #endif

@@ -31,7 +31,7 @@ hostTiers()
     const simd::Isa detected = simd::detectIsa();
     std::vector<simd::Isa> tiers{simd::Isa::Scalar};
     for (const simd::Isa cand :
-         {simd::Isa::Avx2, simd::Isa::Neon, simd::Isa::Avx512}) {
+         {simd::Isa::Avx2, simd::Isa::Avx512}) {
         if (simd::resolveIsa(cand, detected) == cand)
             tiers.push_back(cand);
     }

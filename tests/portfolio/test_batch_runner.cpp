@@ -63,14 +63,14 @@ unsatCnf()
     return s;
 }
 
-BatchOptions
+SchedulerOptions
 smallOptions()
 {
-    BatchOptions opts;
+    SchedulerOptions opts;
     opts.portfolio.base.annealer.noise = anneal::NoiseModel::noiseFree();
     opts.portfolio.base.annealer.greedy_finish = true;
     opts.portfolio.num_workers = 2;
-    opts.concurrency = 2;
+    opts.workers = 2;
     return opts;
 }
 

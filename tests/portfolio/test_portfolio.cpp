@@ -293,7 +293,6 @@ TEST(PortfolioSolver, SharingStaysSound)
         opts.base = noiseFreeConfig(round);
         opts.num_workers = 3;
         opts.share_clauses = true;
-        opts.share_polarity = true;
         PortfolioSolver solver(opts);
         const auto result = solver.solve(cnf);
         ASSERT_FALSE(result.status.isUndef());
@@ -306,45 +305,57 @@ TEST(PortfolioSolver, SharingStaysSound)
 TEST(PortfolioSolver, DiversifyTableShape)
 {
     const auto base = noiseFreeConfig(0xabcdef);
-    const auto slate = PortfolioSolver::diversify(base, 9);
-    ASSERT_EQ(slate.size(), 9u);
+    const auto slate = PortfolioSolver::diversify(base, 5);
+    ASSERT_EQ(slate.size(), 5u);
+
+    // Five rows, in race order.
+    const std::vector<std::string> labels{"base", "cdcl", "sa",
+                                          "logical", "presolve"};
+    for (std::size_t i = 0; i < labels.size(); ++i)
+        EXPECT_EQ(slate[i].label, labels[i]) << "slot " << i;
 
     // Slot 0 is the base config untouched (the determinism anchor).
     EXPECT_EQ(slate[0].hybrid.seed, base.seed);
+    EXPECT_EQ(slate[0].hybrid.solver.seed, base.solver.seed);
+    EXPECT_EQ(slate[0].hybrid.annealer.seed, base.annealer.seed);
     EXPECT_EQ(slate[0].hybrid.sampler, base.sampler);
+    EXPECT_EQ(slate[0].hybrid.num_reads, base.num_reads);
+    EXPECT_EQ(slate[0].hybrid.warmup_override, base.warmup_override);
+    EXPECT_EQ(slate[0].hybrid.simplify_strength,
+              base.simplify_strength);
 
-    // Labels are unique and later slots carry decorrelated seeds.
-    std::set<std::string> labels;
-    for (const auto &w : slate)
-        labels.insert(w.label);
-    EXPECT_EQ(labels.size(), slate.size());
+    // Slot 1 is the no-warm-up CDCL hedge.
+    EXPECT_EQ(slate[1].hybrid.warmup_override, 0);
+    EXPECT_EQ(slate[1].hybrid.sampler, base.sampler);
+
+    // Slots 1 and 2 keep the seeds they had in the nine-row table
+    // (the salt is the slot index), so every 1-, 2- and 3-worker
+    // race is unchanged by the table's pruning.
+    EXPECT_EQ(slate[1].hybrid.seed, 0x049e1b5b34c8f397ull);
+    EXPECT_EQ(slate[1].hybrid.solver.seed, 0x23794f8b019c1a7aull);
+    EXPECT_EQ(slate[1].hybrid.annealer.seed, 0x9524784c43566671ull);
+    EXPECT_EQ(slate[2].hybrid.seed, 0x9343898ec385b595ull);
+    EXPECT_EQ(slate[2].hybrid.solver.seed, 0x8f03e4ebfa39aba8ull);
+    EXPECT_EQ(slate[2].hybrid.annealer.seed, 0xccb844c97e4ad0b8ull);
+
+    // Later slots carry decorrelated seeds and cross sampler
+    // backends, not just seeds.
     for (std::size_t i = 1; i < slate.size(); ++i)
         EXPECT_NE(slate[i].hybrid.seed, base.seed) << "slot " << i;
-
-    // The slate crosses sampler backends, not just seeds.
-    std::set<std::string> samplers;
-    for (const auto &w : slate)
-        samplers.insert(w.hybrid.sampler);
-    EXPECT_GE(samplers.size(), 3u);
-
-    // Slot 3 is best-of-N inside every sample: at least four
-    // lockstep reads on the base device.
-    EXPECT_EQ(slate[3].label, "batch");
-    EXPECT_EQ(slate[3].hybrid.sampler, base.sampler);
-    EXPECT_EQ(slate[3].hybrid.num_reads, 4);
-
-    // Slot 8 is the dedicated parallel-lockstep-reads worker: at
-    // least 16 reads per device sample.
-    EXPECT_EQ(slate[8].label, "reads-batch");
-    EXPECT_GE(slate[8].hybrid.num_reads, 16);
+    EXPECT_EQ(slate[2].hybrid.sampler, "sa");
+    EXPECT_EQ(slate[3].hybrid.sampler, "logical");
+    EXPECT_EQ(slate[4].hybrid.simplify_strength,
+              simplify::Strength::Full);
 
     // Past the table the labels cycle with a #N suffix and fresh
     // seeds.
-    const auto wide = PortfolioSolver::diversify(base, 11);
-    ASSERT_EQ(wide.size(), 11u);
-    EXPECT_EQ(wide[9].label, "base#1");
-    EXPECT_EQ(wide[10].label, "cdcl#1");
-    EXPECT_NE(wide[9].hybrid.seed, wide[0].hybrid.seed);
+    const auto wide = PortfolioSolver::diversify(base, 7);
+    ASSERT_EQ(wide.size(), 7u);
+    EXPECT_EQ(wide[5].label, "base#1");
+    EXPECT_EQ(wide[6].label, "cdcl#1");
+    EXPECT_NE(wide[5].hybrid.seed, wide[0].hybrid.seed);
+    EXPECT_NE(wide[6].hybrid.seed, wide[1].hybrid.seed);
+    EXPECT_EQ(wide[6].hybrid.warmup_override, 0);
 }
 
 TEST(PortfolioSolver, ExplicitWorkerSlateRespected)

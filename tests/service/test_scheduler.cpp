@@ -399,6 +399,32 @@ TEST(JobScheduler, TimeoutCancellationLatencyBounded)
     scheduler.shutdown(DrainPolicy::FinishQueued);
 }
 
+TEST(JobScheduler, TimeoutRecordReportsAllWorkerSearch)
+{
+    // A 1000-variable threshold instance no slot decides in half a
+    // second: the record has no winner, yet its counters still
+    // report the search every worker did until the deadline.
+    Rng gen(31);
+    const std::string hard =
+        sat::toDimacsString(gen::uniformRandom3Sat(1000, 4260, gen));
+
+    SchedulerOptions opts = smallOptions();
+    opts.workers = 1;
+    JobScheduler scheduler(opts);
+
+    JobSpec spec = inlineJob("t", 0, "hard", hard);
+    spec.timeout_s = 0.5;
+    const Submission sub = scheduler.submit(std::move(spec));
+    ASSERT_TRUE(sub.accepted);
+    const InstanceRecord rec = scheduler.wait(sub.id);
+    ASSERT_EQ(rec.status, "TIMEOUT");
+    EXPECT_TRUE(rec.winner.empty());
+    EXPECT_GT(rec.conflicts, 0u);
+    EXPECT_GT(rec.iterations, 0u);
+    EXPECT_GT(rec.propagations, 0u);
+    scheduler.shutdown(DrainPolicy::FinishQueued);
+}
+
 TEST(JobScheduler, DrainCancelLeavesNoOrphans)
 {
     MetricsRegistry metrics;
