@@ -38,14 +38,16 @@ main()
                   Table::num(classic.time.cdcl_s * 1e6, 1) + " us"});
 
     // Pure QA: Minorminer embedding of the whole formula + 60
-    // samples (the paper's Fig. 1 sampling budget).
+    // samples (the paper's Fig. 1 sampling budget). The whole formula
+    // does not fit the chip at this size (EXPERIMENTS.md), so the
+    // quick scale gives the embedder a few seconds, not a minute.
     {
         const auto graph = topology::Topology::dwave2000q();
         const std::vector<sat::LitVec> clauses(cnf.clauses().begin(),
                                                cnf.clauses().end());
         const auto problem = qubo::encodeClauses(clauses);
         embed::MinorminerOptions mopts;
-        mopts.timeout_seconds = bench::fullScale() ? 300.0 : 60.0;
+        mopts.timeout_seconds = bench::fullScale() ? 300.0 : 5.0;
         embed::MinorminerEmbedder minorminer(graph, mopts);
         Timer embed_timer;
         const auto embedded =
@@ -57,7 +59,8 @@ main()
         const double qa_us = timing.sampleTimeUs(60);
         table.addRow(
             {std::string("QA only (Minorminer, 60 samples)") +
-                 (embedded.success ? "" : " [embedding FAILED]"),
+                 (embedded.success ? ""
+                                   : " [did not embed within budget]"),
              Table::num(embed_s, 2) + " s",
              Table::num(qa_us, 0) + " us",
              Table::num(embed_s + qa_us * 1e-6, 2) + " s"});

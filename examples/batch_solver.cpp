@@ -16,7 +16,7 @@
  * knob flags every front door shares set every worker's base
  * config; the knob table (core/knobs.h) parses, range-checks and
  * lists them in the usage line. The JSON/CSV reports echo the
- * effective simplify, topology and reads_groups per instance; the
+ * effective simplify and topology per instance; the
  * slots still vary the base as their table row says.
  *
  * Instances come from positional paths, every *.cnf/*.dimacs under

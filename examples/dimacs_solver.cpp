@@ -189,10 +189,9 @@ main(int argc, char **argv)
         config.solver.conflict_budget = conflict_budget;
         core::HybridSolver solver(config);
         result = solver.solve(cnf);
-        std::printf("c sampler=%s num_reads=%d reads_groups=%d "
-                    "topology=%s simplify=%s\n",
+        std::printf("c sampler=%s num_reads=%d topology=%s "
+                    "simplify=%s\n",
                     config.sampler.c_str(), config.num_reads,
-                    config.reads_groups,
                     topology::kindName(config.topology),
                     simplify::strengthName(strength));
         std::printf("c %d QA samples applied over %d warm-up "

@@ -17,7 +17,7 @@
  * (core/knobs.h) parses, range-checks and lists them in the usage
  * line, and marks which of them a SUBMIT or OPEN may override per
  * job with a key=value token. Every report row echoes the
- * effective simplify, topology and reads_groups.
+ * effective simplify and topology.
  *
  * Clients speak the line protocol of service/protocol.h (SUBMIT /
  * WAIT / STATUS / METRICS / SHUTDOWN); the bundled service_client
@@ -30,6 +30,9 @@
  * configuration: a session keeps its learnt clauses, heuristics and
  * embedding caches warm across SOLVE calls. --sessions /
  * --tenant-sessions cap how many may be open at once (0 = unbounded).
+ * --memory-mb also bounds each session: an ADD or ASSUME whose
+ * largest variable would put the session's one-worker footprint
+ * estimate past it answers ERR and leaves the session unchanged.
  *
  * Shutdown — via SIGINT/SIGTERM or a client's SHUTDOWN command —
  * drains gracefully: the scheduler stops accepting (submits answer
@@ -178,6 +181,7 @@ main(int argc, char **argv)
     // the knob flags shape them too) and the daemon registry for the
     // service-level session.* counters.
     session_opts.hybrid = sopts.portfolio.base;
+    session_opts.memory_budget_mb = sopts.memory_budget_mb;
     session_opts.metrics = &registry;
     service::SessionManager sessions(session_opts);
     service::Server server(server_opts, scheduler, &registry);

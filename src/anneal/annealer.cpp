@@ -350,7 +350,6 @@ QuantumAnnealer::anneal(const qubo::EncodedProblem &problem,
     sa.beta_end = opts_.noise.beta_final;
     sa.greedy_finish = opts_.greedy_finish;
     sa.num_reads = opts_.num_reads;
-    sa.reads_groups = opts_.reads_groups;
     sa.stop = stop_;
 
     const std::vector<int> &spin_node = cp->spin_node;

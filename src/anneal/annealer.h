@@ -115,17 +115,6 @@ class QuantumAnnealer
          */
         int num_reads = 1;
 
-        /**
-         * Parallel lockstep groups the extra reads split into
-         * (SaOptions::reads_groups): 0 auto-sizes groups of up to 8
-         * SIMD lanes and fans them across the shared WorkPool, so
-         * the per-core vector speedup compounds with core count; 1
-         * forces a single group. Results stay a pure function of
-         * (seed, model, options) for every value — the partition
-         * never depends on the machine.
-         */
-        int reads_groups = 0;
-
         std::uint64_t seed = 0x5eed0f2a;
 
         /** The §VI-B noise-free simulator: two attempts. */

@@ -363,7 +363,7 @@ sampleLockstep(const SaCompiled &compiled, const double *h,
                std::uint64_t base, simd::Isa isa, WorkPool *pool)
 {
     const int reads = std::max(opts.num_reads, 1);
-    const int num_groups = lockstepGroupCount(reads, opts.reads_groups);
+    const int num_groups = lockstepGroupCount(reads);
     if (num_groups <= 1)
         return runLockstepGroup(compiled, h, w, opts, reads, base, isa);
 

@@ -23,17 +23,17 @@
  * ambiguous band the compare cannot settle.
  *
  * Two-level parallel scheduler (PR 10): num_reads is partitioned
- * into lockstep groups (SaOptions::reads_groups; auto = groups of up
- * to 8 lanes) and the groups fan out across the shared WorkPool, so
- * total throughput is roughly (vector speedup) x (core count). Each
- * group is an independent lockstep run over its own SoA buffers and
- * its own decorrelated BlockRng base derived purely from (seed,
- * group index); groups write disjoint result slots, so no merge
- * contention exists by construction.
+ * into ceil(num_reads / 8) balanced lockstep groups of 4 or 8 lanes
+ * (lockstepGroupCount) and the groups fan out across the shared
+ * WorkPool, so total throughput is roughly (vector speedup) x (core
+ * count). Each group is an independent lockstep run over its own
+ * SoA buffers and its own decorrelated BlockRng base derived purely
+ * from (seed, group index); groups write disjoint result slots, so
+ * no merge contention exists by construction.
  *
  * Determinism contract (the batched path's own golden, distinct from
  * the frozen scalar sa_reference.h contract): results are a pure
- * function of (base seed, model, groups, options) and are
+ * function of (base seed, model, options) and are
  * bit-identical across ISAs — the AVX2/AVX-512 kernels mirror
  * the scalar fallback's per-lane operation order exactly and are
  * built without FMA contraction — AND across thread counts: the
@@ -46,11 +46,9 @@
 #ifndef HYQSAT_ANNEAL_SA_BATCH_H
 #define HYQSAT_ANNEAL_SA_BATCH_H
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "anneal/sa_sampler.h"
@@ -115,13 +113,12 @@ class BlockRng
      * store uniformAt(first + k) into u[k] and, if the caller reads
      * them, its estimate into l[k] for k < n (detail::UniformFill
      * states the estimate's bound). So a count that does not divide
-     * kBlock (12 lanes)
-     * still gets one contiguous run. A count above kBlock (a
-     * lockstep group wider than a block) is served whole from a
-     * separate wide buffer. Kernels pass @p fill as a lambda: its
-     * closure type is local to the kernel's translation unit, which
-     * keeps each ISA-specific instantiation of this template out of
-     * the shared (comdat) copies the portable TUs link against.
+     * kBlock still gets one contiguous run. Requires
+     * @p count <= kBlock; a lockstep group draws at most 8. Kernels
+     * pass @p fill as a lambda: its closure type is local to the
+     * kernel's translation unit, which keeps each ISA-specific
+     * instantiation of this template out of the shared (comdat)
+     * copies the portable TUs link against.
      */
     template <class Fill>
     Draw
@@ -149,25 +146,6 @@ class BlockRng
     {
         const std::size_t tail = filled_ - pos_;
         base_ += pos_;
-        if (count > kBlock) [[unlikely]] {
-            if (wide_size_ < count) {
-                wide_.reset(new double[2 * count + 7]);
-                wide_size_ = count;
-            }
-            void *p = wide_.get();
-            std::size_t space = (2 * count + 7) * sizeof(double);
-            double *const u = static_cast<double *>(
-                std::align(64, 2 * count * sizeof(double), p, space));
-            double *const l = u + count;
-            std::copy(buf_ + pos_, buf_ + filled_, u);
-            std::copy(lbuf_ + pos_, lbuf_ + filled_, l);
-            fill(seed_, base_ + tail, u + tail, l + tail, count - tail);
-            // All of it is consumed; the block buffer starts empty.
-            base_ += count;
-            filled_ = 0;
-            pos_ = 0;
-            return {u, l};
-        }
         std::memmove(buf_, buf_ + pos_, tail * sizeof(double));
         std::memmove(lbuf_, lbuf_ + pos_, tail * sizeof(double));
         fill(seed_, base_ + tail, buf_ + tail, lbuf_ + tail, kBlock - tail);
@@ -180,28 +158,21 @@ class BlockRng
     std::uint64_t base_ = 0; ///< stream index of buf_[0]
     std::size_t filled_ = 0;
     std::size_t pos_ = 0;
-    std::unique_ptr<double[]> wide_; ///< draws above kBlock: uniforms,
-                                     ///< then estimates (+ align slack)
-    std::size_t wide_size_ = 0;
     alignas(64) double buf_[kBlock];  ///< uniforms
     alignas(64) double lbuf_[kBlock]; ///< their -64 ln u estimates
 };
 
 /**
  * Number of parallel lockstep groups a batched run of @p reads reads
- * uses under @p reads_groups (SaOptions::reads_groups). Pure in its
- * arguments: auto (<= 0) means groups of up to 8 lanes, an explicit
- * request is clamped to [1, reads]. The machine's core count, pool
- * size and ISA never enter — that is the cross-thread-count half of
- * the determinism contract.
+ * uses: ceil(reads / 8), so the balanced partition gives every group
+ * 4 or 8 lanes once padded to kLaneQuantum. Pure in @p reads: the
+ * machine's core count, pool size and ISA never enter — that is the
+ * cross-thread-count half of the determinism contract.
  */
 inline int
-lockstepGroupCount(int reads, int reads_groups)
+lockstepGroupCount(int reads)
 {
-    if (reads < 1)
-        reads = 1;
-    int g = reads_groups > 0 ? reads_groups : (reads + 7) / 8;
-    return g < 1 ? 1 : (g > reads ? reads : g);
+    return reads < 1 ? 1 : (reads + 7) / 8;
 }
 
 /**

@@ -12,8 +12,8 @@
  * proposal's dE, uniforms (read in place from the BlockRng buffer),
  * accept mask (an all-ones/zero lane vector), masked update term and
  * accept counters stay in registers; the loop body is a template
- * over the vector count, compiled for one and two vectors and once
- * for a run-time count. Decisions, uniform consumption and counters
+ * over the vector count, compiled for the one and two vectors of a
+ * 4- and an 8-lane group. Decisions, uniform consumption and counters
  * are those of the shared decideLanes(), reached without a gather:
  * the refill stores each uniform's -64 ln u estimate (exponent from
  * the double's bits with the 2^52 trick, kLogPoly on the mantissa)
@@ -237,7 +237,6 @@ runKernel(BatchCtx &ctx)
     const SaCompiled &c = *ctx.c;
     const int n = ctx.n;
     const int lanes = ctx.lanes;
-    const int vecs = V > 0 ? V : lanes / 4;
     const std::size_t num_groups = c.groups.size();
     const double *const w = ctx.w;
     const std::int32_t *const row_ptr = c.csr.row_ptr.data();
@@ -248,8 +247,8 @@ runKernel(BatchCtx &ctx)
     const __m256d one = _mm256_set1_pd(1.0);
     const __m256d sign = _mm256_set1_pd(-0.0);
 
-    LaneSet<Lanes4, V> L(vecs);
-    for (int v = 0; v < vecs; ++v) {
+    Lanes4 L[V];
+    for (int v = 0; v < V; ++v) {
         const int live = std::clamp(ctx.reads - 4 * v, 0, 4);
         L[v].real = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
             _mm256_set1_epi64x(live), _mm256_set_epi64x(3, 2, 1, 0)));
@@ -262,7 +261,7 @@ runKernel(BatchCtx &ctx)
     };
 
     const auto countAccepts = [&]() HYQSAT_KERNEL_INLINE {
-        for (int v = 0; v < vecs; ++v)
+        for (int v = 0; v < V; ++v)
             L[v].acc =
                 _mm256_add_pd(L[v].acc, _mm256_and_pd(one, L[v].m));
     };
@@ -275,14 +274,14 @@ runKernel(BatchCtx &ctx)
     const auto decide = [&](double beta) HYQSAT_KERNEL_INLINE {
         ++attempts;
         __m256d up = zero;
-        for (int v = 0; v < vecs; ++v)
+        for (int v = 0; v < V; ++v)
             up = _mm256_or_pd(
                 up, _mm256_and_pd(_mm256_cmp_pd(L[v].d, zero, _CMP_GT_OQ),
                                   L[v].real));
         if (_mm256_movemask_pd(up) == 0) {
             // Every real lane downhill or flat: all accept, and the
             // shared stream is untouched.
-            for (int v = 0; v < vecs; ++v)
+            for (int v = 0; v < V; ++v)
                 L[v].m = L[v].real;
             countAccepts();
             return true;
@@ -291,7 +290,7 @@ runKernel(BatchCtx &ctx)
             ctx.rng->next(static_cast<std::size_t>(lanes),
                           [](auto... a) { fillUniformsAvx2(a...); });
         int any = 0;
-        for (int v = 0; v < vecs; ++v) {
+        for (int v = 0; v < V; ++v) {
             L[v].m = decideVector(L[v].d, L[v].real, beta, draw.u + 4 * v,
                                   draw.l + 4 * v, ctx.exact + 4 * v);
             any |= _mm256_movemask_pd(L[v].m);
@@ -304,7 +303,7 @@ runKernel(BatchCtx &ctx)
     const auto decideGreedy = [&]() HYQSAT_KERNEL_INLINE {
         ++attempts;
         int any = 0;
-        for (int v = 0; v < vecs; ++v) {
+        for (int v = 0; v < V; ++v) {
             L[v].m = _mm256_and_pd(
                 L[v].real, _mm256_cmp_pd(L[v].d, zero, _CMP_LT_OQ));
             any |= _mm256_movemask_pd(L[v].m);
@@ -316,7 +315,7 @@ runKernel(BatchCtx &ctx)
     const auto flipDeltas = [&](int i) HYQSAT_KERNEL_INLINE {
         const double *s = rowOf(ctx.spins, i);
         const double *f = rowOf(ctx.fields, i);
-        for (int v = 0; v < vecs; ++v) {
+        for (int v = 0; v < V; ++v) {
             L[v].s = _mm256_loadu_pd(s + 4 * v);
             L[v].d = _mm256_mul_pd(_mm256_mul_pd(L[v].s, minus2),
                                    _mm256_loadu_pd(f + 4 * v));
@@ -330,7 +329,7 @@ runKernel(BatchCtx &ctx)
         for (std::int32_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
             const __m256d vw = _mm256_set1_pd(w[k]);
             double *fj = rowOf(ctx.fields, col[k]);
-            for (int v = 0; v < vecs; ++v) {
+            for (int v = 0; v < V; ++v) {
                 _mm256_storeu_pd(
                     fj + 4 * v,
                     _mm256_sub_pd(_mm256_loadu_pd(fj + 4 * v),
@@ -340,7 +339,7 @@ runKernel(BatchCtx &ctx)
     };
 
     const auto flipSpins = [&](double *s) HYQSAT_KERNEL_INLINE {
-        for (int v = 0; v < vecs; ++v) {
+        for (int v = 0; v < V; ++v) {
             _mm256_storeu_pd(
                 s + 4 * v,
                 _mm256_xor_pd(_mm256_loadu_pd(s + 4 * v),
@@ -349,19 +348,19 @@ runKernel(BatchCtx &ctx)
     };
 
     const auto applyFlip = [&](int i) HYQSAT_KERNEL_INLINE {
-        for (int v = 0; v < vecs; ++v)
+        for (int v = 0; v < V; ++v)
             L[v].t = _mm256_and_pd(_mm256_mul_pd(two, L[v].s), L[v].m);
         scatterUpdates(i);
         flipSpins(rowOf(ctx.spins, i));
     };
 
     const auto groupDeltas = [&](int g) HYQSAT_KERNEL_INLINE {
-        for (int v = 0; v < vecs; ++v)
+        for (int v = 0; v < V; ++v)
             L[v].d = zero;
         for (int i : c.groups[static_cast<std::size_t>(g)]) {
             const double *s = rowOf(ctx.spins, i);
             const double *f = rowOf(ctx.fields, i);
-            for (int v = 0; v < vecs; ++v) {
+            for (int v = 0; v < V; ++v) {
                 L[v].d = _mm256_add_pd(
                     L[v].d,
                     _mm256_mul_pd(
@@ -374,7 +373,7 @@ runKernel(BatchCtx &ctx)
             const __m256d vw4 = _mm256_set1_pd(4.0 * w[c.edge_slot[e]]);
             const double *su = rowOf(ctx.spins, c.edge_u[e]);
             const double *sv = rowOf(ctx.spins, c.edge_v[e]);
-            for (int v = 0; v < vecs; ++v) {
+            for (int v = 0; v < V; ++v) {
                 L[v].d = _mm256_add_pd(
                     L[v].d,
                     _mm256_mul_pd(_mm256_mul_pd(_mm256_loadu_pd(su + 4 * v),
@@ -389,7 +388,7 @@ runKernel(BatchCtx &ctx)
             c.groups[static_cast<std::size_t>(g)];
         for (int i : members) {
             const double *s = rowOf(ctx.spins, i);
-            for (int v = 0; v < vecs; ++v)
+            for (int v = 0; v < V; ++v)
                 L[v].t = _mm256_and_pd(
                     _mm256_mul_pd(two, _mm256_loadu_pd(s + 4 * v)),
                     L[v].m);
@@ -451,7 +450,7 @@ runKernel(BatchCtx &ctx)
         }
     }
 
-    for (int v = 0; v < vecs; ++v)
+    for (int v = 0; v < V; ++v)
         _mm256_storeu_pd(ctx.accepted + 4 * v, L[v].acc);
     ctx.attempts += attempts;
 }
@@ -461,17 +460,11 @@ runKernel(BatchCtx &ctx)
 void
 runLockstepAvx2(BatchCtx &ctx)
 {
-    switch (ctx.lanes / 4) {
-    case 1:
+    // A lockstep group pads to 4 or 8 lanes (lockstepGroupCount).
+    if (ctx.lanes == 4)
         runKernel<1>(ctx);
-        break;
-    case 2:
+    else
         runKernel<2>(ctx);
-        break;
-    default:
-        runKernel<0>(ctx);
-        break;
-    }
 }
 
 } // namespace hyqsat::anneal::detail

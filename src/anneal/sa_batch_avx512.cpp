@@ -7,9 +7,8 @@
  * straight from the BlockRng buffer), the accept mask (a mask
  * register out of the compares), the masked update term and the
  * per-lane accept counters. Only the SoA spin and field rows live in
- * memory. The loop body is a template over the vector count,
- * compiled for one vector (every auto-sized group of 5..8 reads) and
- * once for a run-time count (explicitly wider groups).
+ * memory. One vector holds a whole group: a lockstep group has at
+ * most 8 lanes, and this kernel runs the groups of 5..8 reads.
  *
  * Compiled in its own translation unit with -mavx512f -mavx512dq
  * -ffp-contract=off; the dispatcher only calls in here after a
@@ -30,7 +29,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <bit>
 #include <limits>
 #include <vector>
@@ -119,7 +117,7 @@ minusLog64Avx512(const double *u, double *l, std::size_t n)
 
 namespace {
 
-/** One 8-lane vector's share of the proposal state. */
+/** The proposal state of one 8-lane group. */
 struct Lanes8
 {
     __m512d acc;   ///< accept counters (live for the whole run)
@@ -195,16 +193,12 @@ decideUphillAvx512(double beta, const double *d, const double *u,
     }
 }
 
-namespace {
-
-template <int V>
 void
-runKernel(BatchCtx &ctx)
+runLockstepAvx512(BatchCtx &ctx)
 {
     const SaCompiled &c = *ctx.c;
     const int n = ctx.n;
     const int lanes = ctx.lanes;
-    const int vecs = V > 0 ? V : lanes / 8;
     const std::size_t num_groups = c.groups.size();
     const double *const w = ctx.w;
     const std::int32_t *const row_ptr = c.csr.row_ptr.data();
@@ -216,12 +210,9 @@ runKernel(BatchCtx &ctx)
     const __m512i sign = _mm512_set1_epi64(
         static_cast<long long>(0x8000000000000000ull));
 
-    LaneSet<Lanes8, V> L(vecs);
-    for (int v = 0; v < vecs; ++v) {
-        const int live = std::clamp(ctx.reads - 8 * v, 0, 8);
-        L[v].real = static_cast<__mmask8>((1u << live) - 1u);
-        L[v].acc = zero;
-    }
+    Lanes8 L;
+    L.real = static_cast<__mmask8>((1u << ctx.reads) - 1u);
+    L.acc = zero;
     std::uint64_t attempts = 0;
 
     const auto rowOf = [lanes](double *base, int i) HYQSAT_KERNEL_INLINE {
@@ -229,63 +220,43 @@ runKernel(BatchCtx &ctx)
     };
 
     const auto countAccepts = [&]() HYQSAT_KERNEL_INLINE {
-        for (int v = 0; v < vecs; ++v)
-            L[v].acc = _mm512_mask_add_pd(L[v].acc, L[v].m, L[v].acc, one);
+        L.acc = _mm512_mask_add_pd(L.acc, L.m, L.acc, one);
     };
 
     /**
-     * Metropolis decide over L[v].d: set L[v].m and the counters,
-     * return whether any lane accepted. Uniforms are consumed iff a
-     * real lane is uphill (the shared consumption rule).
+     * Metropolis decide over L.d: set L.m and the counters, return
+     * whether any lane accepted. Uniforms are consumed iff a real
+     * lane is uphill (the shared consumption rule).
      */
     const auto decide = [&](double beta) HYQSAT_KERNEL_INLINE {
         ++attempts;
-        unsigned up = 0;
-        for (int v = 0; v < vecs; ++v)
-            up |= _mm512_mask_cmp_pd_mask(L[v].real, L[v].d, zero,
-                                          _CMP_GT_OQ);
-        if (up == 0) {
+        if (_mm512_mask_cmp_pd_mask(L.real, L.d, zero, _CMP_GT_OQ) == 0) {
             // Every real lane downhill or flat: all accept, and the
             // shared stream is untouched.
-            for (int v = 0; v < vecs; ++v)
-                L[v].m = L[v].real;
+            L.m = L.real;
             countAccepts();
             return true;
         }
         const BlockRng::Draw draw =
             ctx.rng->next(static_cast<std::size_t>(lanes),
                           [](auto... a) { fillUniformsAvx512(a...); });
-        unsigned any = 0;
-        for (int v = 0; v < vecs; ++v) {
-            L[v].m = decideVector(L[v].d, L[v].real, beta, draw.u + 8 * v,
-                                  draw.l + 8 * v, ctx.exact + 8 * v);
-            any |= L[v].m;
-        }
+        L.m = decideVector(L.d, L.real, beta, draw.u, draw.l, ctx.exact);
         countAccepts();
-        return any != 0;
+        return L.m != 0;
     };
 
     /** Zero-temperature greedy decide: strict descent, no draws. */
     const auto decideGreedy = [&]() HYQSAT_KERNEL_INLINE {
         ++attempts;
-        unsigned any = 0;
-        for (int v = 0; v < vecs; ++v) {
-            L[v].m = _mm512_mask_cmp_pd_mask(L[v].real, L[v].d, zero,
-                                             _CMP_LT_OQ);
-            any |= L[v].m;
-        }
+        L.m = _mm512_mask_cmp_pd_mask(L.real, L.d, zero, _CMP_LT_OQ);
         countAccepts();
-        return any != 0;
+        return L.m != 0;
     };
 
     const auto flipDeltas = [&](int i) HYQSAT_KERNEL_INLINE {
-        const double *s = rowOf(ctx.spins, i);
-        const double *f = rowOf(ctx.fields, i);
-        for (int v = 0; v < vecs; ++v) {
-            L[v].s = _mm512_loadu_pd(s + 8 * v);
-            L[v].d = _mm512_mul_pd(_mm512_mul_pd(L[v].s, minus2),
-                                   _mm512_loadu_pd(f + 8 * v));
-        }
+        L.s = _mm512_loadu_pd(rowOf(ctx.spins, i));
+        L.d = _mm512_mul_pd(_mm512_mul_pd(L.s, minus2),
+                            _mm512_loadu_pd(rowOf(ctx.fields, i)));
     };
 
     // f_j -= w_ij * t over spin i's neighbors, t = (2 s_i) & accept
@@ -293,58 +264,44 @@ runKernel(BatchCtx &ctx)
     // rejected lane subtracts a zero).
     const auto scatterUpdates = [&](int i) HYQSAT_KERNEL_INLINE {
         for (std::int32_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-            const __m512d vw = _mm512_set1_pd(w[k]);
             double *fj = rowOf(ctx.fields, col[k]);
-            for (int v = 0; v < vecs; ++v) {
-                _mm512_storeu_pd(
-                    fj + 8 * v,
-                    _mm512_sub_pd(_mm512_loadu_pd(fj + 8 * v),
-                                  _mm512_mul_pd(vw, L[v].t)));
-            }
+            _mm512_storeu_pd(
+                fj, _mm512_sub_pd(_mm512_loadu_pd(fj),
+                                  _mm512_mul_pd(_mm512_set1_pd(w[k]),
+                                                L.t)));
         }
     };
 
     const auto flipSpins = [&](double *s) HYQSAT_KERNEL_INLINE {
-        for (int v = 0; v < vecs; ++v) {
-            const __m512i vs = _mm512_loadu_si512(s + 8 * v);
-            _mm512_storeu_si512(
-                s + 8 * v, _mm512_mask_xor_epi64(vs, L[v].m, vs, sign));
-        }
+        const __m512i vs = _mm512_loadu_si512(s);
+        _mm512_storeu_si512(s, _mm512_mask_xor_epi64(vs, L.m, vs, sign));
     };
 
     const auto applyFlip = [&](int i) HYQSAT_KERNEL_INLINE {
-        for (int v = 0; v < vecs; ++v)
-            L[v].t = _mm512_maskz_mul_pd(L[v].m, two, L[v].s);
+        L.t = _mm512_maskz_mul_pd(L.m, two, L.s);
         scatterUpdates(i);
         flipSpins(rowOf(ctx.spins, i));
     };
 
     const auto groupDeltas = [&](int g) HYQSAT_KERNEL_INLINE {
-        for (int v = 0; v < vecs; ++v)
-            L[v].d = zero;
+        L.d = zero;
         for (int i : c.groups[static_cast<std::size_t>(g)]) {
-            const double *s = rowOf(ctx.spins, i);
-            const double *f = rowOf(ctx.fields, i);
-            for (int v = 0; v < vecs; ++v) {
-                L[v].d = _mm512_add_pd(
-                    L[v].d,
-                    _mm512_mul_pd(
-                        _mm512_mul_pd(_mm512_loadu_pd(s + 8 * v), minus2),
-                        _mm512_loadu_pd(f + 8 * v)));
-            }
+            L.d = _mm512_add_pd(
+                L.d, _mm512_mul_pd(
+                         _mm512_mul_pd(_mm512_loadu_pd(rowOf(ctx.spins, i)),
+                                       minus2),
+                         _mm512_loadu_pd(rowOf(ctx.fields, i))));
         }
         for (std::int32_t e = c.edge_ptr[g]; e < c.edge_ptr[g + 1];
              ++e) {
             const __m512d vw4 = _mm512_set1_pd(4.0 * w[c.edge_slot[e]]);
-            const double *su = rowOf(ctx.spins, c.edge_u[e]);
-            const double *sv = rowOf(ctx.spins, c.edge_v[e]);
-            for (int v = 0; v < vecs; ++v) {
-                L[v].d = _mm512_add_pd(
-                    L[v].d,
-                    _mm512_mul_pd(_mm512_mul_pd(_mm512_loadu_pd(su + 8 * v),
-                                                _mm512_loadu_pd(sv + 8 * v)),
-                                  vw4));
-            }
+            L.d = _mm512_add_pd(
+                L.d,
+                _mm512_mul_pd(
+                    _mm512_mul_pd(
+                        _mm512_loadu_pd(rowOf(ctx.spins, c.edge_u[e])),
+                        _mm512_loadu_pd(rowOf(ctx.spins, c.edge_v[e]))),
+                    vw4));
         }
     };
 
@@ -352,10 +309,8 @@ runKernel(BatchCtx &ctx)
         const std::vector<int> &members =
             c.groups[static_cast<std::size_t>(g)];
         for (int i : members) {
-            const double *s = rowOf(ctx.spins, i);
-            for (int v = 0; v < vecs; ++v)
-                L[v].t = _mm512_maskz_mul_pd(L[v].m, two,
-                                             _mm512_loadu_pd(s + 8 * v));
+            L.t = _mm512_maskz_mul_pd(L.m, two,
+                                      _mm512_loadu_pd(rowOf(ctx.spins, i)));
             scatterUpdates(i);
         }
         for (int i : members)
@@ -400,20 +355,8 @@ runKernel(BatchCtx &ctx)
         }
     }
 
-    for (int v = 0; v < vecs; ++v)
-        _mm512_storeu_pd(ctx.accepted + 8 * v, L[v].acc);
+    _mm512_storeu_pd(ctx.accepted, L.acc);
     ctx.attempts += attempts;
-}
-
-} // namespace
-
-void
-runLockstepAvx512(BatchCtx &ctx)
-{
-    if (ctx.lanes == 8)
-        runKernel<1>(ctx);
-    else
-        runKernel<0>(ctx);
 }
 
 } // namespace hyqsat::anneal::detail

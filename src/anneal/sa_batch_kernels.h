@@ -431,35 +431,6 @@ decideLanes(BatchCtx &ctx, double beta, bool metropolis)
 #define HYQSAT_KERNEL_INLINE __attribute__((always_inline))
 
 /**
- * Per-vector proposal state of the register-resident kernels: @p V
- * values of @p Lanes (one vector's lanes) that the compiler keeps in
- * registers once the constant-count loops over them unroll, or a
- * run-time count on the heap when V == 0 (groups wider than the
- * unrolled instantiations).
- */
-template <class Lanes, int V>
-class LaneSet
-{
-  public:
-    explicit LaneSet(int) {}
-    Lanes &operator[](int v) { return x_[v]; }
-
-  private:
-    Lanes x_[V];
-};
-
-template <class Lanes>
-class LaneSet<Lanes, 0>
-{
-  public:
-    explicit LaneSet(int vecs) : x_(static_cast<std::size_t>(vecs)) {}
-    Lanes &operator[](int v) { return x_[static_cast<std::size_t>(v)]; }
-
-  private:
-    std::vector<Lanes> x_;
-};
-
-/**
  * Run the full anneal (sweeps, block moves, optional greedy finish)
  * over ctx with the scalar fallback kernel. Always compiled.
  */

@@ -451,7 +451,7 @@ SaSampler::sampleAll(const SaOptions &opts, Rng &rng) const
     SaStats total;
     total.reads = static_cast<std::uint64_t>(reads);
     total.read_groups = static_cast<std::uint64_t>(
-        lockstepGroupCount(reads - 1, opts.reads_groups));
+        lockstepGroupCount(reads - 1));
     bool cancelled = false;
     for (const SaResult &r : out) {
         total.sweeps += r.stats.sweeps;

@@ -84,22 +84,14 @@ struct SaOptions
      * Independent annealing reads per sample; the best energy wins.
      * 1 (the default) reproduces the single-chain sampler exactly;
      * reads beyond the first run in lockstep groups (see the file
-     * comment).
+     * comment): ceil((N-1) / 8) groups of up to 8 lanes that fan out
+     * across the shared WorkPool, so the SIMD per-core speedup
+     * compounds with core count. The partition is a pure function of
+     * num_reads — NEVER of the machine's core count, pool size or
+     * ISA — so results stay bit-identical across thread counts (see
+     * sa_batch.h).
      */
     int num_reads = 1;
-
-    /**
-     * Number of parallel lockstep groups the N-1 extra reads split
-     * into; the groups fan out across the shared WorkPool so the
-     * SIMD per-core speedup compounds with core count. 0 (the
-     * default) is auto: groups of up to 8 lanes, i.e.
-     * ceil((N-1) / 8) groups. 1 forces a single group for any read
-     * count. The effective partition is a pure function of
-     * (num_reads, reads_groups) — NEVER of the machine's core count,
-     * pool size or ISA — so results stay bit-identical across thread
-     * counts (see sa_batch.h).
-     */
-    int reads_groups = 0;
 
     /**
      * Cooperative cancellation, polled once before every sweep of

@@ -42,7 +42,7 @@ struct HybridConfig
 {
     sat::SolverOptions solver = sat::SolverOptions::minisatStyle();
 
-    /** Device model; num_reads/reads_groups below replace its own. */
+    /** Device model; num_reads below replaces its own. */
     anneal::QuantumAnnealer::Options annealer;
     FrontendOptions frontend;
     BackendOptions backend;
@@ -80,12 +80,10 @@ struct HybridConfig
     std::string sampler = "qa";
 
     /**
-     * Annealing reads per device sample and the parallel lockstep
-     * groups the extra reads split into (0 = auto). The sampler spec
-     * copies both into the annealer options, which document them.
+     * Annealing reads per device sample. The sampler spec copies it
+     * into the annealer options, which document it.
      */
     int num_reads = 1;
-    int reads_groups = 0;
 
     std::uint64_t seed = 0x47a9be57;
 

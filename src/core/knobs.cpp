@@ -42,10 +42,6 @@ constexpr Knob kKnobs[] = {
      [](HybridConfig &c, std::string_view v) {
          return setCount(v, 1, c.num_reads);
      }},
-    {"reads-groups", "N", "reads_groups", false,
-     [](HybridConfig &c, std::string_view v) {
-         return setCount(v, 0, c.reads_groups);
-     }},
     {"noisy", nullptr, nullptr, false,
      [](HybridConfig &c, std::string_view) {
          c.annealer = anneal::QuantumAnnealer::Options::dwave2000q();

@@ -55,7 +55,6 @@ hybridSamplerSpec(const HybridConfig &config)
     spec.name = config.sampler;
     spec.annealer = config.annealer;
     spec.annealer.num_reads = config.num_reads;
-    spec.annealer.reads_groups = config.reads_groups;
     spec.stop = config.stop;
     return spec;
 }

@@ -64,16 +64,22 @@ readManifest(std::istream &in)
 std::size_t
 estimateMemoryMb(const sat::Cnf &cnf, int num_workers)
 {
+    std::size_t lits = 0;
+    for (int i = 0; i < cnf.numClauses(); ++i)
+        lits += cnf.clause(i).size();
+    return estimateMemoryMb(lits, cnf.numVars(), num_workers);
+}
+
+std::size_t
+estimateMemoryMb(std::size_t literals, int vars, int num_workers)
+{
     // Footprint model: every clause costs its literals (4 B each)
     // plus an arena header, doubled for learnt growth; every
     // variable costs watch lists, trail, heap and scores (~128 B).
     // Each portfolio worker holds an independent copy.
-    std::size_t lits = 0;
-    for (int i = 0; i < cnf.numClauses(); ++i)
-        lits += cnf.clause(i).size();
     const std::size_t per_worker =
-        lits * 2 * (sizeof(std::uint32_t) + 12) +
-        static_cast<std::size_t>(cnf.numVars()) * 128;
+        literals * 2 * (sizeof(std::uint32_t) + 12) +
+        static_cast<std::size_t>(vars) * 128;
     const std::size_t total =
         per_worker * static_cast<std::size_t>(std::max(num_workers, 1));
     return total / (1024 * 1024) + 1;
@@ -103,8 +109,7 @@ writeJsonReport(const BatchReport &report, std::ostream &out)
             << "\", \"winner\": \"" << jsonEscape(r.winner)
             << "\", \"simplify\": \"" << jsonEscape(r.simplify)
             << "\", \"topology\": \"" << jsonEscape(r.topology)
-            << "\", \"reads_groups\": " << r.reads_groups
-            << ", \"wall_s\": " << jsonNumber(r.wall_s)
+            << "\", \"wall_s\": " << jsonNumber(r.wall_s)
             << ", \"vars\": " << r.vars
             << ", \"clauses\": " << r.clauses
             << ", \"iterations\": " << r.iterations
@@ -131,14 +136,13 @@ writeJsonReport(const BatchReport &report, std::ostream &out)
 void
 writeCsvReport(const BatchReport &report, std::ostream &out)
 {
-    out << "name,path,status,winner,simplify,topology,"
-           "reads_groups,wall_s,vars,clauses,"
-           "iterations,conflicts,restarts,propagations,qa_samples,"
-           "frontend_s,qa_device_s,backend_s,cdcl_s\n";
+    out << "name,path,status,winner,simplify,topology,wall_s,vars,"
+           "clauses,iterations,conflicts,restarts,propagations,"
+           "qa_samples,frontend_s,qa_device_s,backend_s,cdcl_s\n";
     for (const InstanceRecord &r : report.records) {
         out << r.name << ',' << r.path << ',' << r.status << ','
             << r.winner << ',' << r.simplify << ','
-            << r.topology << ',' << r.reads_groups << ',' << jsonNumber(r.wall_s) << ','
+            << r.topology << ',' << jsonNumber(r.wall_s) << ','
             << r.vars << ',' << r.clauses << ',' << r.iterations
             << ',' << r.conflicts << ',' << r.restarts << ','
             << r.propagations << ',' << r.qa_samples << ','

@@ -49,12 +49,6 @@ struct InstanceRecord
     /** Effective hardware topology ("chimera", "pegasus"). */
     std::string topology;
 
-    /**
-     * Effective parallel lockstep-group setting of the extra reads
-     * (0 = auto-sized groups of up to 8 lanes).
-     */
-    int reads_groups = 0;
-
     double wall_s = 0.0;
     int vars = 0;
     int clauses = 0;
@@ -125,6 +119,10 @@ std::vector<std::string> readManifest(std::istream &in);
 
 /** Estimated solve-time footprint of a formula (MB). */
 std::size_t estimateMemoryMb(const sat::Cnf &cnf, int num_workers);
+
+/** The same estimate for @p literals literals over @p vars variables. */
+std::size_t estimateMemoryMb(std::size_t literals, int vars,
+                             int num_workers);
 
 } // namespace hyqsat::service
 

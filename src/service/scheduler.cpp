@@ -369,7 +369,6 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
         core::applyOverrides(spec.overrides, w.hybrid);
     rec.simplify = simplify::strengthName(popts.base.simplify_strength);
     rec.topology = topology::kindName(popts.base.topology);
-    rec.reads_groups = popts.base.reads_groups;
 
     const int workers = popts.workers.empty()
                             ? popts.num_workers

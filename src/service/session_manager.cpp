@@ -1,5 +1,6 @@
 #include "service/session_manager.h"
 
+#include <algorithm>
 #include <charconv>
 
 #include "util/timer.h"
@@ -161,6 +162,21 @@ SessionManager::find(SessionId sid) const
 }
 
 std::string
+SessionManager::checkBudget(const Entry &entry, std::size_t literals,
+                            int max_var) const
+{
+    if (opts_.memory_budget_mb == 0)
+        return "";
+    const std::size_t mb = estimateMemoryMb(
+        entry.literals + literals,
+        std::max(entry.session->formula().numVars(), max_var), 1);
+    if (mb <= opts_.memory_budget_mb)
+        return "";
+    return "memory budget exceeded: " + std::to_string(mb) + " MB > " +
+           std::to_string(opts_.memory_budget_mb) + " MB";
+}
+
+std::string
 SessionManager::add(SessionId sid, const std::string &dimacs)
 {
     const std::shared_ptr<Entry> entry = find(sid);
@@ -170,11 +186,20 @@ SessionManager::add(SessionId sid, const std::string &dimacs)
     const std::string err = parseClauses(dimacs, clauses);
     if (!err.empty())
         return err;
+    std::size_t literals = 0;
+    int max_var = 0;
     for (const sat::LitVec &c : clauses) {
         if (c.size() > 3)
             return "clause too long (3-SAT required)";
+        literals += c.size();
+        for (const sat::Lit p : c)
+            max_var = std::max(max_var, p.var() + 1);
     }
     std::lock_guard<std::mutex> lock(entry->mutex);
+    const std::string over = checkBudget(*entry, literals, max_var);
+    if (!over.empty())
+        return over;
+    entry->literals += literals;
     for (sat::LitVec &c : clauses)
         entry->session->addClause(std::move(c));
     if (m_clauses_)
@@ -188,11 +213,16 @@ SessionManager::assume(SessionId sid, const std::vector<int> &lits)
     const std::shared_ptr<Entry> entry = find(sid);
     if (!entry)
         return "unknown session";
+    int max_var = 0;
     for (const int lit : lits) {
         if (lit > sat::kMaxDimacsVar || lit < -sat::kMaxDimacsVar)
             return "literal out of range: " + std::to_string(lit);
+        max_var = std::max(max_var, lit > 0 ? lit : -lit);
     }
     std::lock_guard<std::mutex> lock(entry->mutex);
+    const std::string over = checkBudget(*entry, 0, max_var);
+    if (!over.empty())
+        return over;
     entry->pending_assumptions.clear();
     for (const int lit : lits) {
         const int v = (lit > 0 ? lit : -lit) - 1;

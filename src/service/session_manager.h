@@ -50,6 +50,13 @@ struct SessionManagerOptions
     /** Per-tenant cap ("tenant_sessions_full"); 0 = unbounded. */
     std::size_t max_per_tenant = 8;
 
+    /**
+     * Per-session footprint budget (MB, estimateMemoryMb at one
+     * worker): an ADD or ASSUME whose largest variable would put the
+     * session past it is refused before anything grows; 0 = none.
+     */
+    std::size_t memory_budget_mb = 0;
+
     /** Registry for the session.* counters; nullptr records
      *  nothing (invariant queries then always return zero). */
     MetricsRegistry *metrics = nullptr;
@@ -85,7 +92,8 @@ class SessionManager
 
     /**
      * Add clauses from DIMACS text (a full file with a `p cnf`
-     * header or bare clause lines, each 0-terminated). 3-SAT only.
+     * header or bare clause lines, each 0-terminated). 3-SAT only,
+     * within the memory budget.
      * @return "" on success, else a diagnostic for an ERR reply.
      */
     std::string add(SessionId sid, const std::string &dimacs);
@@ -131,10 +139,19 @@ class SessionManager
         std::string tenant;
         std::unique_ptr<core::Session> session;
         sat::LitVec pending_assumptions;
+        std::size_t literals = 0; ///< over every clause added
         std::mutex mutex; ///< serializes verbs on this session
     };
 
     std::shared_ptr<Entry> find(SessionId sid) const;
+
+    /**
+     * "" if @p entry (locked) grown by @p literals literals over
+     * variables up to @p max_var stays within the memory budget,
+     * else the ERR diagnostic.
+     */
+    std::string checkBudget(const Entry &entry, std::size_t literals,
+                            int max_var) const;
     void closeLocked(SessionId sid);
 
     SessionManagerOptions opts_;

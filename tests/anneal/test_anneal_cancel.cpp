@@ -107,23 +107,17 @@ TEST_F(LockstepCancel, UntrippedTokenIsBitIdenticalOnEveryIsa)
     const SaCompiled &c = sampler.compiled();
 
     StopToken never;
-    struct Shape
-    {
-        int reads;
-        int groups;
-    };
-    for (const Shape shape : {Shape{3, 0}, Shape{8, 0}, Shape{12, 1},
-                              Shape{16, 1}, Shape{20, 0}}) {
+    // One 4-lane group, one 8-lane group, and two and three groups.
+    for (const int reads : {3, 8, 12, 16, 20}) {
         SaOptions plain;
         plain.sweeps = 48;
-        plain.num_reads = shape.reads;
-        plain.reads_groups = shape.groups;
+        plain.num_reads = reads;
         SaOptions polled = plain;
         polled.stop = &never;
         for (const simd::Isa isa : hostTiers()) {
             SCOPED_TRACE(::testing::Message()
                          << "isa=" << simd::isaName(isa)
-                         << " reads=" << shape.reads);
+                         << " reads=" << reads);
             const auto want =
                 sampleLockstep(c, sampler.fields(), sampler.couplings(),
                                plain, 0x5eed, isa);

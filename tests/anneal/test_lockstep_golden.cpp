@@ -124,28 +124,19 @@ digestReads(const std::vector<SaResult> &reads)
 struct Case
 {
     int reads;
-    int groups; ///< SaOptions::reads_groups (0 = auto)
     std::uint64_t plain;
     std::uint64_t chained;
 };
 
-// reads_groups = 1 keeps 12 and 16 reads in ONE group: 12 lanes run
-// on AVX2 even on an AVX-512 host, 16 lanes are two AVX-512 vectors.
-// The last two single groups are wider than BlockRng::kBlock, so
-// every uphill proposal draws more uniforms than one block holds:
-// 1032 lanes (1030 real) run on AVX-512, 2100 lanes (2098 real, more
-// than two blocks) on AVX2.
+// 1..8 reads are one group (the 8-read row pins that its seed is the
+// base verbatim); 12 reads are two groups of 6, 16 two groups of 8.
 constexpr Case kCases[] = {
-    {1, 0, 0x1d48ac74599e3488ull, 0x7429bae848512e68ull},
-    {3, 0, 0xf9def5967555dd15ull, 0x5276f27d44300552ull},
-    {7, 0, 0xfd00351957fdcbfaull, 0xb9b197191c39026full},
-    {8, 0, 0xbf16c20c7ded5dbeull, 0x22be5e1f372a7ddaull},
-    {12, 0, 0xc6acf76f29ceed83ull, 0x8d5a951adfaedea0ull},
-    {12, 1, 0x0b33a24817dc500bull, 0xd283d2b60860b344ull},
-    {16, 0, 0x1cac6511b34f85ddull, 0x72d216e7b01385c3ull},
-    {16, 1, 0xfcc15e9c3702be6aull, 0x0c6349c1ad1173f0ull},
-    {1030, 1, 0xd8103ad14312bddfull, 0x09c7b193b9d26524ull},
-    {2098, 1, 0xcba0ed959ca29861ull, 0xa25cc95a30de7093ull},
+    {1, 0x1d48ac74599e3488ull, 0x7429bae848512e68ull},
+    {3, 0xf9def5967555dd15ull, 0x5276f27d44300552ull},
+    {7, 0xfd00351957fdcbfaull, 0xb9b197191c39026full},
+    {8, 0xbf16c20c7ded5dbeull, 0x22be5e1f372a7ddaull},
+    {12, 0xc6acf76f29ceed83ull, 0x8d5a951adfaedea0ull},
+    {16, 0x1cac6511b34f85ddull, 0x72d216e7b01385c3ull},
 };
 
 void
@@ -155,15 +146,13 @@ checkModel(const SaCompiled &c, bool chained)
         SaOptions opts;
         opts.sweeps = 40;
         opts.num_reads = k.reads;
-        opts.reads_groups = k.groups;
         const std::uint64_t want = chained ? k.chained : k.plain;
         for (const simd::Isa isa : hostTiers()) {
             const auto reads =
                 sampleLockstep(c, c.csr.h.data(), c.csr.w.data(),
                                opts, 0x5eed + k.reads, isa);
             EXPECT_EQ(digestReads(reads), want)
-                << "isa=" << simd::isaName(isa) << " reads=" << k.reads
-                << " groups=" << k.groups;
+                << "isa=" << simd::isaName(isa) << " reads=" << k.reads;
         }
     }
 }

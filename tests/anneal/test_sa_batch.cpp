@@ -78,10 +78,7 @@ TEST(BlockRng, InPlaceDrawsMatchRandomAccessAcrossRefills)
     // across block boundaries. 12 does not divide the block, so its
     // refills keep an unread tail; the odd sizes leave refills whose
     // length is not a whole number of vectors (516 and 1023 words),
-    // and the next draw reads the second one to the end. The 1500
-    // and 2600 draws are wider than a block (a lockstep group of
-    // more than kBlock lanes): each is served from the wide buffer,
-    // which starts with the unread tail (924 and 1017 words). Each
+    // and the next draw reads the second one to the end. Each
     // uniform's -64 ln u estimate travels with it: it is the one a
     // one-word fill at that position stores.
     const BlockRng ra(7);
@@ -111,8 +108,7 @@ TEST(BlockRng, InPlaceDrawsMatchRandomAccessAcrossRefills)
         BlockRng seq(7);
         std::uint64_t pos = 0;
         for (std::size_t size : {1u, 7u, 64u, 1000u, 1024u, 513u, 3u,
-                                 1023u, 5u, 1019u, 100u, 1500u, 7u,
-                                 2600u}) {
+                                 1023u, 5u, 1019u, 100u, 7u}) {
             ASSERT_EQ(seq.cursor(), pos);
             const BlockRng::Draw draw = seq.next(size, fill);
             for (std::size_t i = 0; i < size; ++i) {
@@ -205,10 +201,10 @@ TEST(SaBatch, ScalarAndVectorKernelsAreBitIdentical)
     // accepted-flip sequences (sweeps + block moves + greedy), EVERY
     // vector tier the host can execute must reproduce the scalar
     // fallback bit for bit — spins, energies, per-lane counters.
-    // One group per run, so 12 reads are 12 lanes (AVX2 on an
-    // AVX-512 host), 16 reads are two AVX-512 vectors and 24 reads
-    // run the kernels' run-time vector count; chains of 4..6 spins
-    // exercise the in-chain edge corrections.
+    // 2 reads run one 4-lane group, 5 and 8 one 8-lane group; 12,
+    // 16 and 24 reads split into two and three groups of 6 or 8
+    // lanes. Chains of 4..6 spins exercise the in-chain edge
+    // corrections.
     std::vector<simd::Isa> tiers = hostTiers();
     tiers.erase(tiers.begin()); // scalar, the reference
     if (tiers.empty())
@@ -230,7 +226,6 @@ TEST(SaBatch, ScalarAndVectorKernelsAreBitIdentical)
                     SaOptions opts;
                     opts.sweeps = 48;
                     opts.num_reads = reads;
-                    opts.reads_groups = 1;
                     const auto s =
                         runLockstep(c, opts, seed, simd::Isa::Scalar);
                     const auto v = runLockstep(c, opts, seed, active);

@@ -64,18 +64,14 @@ expectIdentical(const std::vector<SaResult> &a,
 
 TEST(SaParallel, GroupCountIsPureFunctionOfOptions)
 {
-    // Auto (0): groups of up to 8 lanes.
-    EXPECT_EQ(lockstepGroupCount(1, 0), 1);
-    EXPECT_EQ(lockstepGroupCount(8, 0), 1);
-    EXPECT_EQ(lockstepGroupCount(9, 0), 2);
-    EXPECT_EQ(lockstepGroupCount(16, 0), 2);
-    EXPECT_EQ(lockstepGroupCount(17, 0), 3);
-    EXPECT_EQ(lockstepGroupCount(64, 0), 8);
-    // Explicit counts clamp to [1, reads].
-    EXPECT_EQ(lockstepGroupCount(20, 1), 1);
-    EXPECT_EQ(lockstepGroupCount(20, 4), 4);
-    EXPECT_EQ(lockstepGroupCount(20, 99), 20);
-    EXPECT_EQ(lockstepGroupCount(0, 0), 1);
+    // Groups of up to 8 lanes.
+    EXPECT_EQ(lockstepGroupCount(1), 1);
+    EXPECT_EQ(lockstepGroupCount(8), 1);
+    EXPECT_EQ(lockstepGroupCount(9), 2);
+    EXPECT_EQ(lockstepGroupCount(16), 2);
+    EXPECT_EQ(lockstepGroupCount(17), 3);
+    EXPECT_EQ(lockstepGroupCount(64), 8);
+    EXPECT_EQ(lockstepGroupCount(0), 1);
 }
 
 TEST(SaParallel, GroupSeedsDecorrelatedAndAnchored)
@@ -117,56 +113,45 @@ TEST(SaParallel, BitIdenticalAcrossThreadCounts)
     expectIdentical(a, e, "serial vs shared pool");
 }
 
-TEST(SaParallel, AutoSingleGroupMatchesForcedSingleGroup)
-{
-    // reads <= 8 means auto sizing yields one group, whose seed is
-    // the base verbatim — so the parallel dispatcher must reproduce
-    // the PR 9 single-group path bit for bit.
-    const auto m = randomModel(22, 5);
-    const auto c = SaCompiled::build(m, /*include_zero=*/false);
-    SaOptions opts;
-    opts.sweeps = 64;
-    opts.num_reads = 8;
-    SaOptions forced = opts;
-    forced.reads_groups = 1;
-    const auto a = runLockstep(c, opts, 7, nullptr);
-    const auto b = runLockstep(c, forced, 7, nullptr);
-    expectIdentical(a, b, "auto vs forced single group");
-}
-
 TEST(SaParallel, GroupPartitionIsBalancedAndDeterministic)
 {
-    // Explicit group counts shift which seed each read runs under,
-    // so results differ from the single-group run — but remain a
-    // deterministic function of the options.
+    // Group g of a multi-group run holds reads [g * N / G,
+    // (g + 1) * N / G): every group has 4 or 8 lanes once padded,
+    // and its reads are exactly a one-group run of that many reads
+    // seeded lockstepGroupSeed(base, g). 12 reads split 6 + 6, 20
+    // split 6 + 7 + 7 and 24 split 8 + 8 + 8.
     const auto m = randomModel(24, 13);
     const auto c = SaCompiled::build(m, /*include_zero=*/false);
-    SaOptions grouped;
-    grouped.sweeps = 48;
-    grouped.num_reads = 12;
-    grouped.reads_groups = 3;
-    SaOptions single = grouped;
-    single.reads_groups = 1;
     WorkPool pool(3);
-    const auto a = runLockstep(c, grouped, 99, &pool);
-    const auto b = runLockstep(c, grouped, 99, &pool);
-    const auto s = runLockstep(c, single, 99, &pool);
-    expectIdentical(a, b, "grouped repeat");
-    ASSERT_EQ(a.size(), s.size());
-    // A different partition means different lane counts and group
-    // seeds, so the runs explore differently (they are distinct,
-    // equally valid deterministic samplers).
-    bool differs = false;
-    for (std::size_t r = 0; r < a.size(); ++r)
-        differs |= a[r].spins != s[r].spins;
-    EXPECT_TRUE(differs)
-        << "group partition should select different streams";
-    // Every read still reports exact energies for its spins.
-    for (const auto &r : a)
-        EXPECT_DOUBLE_EQ(r.energy,
-                         c.csr.energyWith(r.spins.data(),
-                                          c.csr.h.data(),
-                                          c.csr.w.data()));
+    for (const int reads : {12, 20, 24}) {
+        SCOPED_TRACE(reads);
+        SaOptions opts;
+        opts.sweeps = 48;
+        opts.num_reads = reads;
+        const auto a = runLockstep(c, opts, 99, &pool);
+        expectIdentical(a, runLockstep(c, opts, 99, &pool), "repeat");
+        const int groups = lockstepGroupCount(reads);
+        ASSERT_EQ(groups, (reads + 7) / 8);
+        for (int g = 0; g < groups; ++g) {
+            const int lo = g * reads / groups;
+            const int hi = (g + 1) * reads / groups;
+            EXPECT_GE(hi - lo, reads / groups);
+            EXPECT_LE(hi - lo, 8);
+            SaOptions part = opts;
+            part.num_reads = hi - lo;
+            const auto want = runLockstep(
+                c, part, lockstepGroupSeed(99, g), nullptr);
+            expectIdentical(
+                want, std::vector<SaResult>(a.begin() + lo, a.begin() + hi),
+                "group slice");
+        }
+        // Every read still reports exact energies for its spins.
+        for (const auto &r : a)
+            EXPECT_DOUBLE_EQ(r.energy,
+                             c.csr.energyWith(r.spins.data(),
+                                              c.csr.h.data(),
+                                              c.csr.w.data()));
+    }
 }
 
 TEST(SaParallel, SamplerAggregatesGroupStats)
@@ -177,8 +162,7 @@ TEST(SaParallel, SamplerAggregatesGroupStats)
     SaSampler sampler(m);
     SaOptions opts;
     opts.sweeps = 32;
-    opts.num_reads = 20;
-    opts.reads_groups = 0; // auto: 19 extra reads in 3 groups
+    opts.num_reads = 20; // 19 extra reads in 3 groups
     Rng rng(11);
     const auto all = sampler.sampleAll(opts, rng);
     ASSERT_EQ(all.size(), 20u);

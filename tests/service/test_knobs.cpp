@@ -26,8 +26,7 @@ knobFields(const HybridConfig &c)
     std::ostringstream out;
     out << simplify::strengthName(c.simplify_strength) << ' '
         << topology::kindName(c.topology) << ' ' << c.sampler << ' '
-        << c.num_reads << ' ' << c.reads_groups << ' '
-        << c.annealer.noise.coefficient_sigma
+        << c.num_reads << ' ' << c.annealer.noise.coefficient_sigma
         << ' ' << c.annealer.noise.readout_flip_prob << ' '
         << c.annealer.greedy_finish << ' ' << c.annealer.attempts;
     return out.str();
@@ -67,14 +66,14 @@ sampleValue(const Knob &knob)
 }
 
 constexpr const char *kSubmitExpected =
-    "bad option (expected simplify=<off|light|full>, "
-    "topology=<chimera|pegasus|zephyr> or reads_groups=<n>): ";
+    "bad option (expected simplify=<off|light|full> "
+    "or topology=<chimera|pegasus|zephyr>): ";
 constexpr const char *kOpenExpected =
     "bad option (expected simplify=<off|light|full>): ";
 
 TEST(Knobs, EveryRowSetsTheSameConfigFromCliAndSubmit)
 {
-    ASSERT_EQ(knobs().size(), 6u);
+    ASSERT_EQ(knobs().size(), 5u);
     for (const Knob &knob : knobs()) {
         SCOPED_TRACE(knob.flag);
         const std::string value = knob.syntax ? sampleValue(knob) : "";
@@ -130,7 +129,7 @@ TEST(Knobs, ProtocolUsageListsTheKeyedRows)
     EXPECT_EQ(service::parseRequest("SUBMIT acme 3").error,
               "usage: SUBMIT <tenant> <priority> <name> "
               "[simplify=<off|light|full>] "
-              "[topology=<chimera|pegasus|zephyr>] [reads_groups=<n>]");
+              "[topology=<chimera|pegasus|zephyr>]");
     EXPECT_EQ(service::parseRequest("OPEN").error,
               "usage: OPEN <tenant> [simplify=<off|light|full>]");
     EXPECT_EQ(service::parseRequest(
@@ -143,7 +142,7 @@ TEST(Knobs, CliRejectsBadValuesInsteadOfClamping)
 {
     const std::vector<std::vector<std::string>> bad = {
         {"--num-reads", "0"},        {"--num-reads", "2x"},
-        {"--reads-groups", "-1"},    {"--reads-groups", "4097"},
+        {"--num-reads", "4097"},
         {"--topology", "kite"},      {"--simplify", "max"},
         {"--num-reads"},             {"--sampler", "bogus"},
         {"--sampler", "async"},
@@ -162,15 +161,14 @@ TEST(Knobs, CliRejectsBadValuesInsteadOfClamping)
     parseWords({"--topology", "kite"}, config, error);
     EXPECT_EQ(error, "bad --topology: kite (expected "
                      "chimera|pegasus|zephyr)");
-    parseWords({"--reads-groups"}, config, error);
-    EXPECT_EQ(error, "missing value for --reads-groups");
+    parseWords({"--num-reads"}, config, error);
+    EXPECT_EQ(error, "missing value for --num-reads");
 
-    // Range ends SUBMIT also accepts are fine.
-    ASSERT_TRUE(parseWords({"--reads-groups", "4096", "--reads-groups=0",
-                            "--num-reads", "4096"},
-                           config, error));
-    EXPECT_EQ(config.reads_groups, 0);
+    // Range ends are fine.
+    ASSERT_TRUE(parseWords({"--num-reads", "4096"}, config, error));
     EXPECT_EQ(config.num_reads, 4096);
+    ASSERT_TRUE(parseWords({"--num-reads=1"}, config, error));
+    EXPECT_EQ(config.num_reads, 1);
 }
 
 TEST(Knobs, SamplerSyntaxIsTheBackendNames)
@@ -226,6 +224,29 @@ TEST(Knobs, NonKnobWordsAreLeftToTheCli)
         EXPECT_FALSE(parseWords({word}, config, error)) << word;
         EXPECT_TRUE(error.empty()) << word;
     }
+}
+
+TEST(Knobs, ReadsGroupsIsNotAKnob)
+{
+    // num_reads alone sets the lockstep partition: --reads-groups is
+    // left to the CLI as a word it does not know (exit 2), and the
+    // reads_groups= key is foreign to SUBMIT and OPEN (ERR).
+    HybridConfig config;
+    std::string error;
+    EXPECT_FALSE(parseWords({"--reads-groups", "2"}, config, error));
+    EXPECT_TRUE(error.empty()) << error;
+    EXPECT_FALSE(parseWords({"--reads-groups=2"}, config, error));
+    EXPECT_TRUE(error.empty()) << error;
+    EXPECT_EQ(knobFields(config), knobFields(HybridConfig{}));
+
+    const service::Request submit =
+        service::parseRequest("SUBMIT acme 0 job reads_groups=2");
+    EXPECT_EQ(submit.verb, service::Verb::Invalid);
+    EXPECT_EQ(submit.error, std::string(kSubmitExpected) + "reads_groups=2");
+    const service::Request open =
+        service::parseRequest("OPEN acme reads_groups=2");
+    EXPECT_EQ(open.verb, service::Verb::Invalid);
+    EXPECT_EQ(open.error, std::string(kOpenExpected) + "reads_groups=2");
 }
 
 TEST(Knobs, NoisyIsTheDevicePreset)

@@ -106,35 +106,6 @@ TEST(ServiceProtocol, SubmitTopologyAndReadsBatchOptions)
               Verb::Invalid);
 }
 
-TEST(ServiceProtocol, SubmitReadsGroupsOption)
-{
-    // reads_groups= composes with every other override; 0 means
-    // auto-sized lockstep groups, -1 (absent) keeps the daemon
-    // default.
-    const Request req = parseRequest(
-        "SUBMIT acme 2 job-9 reads_groups=4 topology=zephyr "
-        "simplify=off");
-    EXPECT_EQ(req.verb, Verb::Submit);
-    EXPECT_EQ(overrideOf(req, "reads_groups"), "4");
-    EXPECT_EQ(overrideOf(req, "topology"), "zephyr");
-
-    EXPECT_EQ(overrideOf(parseRequest("SUBMIT t 0 j reads_groups=0"),
-                         "reads_groups"),
-              "0");
-    EXPECT_EQ(overrideOf(parseRequest("SUBMIT t 0 j"), "reads_groups"), "")
-        << "unset keeps the daemon default";
-
-    // Bounds and syntax: negative, huge, and junk stay Invalid.
-    EXPECT_EQ(parseRequest("SUBMIT t 0 j reads_groups=-1").verb,
-              Verb::Invalid);
-    EXPECT_EQ(parseRequest("SUBMIT t 0 j reads_groups=4097").verb,
-              Verb::Invalid);
-    EXPECT_EQ(parseRequest("SUBMIT t 0 j reads_groups=").verb,
-              Verb::Invalid);
-    EXPECT_EQ(parseRequest("SUBMIT t 0 j reads_groups=two").verb,
-              Verb::Invalid);
-}
-
 TEST(ServiceProtocol, ParsesWaitAndStatus)
 {
     const Request wait = parseRequest("WAIT 42");

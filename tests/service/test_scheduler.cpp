@@ -134,14 +134,13 @@ TEST(JobScheduler, SimplifyOverrideEchoedInRecord)
  * Run one job on a portfolio whose every worker runs to a small
  * conflict budget without clause sharing, so the job's anneal and
  * solver counters are a deterministic sum over its workers. With
- * @p slate the portfolio races two explicit 9-read workers (@p topo,
- * @p groups); without it the one-worker auto slate is the base
- * config itself.
+ * @p slate the portfolio races two explicit 17-read workers on
+ * @p topo; without it the one-worker auto slate is the base config
+ * itself.
  */
 InstanceRecord
-runBudgetedJob(bool slate, topology::Kind topo, int groups,
-               const std::string &topology_override,
-               const std::string &groups_override)
+runBudgetedJob(bool slate, topology::Kind topo,
+               const std::string &topology_override)
 {
     SchedulerOptions opts = smallOptions();
     opts.workers = 1;
@@ -149,8 +148,7 @@ runBudgetedJob(bool slate, topology::Kind topo, int groups,
     opts.portfolio.conflict_budget = 60;
     core::HybridConfig &base = opts.portfolio.base;
     base.topology = topo;
-    base.reads_groups = groups;
-    base.num_reads = 9;
+    base.num_reads = 17;
     base.warmup_override = 6;
     if (slate)
         opts.portfolio.workers = {{"w0", base}, {"w1", base}};
@@ -161,9 +159,9 @@ runBudgetedJob(bool slate, topology::Kind topo, int groups,
     JobSpec spec = inlineJob(
         "t", 0, "budgeted",
         sat::toDimacsString(gen::uniformRandom3Sat(90, 450, gen)));
-    for (const std::string &token : {topology_override, groups_override})
-        if (!token.empty())
-            spec.overrides.push_back(*core::parseOverride(token, false));
+    if (!topology_override.empty())
+        spec.overrides.push_back(
+            *core::parseOverride(topology_override, false));
     JobScheduler scheduler(opts);
     const Submission sub = scheduler.submit(std::move(spec));
     EXPECT_TRUE(sub.accepted);
@@ -193,21 +191,20 @@ annealCounters(const InstanceRecord &rec)
             metricOf(rec, "solver.propagations")};
 }
 
-TEST(JobScheduler, TopologyAndReadsGroupsOverridesReachEveryWorker)
+TEST(JobScheduler, TopologyOverrideReachesEveryWorker)
 {
     using topology::Kind;
     for (const bool slate : {true, false}) {
         SCOPED_TRACE(slate ? "explicit slate" : "base config");
-        // A job overriding chimera/auto-groups to pegasus/8 groups
-        // must count exactly what a portfolio configured that way
-        // counts, and differ from the un-overridden portfolio.
+        // A job overriding chimera to pegasus must count exactly what
+        // a portfolio configured that way counts, and differ from the
+        // un-overridden portfolio.
         const InstanceRecord overridden =
-            runBudgetedJob(slate, Kind::Chimera, 0, "topology=pegasus",
-                           "reads_groups=8");
+            runBudgetedJob(slate, Kind::Chimera, "topology=pegasus");
         const InstanceRecord native =
-            runBudgetedJob(slate, Kind::Pegasus, 8, "", "");
+            runBudgetedJob(slate, Kind::Pegasus, "");
         const InstanceRecord plain =
-            runBudgetedJob(slate, Kind::Chimera, 0, "", "");
+            runBudgetedJob(slate, Kind::Chimera, "");
         ASSERT_EQ(overridden.status, "UNKNOWN");
         ASSERT_EQ(native.status, "UNKNOWN");
         ASSERT_EQ(plain.status, "UNKNOWN");
@@ -216,19 +213,15 @@ TEST(JobScheduler, TopologyAndReadsGroupsOverridesReachEveryWorker)
         EXPECT_EQ(annealCounters(overridden), annealCounters(native));
         EXPECT_NE(metricOf(overridden, "anneal.flips.attempted"),
                   metricOf(plain, "anneal.flips.attempted"));
-        // 9 reads = read 0 + 8 extra reads: 8 groups per sample with
-        // the override, one auto-sized group without it.
-        EXPECT_EQ(metricOf(overridden, "anneal.read_groups") * 9,
-                  metricOf(overridden, "anneal.reads") * 8);
-        EXPECT_EQ(metricOf(plain, "anneal.read_groups") * 9,
-                  metricOf(plain, "anneal.reads"));
+        // 17 reads = read 0 + 16 extra reads in two 8-lane groups
+        // per sample, whatever the topology.
+        for (const InstanceRecord *rec : {&overridden, &plain})
+            EXPECT_EQ(metricOf(*rec, "anneal.read_groups") * 17,
+                      metricOf(*rec, "anneal.reads") * 2);
 
         EXPECT_EQ(overridden.topology, "pegasus");
-        EXPECT_EQ(overridden.reads_groups, 8);
         EXPECT_EQ(native.topology, "pegasus");
-        EXPECT_EQ(native.reads_groups, 8);
         EXPECT_EQ(plain.topology, "chimera");
-        EXPECT_EQ(plain.reads_groups, 0);
     }
 }
 

@@ -214,6 +214,37 @@ TEST(SessionManager, LiteralsBeyondTheLitBoundAreRejected)
     EXPECT_EQ(rec->status, "SAT");
 }
 
+TEST(SessionManager, MemoryBudgetRefusesHugeVariablesUnchanged)
+{
+    // With a budget, an ADD or ASSUME naming variable 2^30 is refused
+    // before the session grows: sizing a solver for it would take
+    // ~128 GB. The session keeps its formula and staged assumptions.
+    SessionManagerOptions opts = smallSessionOptions();
+    opts.memory_budget_mb = 64;
+    SessionManager manager(opts);
+    const OpenResult open = manager.open("acme", {});
+    ASSERT_TRUE(open.accepted);
+    EXPECT_EQ(manager.add(open.id, "1 0\n-1 3 0\n"), "");
+    EXPECT_EQ(manager.assume(open.id, {-3}), "");
+
+    const std::string refused =
+        "memory budget exceeded: 131073 MB > 64 MB";
+    EXPECT_EQ(manager.assume(open.id, {1, 1073741824}), refused);
+    EXPECT_EQ(manager.assume(open.id, {-1073741824}), refused);
+    EXPECT_EQ(manager.add(open.id, "2 0\n1 -1073741824 0\n"), refused);
+    // Well inside the budget, a fresh variable is still fine.
+    EXPECT_EQ(manager.add(open.id, "4 -2 0\n"), "");
+
+    // Nothing half-applied: the refused ADD left no clause, and the
+    // refused ASSUMEs kept the staged {-3}, which the formula refutes.
+    const auto rec = manager.solve(open.id);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->status, "UNSAT");
+    EXPECT_EQ(rec->vars, 4);
+    EXPECT_EQ(rec->clauses, 3);
+    EXPECT_EQ(manager.core(open.id), std::vector<int>{-3});
+}
+
 TEST(SessionManager, AdmissionCapsRejectWithReasons)
 {
     SessionManagerOptions opts = smallSessionOptions();
